@@ -65,12 +65,6 @@ class Alignment:
             if m.kind in (MoveKind.SYNCHRONOUS, MoveKind.LOG_ONLY)
         )
 
-    def model_labels(self) -> tuple[str | None, ...]:
-        return tuple(
-            m.label for m in self.moves
-            if m.kind in (MoveKind.SYNCHRONOUS, MoveKind.MODEL_ONLY, MoveKind.MODEL_SILENT)
-        )
-
     def misaligned(self) -> tuple[Move, ...]:
         return tuple(
             m for m in self.moves
@@ -185,41 +179,6 @@ def _all_log_moves(events: Sequence[str]) -> Alignment:
     return Alignment(moves=moves, cost=len(moves))
 
 
-def align_fragments(
-    fragments: Iterable[Fragment],
-    nets: Mapping[int, PetriNet],
-    budget: int = DEFAULT_BUDGET,
-    missing_net_ok: bool = True,
-) -> list[FragmentAlignment]:
-    out: list[FragmentAlignment] = []
-    for frag in fragments:
-        net = nets.get(frag.state)
-        if net is None:
-            if not missing_net_ok:
-                raise DataError(f"no net for populated state {frag.state}")
-            out.append(
-                FragmentAlignment(
-                    flow_id=frag.flow_id,
-                    state=frag.state,
-                    index=frag.index,
-                    events=frag.events,
-                    alignment=_all_log_moves(frag.events),
-                    missing_net=True,
-                )
-            )
-            continue
-        out.append(
-            FragmentAlignment(
-                flow_id=frag.flow_id,
-                state=frag.state,
-                index=frag.index,
-                events=frag.events,
-                alignment=align(net, frag.events, budget=budget),
-            )
-        )
-    return out
-
-
 def _accumulate(profile: dict[str, float], alignment: Alignment) -> None:
     for move in alignment.misaligned():
         profile[move.label] = profile.get(move.label, 0.0) + 1.0
@@ -235,10 +194,23 @@ def profile_flow(
     A fragment whose state has no net (empty training log) contributes all
     of its events as log-only moves, flagged in the explanation.
     """
-    aligned = align_fragments(fragments, nets, budget=budget, missing_net_ok=True)
     profile: dict[str, float] = {}
-    for fa in aligned:
-        _accumulate(profile, fa.alignment)
+    aligned: list[FragmentAlignment] = []
+    for frag in fragments:
+        net = nets.get(frag.state)
+        alignment = (
+            _all_log_moves(frag.events) if net is None
+            else align(net, frag.events, budget=budget)
+        )
+        aligned.append(FragmentAlignment(
+            flow_id=frag.flow_id,
+            state=frag.state,
+            index=frag.index,
+            events=frag.events,
+            alignment=alignment,
+            missing_net=net is None,
+        ))
+        _accumulate(profile, alignment)
     return profile, aligned
 
 

@@ -38,19 +38,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    overrides = {
-        "output_dir": args.output_dir,
-        "corpus": args.corpus,
-        "seed": args.seed,
-        "runs": args.runs,
-        "percentile": args.percentile,
-        "components": args.components,
-        "clusters": args.clusters,
-        "window": args.window,
-        "external_scores": args.external_scores,
-        "external_threshold": args.external_threshold,
-    }
-    return load_config(args.config, overrides)
+    # The option dests equal the RunConfig field names; load_config ignores
+    # the other attributes.
+    return load_config(args.config, vars(args))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,14 +8,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
+from .rating import DEFAULT_BAND_BOUNDARIES, SeverityBands
 
 OUTPUT_DIR_ENV = "ALARMSIFT_OUTPUT_DIR"
-
-DEFAULT_BANDS = (0.01, 0.25, 0.75, 0.99)
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,7 @@ class RunConfig:
     external_threshold: float | None = None
     clusters: int = 2
     window: int = 3
-    band_boundaries: tuple[float, float, float, float] = DEFAULT_BANDS
+    band_boundaries: tuple[float, float, float, float] = DEFAULT_BAND_BOUNDARIES
     train_fraction: float = 0.6
     validation_fraction: float = 0.25
     runs: int = 5
@@ -62,23 +61,47 @@ class RunConfig:
             )
         if self.external_scores is not None and self.external_threshold is None:
             raise ConfigError("external scores require an external threshold")
-        if len(self.band_boundaries) != 4 or list(self.band_boundaries) != sorted(
-            set(self.band_boundaries)
-        ) or any(not 0 < b < 1 for b in self.band_boundaries):
-            raise ConfigError(f"band boundaries must be 4 increasing values in (0,1)")
+        try:
+            SeverityBands(self.band_boundaries)
+        except DataError as exc:
+            raise ConfigError(str(exc)) from exc
         return self
 
 
-_FILE_KEYS = {
-    "output_dir", "corpus", "captures", "server_ports", "flow_timeout",
-    "components", "percentile", "external_scores", "external_threshold",
-    "clusters", "window", "band_boundaries", "train_fraction",
-    "validation_fraction", "runs", "seed", "alignment_budget",
+def _capture_spec(item: str | dict) -> CaptureSpec:
+    if isinstance(item, str):
+        return CaptureSpec(path=Path(item))
+    return CaptureSpec(path=Path(item["path"]), truth=item.get("truth") or "unknown")
+
+
+# Converters for the fields whose default's type cannot convert a JSON value.
+_CONVERTERS = {
+    "output_dir": Path,
+    "corpus": Path,
+    "captures": lambda items: tuple(_capture_spec(item) for item in items),
+    "server_ports": lambda ports: frozenset(int(p) for p in ports),
+    "external_scores": Path,
+    "external_threshold": float,
+    "band_boundaries": lambda bounds: tuple(float(b) for b in bounds),
+}
+
+#: Config-file key -> converter from its JSON value, one per RunConfig field.
+_FIELDS = {f.name: _CONVERTERS.get(f.name, type(f.default)) for f in fields(RunConfig)}
+
+# Fields that do not determine results: paths, so reruns into other
+# directories stay byte-identical, and settings that persisted manifests
+# have never recorded.
+_NOT_ECHOED = {
+    "output_dir", "corpus", "captures", "server_ports", "external_scores", "alignment_budget",
 }
 
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> RunConfig:
-    """Builds a RunConfig from an optional JSON file and flag overrides."""
+    """Builds a RunConfig from an optional JSON file and flag overrides.
+
+    A null or absent value keeps the default. Override keys that name no
+    RunConfig field are ignored, so an argparse namespace can be passed.
+    """
     values: dict = {}
     if path is not None:
         try:
@@ -87,65 +110,34 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
             raise ConfigError(f"config file not found: {path}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        unknown = set(payload) - _FILE_KEYS
+        if not isinstance(payload, dict):
+            raise ConfigError(f"config file must hold a JSON object: {path}")
+        unknown = set(payload) - set(_FIELDS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         values.update(payload)
     if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
+        values.update({k: v for k, v in overrides.items() if k in _FIELDS and v is not None})
 
-    cfg = RunConfig()
-    if "output_dir" in values:
-        cfg = replace(cfg, output_dir=Path(values["output_dir"]))
+    kwargs = {}
+    for key, value in values.items():
+        if value is None:
+            continue
+        try:
+            kwargs[key] = _FIELDS[key](value)
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise ConfigError(f"config key {key!r}: cannot use {value!r}") from exc
     if os.environ.get(OUTPUT_DIR_ENV):
-        cfg = replace(cfg, output_dir=Path(os.environ[OUTPUT_DIR_ENV]))
-    if "corpus" in values and values["corpus"] is not None:
-        cfg = replace(cfg, corpus=Path(values["corpus"]))
-    if "captures" in values:
-        specs = []
-        for item in values["captures"]:
-            if isinstance(item, str):
-                specs.append(CaptureSpec(path=Path(item)))
-            else:
-                specs.append(CaptureSpec(path=Path(item["path"]), truth=item.get("truth", "unknown")))
-        cfg = replace(cfg, captures=tuple(specs))
-    if "server_ports" in values:
-        cfg = replace(cfg, server_ports=frozenset(int(p) for p in values["server_ports"]))
-    if "external_scores" in values and values["external_scores"] is not None:
-        cfg = replace(cfg, external_scores=Path(values["external_scores"]))
-    for key, cast in (
-        ("flow_timeout", float), ("components", int), ("percentile", float),
-        ("external_threshold", float), ("clusters", int), ("window", int),
-        ("train_fraction", float), ("validation_fraction", float),
-        ("runs", int), ("seed", int), ("alignment_budget", int),
-    ):
-        if key in values and values[key] is not None:
-            cfg = replace(cfg, **{key: cast(values[key])})
-    if "band_boundaries" in values:
-        cfg = replace(cfg, band_boundaries=tuple(float(b) for b in values["band_boundaries"]))
-    return cfg.validate()
+        kwargs["output_dir"] = Path(os.environ[OUTPUT_DIR_ENV])
+    return RunConfig(**kwargs).validate()
 
 
 def semantic_echo(cfg: RunConfig) -> dict:
-    """The parameters that determine results; used in persisted manifests.
-
-    Paths are deliberately excluded so reruns into different directories
-    stay byte-identical.
-    """
-    return {
-        "flow_timeout": cfg.flow_timeout,
-        "components": cfg.components,
-        "percentile": cfg.percentile,
-        "clusters": cfg.clusters,
-        "window": cfg.window,
-        "band_boundaries": list(cfg.band_boundaries),
-        "train_fraction": cfg.train_fraction,
-        "validation_fraction": cfg.validation_fraction,
-        "runs": cfg.runs,
-        "seed": cfg.seed,
-        "external": cfg.external_scores is not None,
-        "external_threshold": cfg.external_threshold,
-    }
+    """The parameters that determine results; used in persisted manifests."""
+    echo = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in _NOT_ECHOED}
+    echo["band_boundaries"] = list(cfg.band_boundaries)
+    echo["external"] = cfg.external_scores is not None
+    return echo
 
 
 def derive_seed(master: int, name: str) -> int:

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -14,6 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, SchemaError
+
+logger = logging.getLogger(__name__)
 
 MODEL_SCHEMA = "alarmsift-detector/1"
 SCORES_CSV_SCHEMA = "alarmsift-scores/1"
@@ -159,8 +163,13 @@ def classify(
 
 # --- external scores -------------------------------------------------------
 
-def read_scores_csv(path: str | Path) -> list[tuple[str, float, str]]:
-    """Reads (flow_id, score[, truth]) rows from a scores CSV."""
+def read_scores_csv(path: str | Path) -> list[tuple[str, float]]:
+    """Reads (flow_id, score) rows from a scores CSV; other columns, such as
+    truth, are ignored.
+
+    Each score must be a finite number; anything else raises SchemaError
+    naming the file and the data row (1-based).
+    """
     path = Path(path)
     with path.open(newline="") as fh:
         pos = fh.tell()
@@ -172,29 +181,50 @@ def read_scores_csv(path: str | Path) -> list[tuple[str, float, str]]:
         if "flow_id" not in fields or "score" not in fields:
             raise SchemaError(f"{path}: scores CSV needs flow_id and score columns, got {fields}")
         rows = []
-        for row in reader:
-            rows.append((row["flow_id"], float(row["score"]), row.get("truth") or TRUTH_UNKNOWN))
+        for i, row in enumerate(reader, start=1):
+            try:
+                score = float(row["score"])
+            except (TypeError, ValueError):
+                score = math.nan
+            if not math.isfinite(score):
+                raise SchemaError(
+                    f"{path}: row {i}: score {row['score']!r} is not a finite number"
+                )
+            rows.append((row["flow_id"], score))
     return rows
 
 
 def import_scores(
     path: str | Path,
     threshold: float,
-    known_ids: Sequence[str] | None = None,
+    known_ids: Sequence[str],
+    truths: Sequence[str] | None = None,
 ) -> tuple[list[ScoredFlow], list[str]]:
     """Turns an external score file into classified flows.
 
-    Applies the same decision rule as classify. Rows whose flow id is not
-    in known_ids are skipped and reported back.
+    Mirrors classify: the same decision rule, results in the order of
+    known_ids, and truth labels from the caller. A known flow without a
+    score is left out; score rows for flow ids not in known_ids are
+    skipped and returned (sorted). Raises DataError when no known flow has
+    a score.
     """
-    rows = read_scores_csv(path)
-    known = set(known_ids) if known_ids is not None else None
-    skipped = [fid for fid, _, _ in rows if known is not None and fid not in known]
+    scores = dict(read_scores_csv(path))
+    skipped = sorted(set(scores) - set(known_ids))
+    if skipped:
+        logger.warning("external scores: skipped %d unknown flow id(s)", len(skipped))
+    truths = truths or [TRUTH_UNKNOWN] * len(known_ids)
     scored = [
-        ScoredFlow(flow_id=fid, score=score, positive=score > threshold, truth=truth)
-        for fid, score, truth in rows
-        if known is None or fid in known
+        ScoredFlow(flow_id=fid, score=scores[fid], positive=scores[fid] > threshold, truth=truth)
+        for fid, truth in zip(known_ids, truths)
+        if fid in scores
     ]
+    if not scored:
+        raise DataError("external scores match none of the input flows")
+    if len(scored) < len(known_ids):
+        logger.warning(
+            "external scores: %d input flow(s) have no score; excluded",
+            len(known_ids) - len(scored),
+        )
     return scored, skipped
 
 

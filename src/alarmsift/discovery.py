@@ -245,10 +245,6 @@ def _split_seq(log: Log, classes) -> list[Log]:
     return sublogs
 
 
-def _split_par(log: Log, classes) -> list[Log]:
-    return _split_seq(log, classes)  # same projection; order within class kept
-
-
 def _split_loop(log: Log, classes) -> list[Log]:
     body = set(classes[0])
     of_redo = {a: i for i, cls in enumerate(classes) if i > 0 for a in cls}
@@ -274,7 +270,7 @@ def _split_loop(log: Log, classes) -> list[Log]:
 _CUTS = (
     (EXCLUSIVE, _xor_cut, _split_xor),
     (SEQUENCE, _seq_cut, _split_seq),
-    (PARALLEL, _par_cut, _split_par),
+    (PARALLEL, _par_cut, _split_seq),  # same projection; order within class kept
     (LOOP, _loop_cut, _split_loop),
 )
 
@@ -308,7 +304,7 @@ def mine_tree(traces: Iterable[Sequence[str]]) -> ProcessTree:
     return _im(Counter(tuple(t) for t in traces))
 
 
-def tree_to_net(tree: ProcessTree, net_id: str = "net0") -> PetriNet:
+def tree_to_net(tree: ProcessTree) -> PetriNet:
     """Converts a process tree to a sound workflow net.
 
     Node ids are derived from the tree path, so equal trees give
@@ -380,9 +376,9 @@ def tree_to_net(tree: ProcessTree, net_id: str = "net0") -> PetriNet:
     )
 
 
-def discover(traces: Iterable[Sequence[str]], net_id: str = "net0") -> PetriNet:
+def discover(traces: Iterable[Sequence[str]]) -> PetriNet:
     """Mines a workflow net from a trace multiset (state event log).
 
     An empty log yields the trivial net source -> silent -> sink.
     """
-    return tree_to_net(mine_tree(traces), net_id=net_id)
+    return tree_to_net(mine_tree(traces))

@@ -17,10 +17,19 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, SchemaError
-from .flowmeter import Direction, Flow, FlowRecord, featurize
+# The event-label codec lives in flowmeter, next to Direction; it is
+# re-exported here as part of the event layer's API.
+from .flowmeter import (
+    EMPTY_FLAGS_LABEL,
+    FLAG_ORDER,
+    Flow,
+    FlowRecord,
+    event_label,
+    featurize,
+    flags_label,
+    parse_event_label,
+)
 
-FLAG_ORDER = ("SYN", "ACK", "FIN", "RST", "PSH", "URG")
-EMPTY_FLAGS_LABEL = "NONE"
 # Reserved clustering dimension for labels unseen at fit time. Counting
 # them here leaves the nearest-centroid decision unchanged (the same
 # offset is added to every distance) while keeping their presence visible.
@@ -28,36 +37,6 @@ OTHER_DIMENSION = "__OTHER__"
 
 PARAMS_SCHEMA = "alarmsift-extraction/1"
 STATE_LOGS_SCHEMA = "alarmsift-state-logs/1"
-
-_DIRECTION_PREFIXES = tuple(d.value for d in Direction)
-
-
-def flags_label(flags: Iterable[str]) -> str:
-    """Canonical flag-combination part of an event label."""
-    present = set(flags)
-    unknown = present.difference(FLAG_ORDER)
-    if unknown:
-        raise DataError(f"untracked TCP flags: {sorted(unknown)}")
-    ordered = [f for f in FLAG_ORDER if f in present]
-    return "+".join(ordered) if ordered else EMPTY_FLAGS_LABEL
-
-
-def event_label(direction: Direction, flags: Iterable[str]) -> str:
-    return f"{direction.value}_{flags_label(flags)}"
-
-
-def parse_event_label(label: str) -> tuple[Direction, frozenset[str]]:
-    """Inverse of event_label; the construction is a bijection."""
-    for prefix in _DIRECTION_PREFIXES:
-        if label.startswith(prefix + "_"):
-            part = label[len(prefix) + 1:]
-            if part == EMPTY_FLAGS_LABEL:
-                return Direction(prefix), frozenset()
-            flags = part.split("+")
-            if flags != [f for f in FLAG_ORDER if f in set(flags)] or len(set(flags)) != len(flags):
-                break
-            return Direction(prefix), frozenset(flags)
-    raise DataError(f"not a TCP event label: {label!r}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Bidirectional TCP flow assembly and per-flow feature statistics.
+"""Bidirectional TCP flow assembly, per-flow feature statistics, and the
+event-label codec shared with the event layer.
 
 A flow is a bidirectional conversation keyed by its unordered endpoint
 pair. The client side is the sender of the first SYN-bearing packet,
@@ -15,6 +16,7 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -32,6 +34,42 @@ FLOW_EVENTS_SCHEMA = "alarmsift-flow-events/1"
 class Direction(str, Enum):
     CLIENT_TO_SERVER = "C_to_S"
     SERVER_TO_CLIENT = "S_to_C"
+
+
+# --- event-label codec ------------------------------------------------------
+
+FLAG_ORDER = ("SYN", "ACK", "FIN", "RST", "PSH", "URG")
+EMPTY_FLAGS_LABEL = "NONE"
+
+_DIRECTION_PREFIXES = tuple(d.value for d in Direction)
+
+
+def flags_label(flags: Iterable[str]) -> str:
+    """Canonical flag-combination part of an event label."""
+    present = set(flags)
+    unknown = present.difference(FLAG_ORDER)
+    if unknown:
+        raise DataError(f"untracked TCP flags: {sorted(unknown)}")
+    ordered = [f for f in FLAG_ORDER if f in present]
+    return "+".join(ordered) if ordered else EMPTY_FLAGS_LABEL
+
+
+def event_label(direction: Direction, flags: Iterable[str]) -> str:
+    return f"{direction.value}_{flags_label(flags)}"
+
+
+def parse_event_label(label: str) -> tuple[Direction, frozenset[str]]:
+    """Inverse of event_label; the construction is a bijection."""
+    for prefix in _DIRECTION_PREFIXES:
+        if label.startswith(prefix + "_"):
+            part = label[len(prefix) + 1:]
+            if part == EMPTY_FLAGS_LABEL:
+                return Direction(prefix), frozenset()
+            flags = part.split("+")
+            if flags != [f for f in FLAG_ORDER if f in set(flags)] or len(set(flags)) != len(flags):
+                break
+            return Direction(prefix), frozenset(flags)
+    raise DataError(f"not a TCP event label: {label!r}")
 
 
 Endpoint = tuple[str, int]
@@ -306,8 +344,6 @@ def write_flows_csv(records: list[FlowRecord], path: str | Path) -> None:
 
 def write_flow_events(flows: list[Flow], path: str | Path) -> None:
     """Writes the flow-id -> ordered (direction, flags, timestamp) mapping."""
-    from .events import flags_label  # local import: events depends on this module
-
     path = Path(path)
     with path.open("w") as fh:
         fh.write(json.dumps({"schema": FLOW_EVENTS_SCHEMA}) + "\n")
@@ -324,7 +360,11 @@ def write_flow_events(flows: list[Flow], path: str | Path) -> None:
 
 
 def read_corpus(flows_csv: str | Path, events_path: str | Path) -> list[FlowRecord]:
-    """Loads FlowRecords back from the flows CSV plus the events file."""
+    """Loads FlowRecords back from the flows CSV plus the events file.
+
+    Every distinct event label must parse (parse_event_label); a label that
+    does not raises SchemaError naming the events file.
+    """
     flows_csv, events_path = Path(flows_csv), Path(events_path)
     events: dict[str, tuple[str, ...]] = {}
     with events_path.open() as fh:
@@ -336,6 +376,11 @@ def read_corpus(flows_csv: str | Path, events_path: str | Path) -> list[FlowReco
             events[row["flow_id"]] = tuple(
                 f"{direction}_{flags}" for direction, flags, _ts in row["events"]
             )
+    for label in sorted({label for trace in events.values() for label in trace}):
+        try:
+            parse_event_label(label)
+        except DataError as exc:
+            raise SchemaError(f"{events_path}: {exc}") from exc
     records: list[FlowRecord] = []
     with flows_csv.open(newline="") as fh:
         first = fh.readline()

@@ -54,11 +54,6 @@ _FLAG_BITS = (
     ("URG", 0x20),
 )
 
-#: The six flags the pipeline tracks, also the canonical label order used
-#: by the event layer.
-TRACKED_FLAGS = ("SYN", "ACK", "FIN", "RST", "PSH", "URG")
-
-
 @dataclass(frozen=True)
 class PacketRecord:
     """One captured TCP segment, reduced to what the pipeline needs."""

@@ -77,11 +77,9 @@ class PetriNet:
         for j in range(len(self.transitions)):
             self._pre[j] = tuple(sorted(pre[j]))
             self._post[j] = tuple(sorted(post[j]))
-        self._label_map: dict[str, tuple[int, ...]] = {}
-        for j, t in enumerate(self.transitions):
-            if t.label is not None:
-                self._label_map.setdefault(t.label, ())
-                self._label_map[t.label] += (j,)
+        self.labels: frozenset[str] = frozenset(
+            t.label for t in self.transitions if t.label is not None
+        )
 
     # --- tuple-marking fast path (used by replay and alignment search) ----
 
@@ -112,13 +110,6 @@ class PetriNet:
         for p in self._post[j]:
             out[p] += 1
         return tuple(out)
-
-    def labeled_indexes(self, label: str) -> tuple[int, ...]:
-        return self._label_map.get(label, ())
-
-    @property
-    def labels(self) -> frozenset[str]:
-        return frozenset(self._label_map)
 
     # --- spec-facing marking API ------------------------------------------
 

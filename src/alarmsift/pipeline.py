@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,8 +31,6 @@ from .rating import (
     cos_sim,
     rate_all,
 )
-
-logger = logging.getLogger(__name__)
 
 BUNDLE_SCHEMA = "alarmsift-bundle/1"
 REPORT_SCHEMA = "alarmsift-report/1"
@@ -67,32 +64,6 @@ def load_records(config: RunConfig) -> list[FlowRecord]:
 
 def _features_matrix(records: list[FlowRecord]) -> np.ndarray:
     return np.stack([r.features for r in records]) if records else np.empty((0, 0))
-
-
-# --- scoring (built-in baseline or imported external scores) ---------------
-
-class _ExternalScorer:
-    def __init__(self, path: Path, threshold: float):
-        self.threshold = threshold
-        self._scores = {fid: score for fid, score, _ in det.read_scores_csv(path)}
-        self.skipped: list[str] = []
-
-    def classify(self, records: list[FlowRecord]) -> list[det.ScoredFlow]:
-        known = {r.flow_id for r in records}
-        self.skipped = sorted(set(self._scores) - known)
-        if self.skipped:
-            logger.warning("external scores: skipped %d unknown flow id(s)", len(self.skipped))
-        missing = [r.flow_id for r in records if r.flow_id not in self._scores]
-        if len(missing) == len(records):
-            raise DataError("external scores match none of the input flows")
-        if missing:
-            logger.warning("external scores: %d input flow(s) have no score; excluded", len(missing))
-        out = []
-        for r in records:
-            if r.flow_id in self._scores:
-                s = self._scores[r.flow_id]
-                out.append(det.ScoredFlow(r.flow_id, s, s > self.threshold, r.truth))
-        return out
 
 
 # --- bundle ----------------------------------------------------------------
@@ -144,11 +115,13 @@ def _train_from_split(
     seed: int,
 ) -> TrainedBundle:
     if config.external_scores is not None:
-        scorer = _ExternalScorer(config.external_scores, config.external_threshold)
         kind, model = KIND_EXTERNAL, None
         threshold = config.external_threshold
-        val_scored = scorer.classify(val_recs)
-        fp_records = [r for r, s in zip(val_recs, val_scored) if s.positive]
+        val_scored, _ = det.import_scores(
+            config.external_scores, threshold, [r.flow_id for r in val_recs]
+        )
+        flagged = {s.flow_id for s in val_scored if s.positive}
+        fp_records = [r for r in val_recs if r.flow_id in flagged]
     else:
         model = det.fit_baseline(
             _features_matrix(train_recs), config.components,
@@ -171,9 +144,7 @@ def _train_from_split(
     params = events.fit_states(traces, params)
     logs = events.build_logs(traces, params)
     nets = {
-        state: discovery.discover(
-            [f.events for f in logs[state].fragments], net_id=f"state_{state}"
-        )
+        state: discovery.discover([f.events for f in logs[state].fragments])
         for state in sorted(logs)
     }
     reference = al.profile_reference(logs, nets, budget=config.alignment_budget)
@@ -263,14 +234,27 @@ class RateReport:
         return [s for s in self.scored if not s.positive]
 
 
+def _profile_record(
+    record: FlowRecord, bundle: TrainedBundle, config: RunConfig
+) -> tuple[dict[str, float], list[al.FragmentAlignment], tuple[str, ...]]:
+    """One flow's misalignment profile, its fragment alignments, and the
+    labels of its trace outside the trained alphabet."""
+    trace = events.Trace(record.flow_id, record.events)
+    fragments = events.split_by_state(trace, bundle.params)
+    profile, aligned = al.profile_flow(fragments, bundle.nets, budget=config.alignment_budget)
+    return profile, aligned, events.unseen_labels(trace, bundle.params)
+
+
 def rate_records(bundle: TrainedBundle, records: list[FlowRecord], config: RunConfig) -> RateReport:
     """Inference phase: classify, then rate the positives only."""
     bands = SeverityBands(config.band_boundaries)
     if bundle.kind == KIND_EXTERNAL:
         if config.external_scores is None:
             raise ConfigError("bundle was trained on external scores; configure external_scores")
-        scorer = _ExternalScorer(config.external_scores, bundle.threshold)
-        scored = scorer.classify(records)
+        scored, _ = det.import_scores(
+            config.external_scores, bundle.threshold,
+            [r.flow_id for r in records], [r.truth for r in records],
+        )
     else:
         scored = det.classify(
             bundle.model,
@@ -285,11 +269,7 @@ def rate_records(bundle: TrainedBundle, records: list[FlowRecord], config: RunCo
     for s in scored:
         if not s.positive:
             continue
-        record = by_id[s.flow_id]
-        trace = events.Trace(record.flow_id, record.events)
-        fragments = events.split_by_state(trace, bundle.params)
-        profile, aligned = al.profile_flow(fragments, bundle.nets, budget=config.alignment_budget)
-        novel = events.unseen_labels(trace, bundle.params)
+        profile, aligned, novel = _profile_record(by_id[s.flow_id], bundle, config)
         if novel:
             unseen[s.flow_id] = novel
         rows.append((s.flow_id, profile, s.truth))
@@ -521,9 +501,7 @@ def explain_flows(
     out = []
     bands = SeverityBands(config.band_boundaries)
     for record in records:
-        trace = events.Trace(record.flow_id, record.events)
-        fragments = events.split_by_state(trace, bundle.params)
-        profile, aligned = al.profile_flow(fragments, bundle.nets, budget=config.alignment_budget)
+        profile, aligned, novel = _profile_record(record, bundle, config)
         score = cos_sim(bundle.reference, profile)
         out.append({
             "flow_id": record.flow_id,
@@ -531,7 +509,7 @@ def explain_flows(
             "cos_sim": score,
             "band": bands.band_of(score),
             "profile": profile,
-            "unseen_labels": list(events.unseen_labels(trace, bundle.params)),
+            "unseen_labels": list(novel),
             "fragments": [al.fragment_alignment_record(fa) for fa in aligned],
         })
     return out

@@ -190,7 +190,29 @@ def test_import_scores_schema_error(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("flow_id,value\nf1,0.1\n")
     with pytest.raises(SchemaError):
-        import_scores(path, threshold=0.5)
+        import_scores(path, threshold=0.5, known_ids=["f1"])
+
+
+@pytest.mark.parametrize("bad_row", ["f2,abc", "f2", "f2,", "f2,nan", "f2,inf"])
+def test_scores_csv_rejects_bad_score_values(tmp_path, bad_row):
+    path = tmp_path / "scores.csv"
+    path.write_text(f"flow_id,score\nf1,0.1\n{bad_row}\n")
+    with pytest.raises(SchemaError, match=r"scores\.csv: row 2"):
+        read_scores_csv(path)
+
+
+def test_import_scores_follows_known_ids_with_caller_truths(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text("flow_id,score,truth\nf3,0.9,normal\nf1,0.1,normal\nghost,0.5,normal\n")
+    scored, skipped = import_scores(
+        path, threshold=0.4, known_ids=["f1", "f2", "f3"], truths=["normal", "attack", "attack"]
+    )
+    assert [(s.flow_id, s.positive, s.truth) for s in scored] == [
+        ("f1", False, "normal"), ("f3", True, "attack"),
+    ]
+    assert skipped == ["ghost"]
+    with pytest.raises(DataError, match="none"):
+        import_scores(path, threshold=0.4, known_ids=["f2"])
 
 
 def test_import_matches_classify_decision_rule(tmp_path):

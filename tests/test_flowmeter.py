@@ -1,9 +1,11 @@
 """Flow assembly and feature statistics."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alarmsift.errors import DataError
+from alarmsift.errors import DataError, SchemaError
 from alarmsift.events import flow_to_record
 from alarmsift.flowmeter import (
     FEATURE_NAMES,
@@ -205,3 +207,17 @@ def test_flow_record_events_match_to_trace(tmp_path):
     (flow,) = assemble_flows(ingest_pcap(path).packets)
     record = flow_to_record(flow)
     assert record.events == ("C_to_S_SYN", "S_to_C_SYN+ACK", "C_to_S_ACK+PSH")
+
+
+@pytest.mark.parametrize("bad_flags", ["ACK+SYN", "SYN+SYN", "ECE", ""])
+def test_read_corpus_rejects_corrupt_event_label(tmp_path, bad_flags):
+    frames = handshake_fin_frames()
+    flows = assemble_flows(ingest_pcap_write(tmp_path, frames).packets, truth="normal")
+    write_flows_csv([flow_to_record(f) for f in flows], tmp_path / "flows.csv")
+    write_flow_events(flows, tmp_path / "events.jsonl")
+    header, first, *rest = (tmp_path / "events.jsonl").read_text().splitlines()
+    row = json.loads(first)
+    row["events"][0][1] = bad_flags
+    (tmp_path / "events.jsonl").write_text("\n".join([header, json.dumps(row), *rest]) + "\n")
+    with pytest.raises(SchemaError, match="events.jsonl"):
+        read_corpus(tmp_path / "flows.csv", tmp_path / "events.jsonl")

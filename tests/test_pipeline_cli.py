@@ -1,12 +1,13 @@
 """End-to-end pipeline stages and the CLI surface."""
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from alarmsift import pipeline, synthetic
+from alarmsift import detector, pipeline, synthetic
 from alarmsift.cli import main
-from alarmsift.config import RunConfig, derive_seed, load_config
+from alarmsift.config import CaptureSpec, RunConfig, derive_seed, load_config, semantic_echo
 from alarmsift.errors import ConfigError, DataError
 
 
@@ -107,10 +108,26 @@ def test_external_scores_skip_unknown_ids(corpus_dir, tmp_path):
     scores_csv = tmp_path / "scores.csv"
     rows = [f"{r.flow_id},1.0" for r in records[:10]] + ["ghost-1,9.9"]
     scores_csv.write_text("flow_id,score\n" + "\n".join(rows) + "\n")
-    scorer = pipeline._ExternalScorer(scores_csv, threshold=0.5)
-    scored = scorer.classify(records[:10])
+    scored, skipped = detector.import_scores(
+        scores_csv, threshold=0.5, known_ids=[r.flow_id for r in records[:10]]
+    )
     assert len(scored) == 10
-    assert scorer.skipped == ["ghost-1"]
+    assert skipped == ["ghost-1"]
+
+
+def test_external_fp_pool_is_exactly_the_flagged_flows(normal_only_dir, tmp_path):
+    # One validation flow has no score; the pool must still hold exactly the
+    # flows scored above the threshold, never a neighbour of one.
+    cfg = _cfg(normal_only_dir, tmp_path / "out")
+    records = pipeline.load_records(cfg)
+    _, val, _ = pipeline.split_normals(records, cfg, cfg.seed)
+    flagged = [r.flow_id for r in val[-3:]]
+    scores_csv = tmp_path / "scores.csv"
+    rows = [f"{r.flow_id},{1.0 if r.flow_id in flagged else 0.0}" for r in val[1:]]
+    scores_csv.write_text("flow_id,score\n" + "\n".join(rows) + "\n")
+    ext = dataclasses.replace(cfg, external_scores=scores_csv, external_threshold=0.5)
+    bundle = pipeline.train_bundle(records, ext, ext.seed)
+    assert bundle.fp_pool == tuple(flagged)
 
 
 def test_evaluate_report_shape_and_determinism(corpus_dir, tmp_path):
@@ -189,12 +206,67 @@ def test_config_rejects_unknown_keys_and_bad_values(tmp_path):
     bad.write_text(json.dumps({"nope": 1}))
     with pytest.raises(ConfigError):
         load_config(bad)
+    bad.write_text(json.dumps([["runs", 2]]))
+    with pytest.raises(ConfigError, match="object"):
+        load_config(bad)
     with pytest.raises(ConfigError):
         RunConfig(percentile=1.5).validate()
     with pytest.raises(ConfigError):
         RunConfig(train_fraction=0.8, validation_fraction=0.4).validate()
     with pytest.raises(ConfigError):
         RunConfig(runs=0).validate()
+
+
+def test_config_file_sets_every_field(tmp_path, monkeypatch):
+    monkeypatch.delenv("ALARMSIFT_OUTPUT_DIR", raising=False)
+    payload = {
+        "output_dir": "o", "corpus": "c",
+        "captures": ["a.pcap", {"path": "b.pcap", "truth": "attack"}],
+        "server_ports": [80, 443], "flow_timeout": 30.0, "components": 3,
+        "percentile": 0.9, "external_scores": "s.csv", "external_threshold": 0.5,
+        "clusters": 3, "window": 4, "band_boundaries": [0.1, 0.2, 0.3, 0.4],
+        "train_fraction": 0.5, "validation_fraction": 0.3, "runs": 2, "seed": 11,
+        "alignment_budget": 1000,
+    }
+    assert set(payload) == {f.name for f in dataclasses.fields(RunConfig)}
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(payload))
+    cfg = load_config(cfg_file)
+    assert cfg == RunConfig(
+        output_dir=Path("o"), corpus=Path("c"),
+        captures=(CaptureSpec(Path("a.pcap")), CaptureSpec(Path("b.pcap"), "attack")),
+        server_ports=frozenset({80, 443}), flow_timeout=30.0, components=3,
+        percentile=0.9, external_scores=Path("s.csv"), external_threshold=0.5,
+        clusters=3, window=4, band_boundaries=(0.1, 0.2, 0.3, 0.4),
+        train_fraction=0.5, validation_fraction=0.3, runs=2, seed=11,
+        alignment_budget=1000,
+    )
+    # Manifests and reports record exactly these parameters.
+    assert semantic_echo(cfg) == {
+        "flow_timeout": 30.0, "components": 3, "percentile": 0.9, "clusters": 3,
+        "window": 4, "band_boundaries": [0.1, 0.2, 0.3, 0.4], "train_fraction": 0.5,
+        "validation_fraction": 0.3, "runs": 2, "seed": 11, "external": True,
+        "external_threshold": 0.5,
+    }
+
+
+def test_config_null_means_default(tmp_path, monkeypatch):
+    monkeypatch.delenv("ALARMSIFT_OUTPUT_DIR", raising=False)
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({f.name: None for f in dataclasses.fields(RunConfig)}))
+    assert load_config(cfg_file) == RunConfig()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("runs", "abc"), ("seed", [1]), ("captures", [{"truth": "attack"}]),
+    ("server_ports", ["http"]), ("band_boundaries", 0.5),
+])
+def test_config_unconvertible_value_names_key(tmp_path, key, value):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({key: value}))
+    with pytest.raises(ConfigError, match=key):
+        load_config(cfg_file)
+    assert main(["train", "--config", str(cfg_file), "--output-dir", str(tmp_path / "o")]) == 2
 
 
 # --- CLI ------------------------------------------------------------------
@@ -225,6 +297,12 @@ def test_cli_exit_codes(tmp_path):
     assert rc == 3
     # config error: no flows requested
     rc = main(["gen-synthetic", "--out", str(tmp_path / "c3")])
+    assert rc == 2
+    # config error: band boundaries out of order in the config file
+    cfg_file = tmp_path / "bands.json"
+    cfg_file.write_text(json.dumps({"band_boundaries": [0.5, 0.25, 0.75, 0.99]}))
+    rc = main(["train", "--config", str(cfg_file), "--corpus", str(corpus),
+               "--output-dir", str(tmp_path / "o3")])
     assert rc == 2
 
 
