@@ -179,11 +179,6 @@ def _all_log_moves(events: Sequence[str]) -> Alignment:
     return Alignment(moves=moves, cost=len(moves))
 
 
-def _accumulate(profile: dict[str, float], alignment: Alignment) -> None:
-    for move in alignment.misaligned():
-        profile[move.label] = profile.get(move.label, 0.0) + 1.0
-
-
 def profile_flow(
     fragments: Iterable[Fragment],
     nets: Mapping[int, PetriNet],
@@ -191,8 +186,10 @@ def profile_flow(
 ) -> tuple[dict[str, float], list[FragmentAlignment]]:
     """Raw per-flow misaligned-move counts plus the fragment alignments.
 
-    A fragment whose state has no net (empty training log) contributes all
-    of its events as log-only moves, flagged in the explanation.
+    A fragment whose state has no net contributes all of its events as
+    log-only moves, flagged in the explanation. Training gives every state
+    a net (an empty log mines discover([])), so only a bundle whose
+    manifest lacks a state reaches this.
     """
     profile: dict[str, float] = {}
     aligned: list[FragmentAlignment] = []
@@ -210,7 +207,8 @@ def profile_flow(
             alignment=alignment,
             missing_net=net is None,
         ))
-        _accumulate(profile, alignment)
+        for move in alignment.misaligned():
+            profile[move.label] = profile.get(move.label, 0.0) + 1.0
     return profile, aligned
 
 
@@ -219,20 +217,20 @@ def profile_reference(
     nets: Mapping[int, PetriNet],
     budget: int = DEFAULT_BUDGET,
 ) -> dict[str, float]:
-    """Reference profile: misaligned-move counts per label, averaged over
-    source traces. Silent model moves are never counted."""
-    counts: dict[str, float] = defaultdict(float)
-    sources: set[str] = set()
+    """Reference profile: the mean of the per-flow profiles (profile_flow)
+    of the source traces in the logs. Silent model moves are never counted."""
+    by_flow: dict[str, list[Fragment]] = defaultdict(list)
     for state in sorted(logs):
-        log = logs[state]
-        if log.fragments and state not in nets:
+        if logs[state].fragments and state not in nets:
             raise DataError(f"no net for populated state {state}")
-        for frag in log.fragments:
-            sources.add(frag.flow_id)
-            _accumulate(counts, align(nets[state], frag.events, budget=budget))
-    if not sources:
-        return {}
-    return {label: counts[label] / len(sources) for label in sorted(counts)}
+        for frag in logs[state].fragments:
+            by_flow[frag.flow_id].append(frag)
+    # Integral counts summed, then divided once: the mean stays exact.
+    totals: dict[str, float] = defaultdict(float)
+    for fragments in by_flow.values():
+        for label, count in profile_flow(fragments, nets, budget)[0].items():
+            totals[label] += count
+    return {label: totals[label] / len(by_flow) for label in sorted(totals)}
 
 
 # --- persistence ----------------------------------------------------------

@@ -1,7 +1,7 @@
 """Run configuration: single JSON file plus flag overrides.
 
-Precedence is flags > file > defaults. The output directory can also be
-overridden with the ALARMSIFT_OUTPUT_DIR environment variable.
+Precedence is flags > environment > file > defaults. The only environment
+variable is ALARMSIFT_OUTPUT_DIR, which sets the output directory.
 """
 from __future__ import annotations
 
@@ -74,19 +74,36 @@ def _capture_spec(item: str | dict) -> CaptureSpec:
     return CaptureSpec(path=Path(item["path"]), truth=item.get("truth") or "unknown")
 
 
+def _integer(value) -> int:
+    # int() alone would accept true and "2" and truncate 2.7.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _json_list(value) -> list:
+    # Iterating a string would split it into characters.
+    if not isinstance(value, list):
+        raise TypeError(f"{value!r} is not a list")
+    return value
+
+
 # Converters for the fields whose default's type cannot convert a JSON value.
 _CONVERTERS = {
     "output_dir": Path,
     "corpus": Path,
-    "captures": lambda items: tuple(_capture_spec(item) for item in items),
-    "server_ports": lambda ports: frozenset(int(p) for p in ports),
+    "captures": lambda items: tuple(_capture_spec(item) for item in _json_list(items)),
+    "server_ports": lambda ports: frozenset(_integer(p) for p in _json_list(ports)),
     "external_scores": Path,
     "external_threshold": float,
-    "band_boundaries": lambda bounds: tuple(float(b) for b in bounds),
+    "band_boundaries": lambda bounds: tuple(float(b) for b in _json_list(bounds)),
 }
 
 #: Config-file key -> converter from its JSON value, one per RunConfig field.
-_FIELDS = {f.name: _CONVERTERS.get(f.name, type(f.default)) for f in fields(RunConfig)}
+_FIELDS = {
+    f.name: _CONVERTERS.get(f.name, _integer if type(f.default) is int else type(f.default))
+    for f in fields(RunConfig)
+}
 
 # Fields that do not determine results: paths, so reruns into other
 # directories stay byte-identical, and settings that persisted manifests
@@ -116,6 +133,8 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         values.update(payload)
+    if os.environ.get(OUTPUT_DIR_ENV):
+        values["output_dir"] = os.environ[OUTPUT_DIR_ENV]
     if overrides:
         values.update({k: v for k, v in overrides.items() if k in _FIELDS and v is not None})
 
@@ -127,8 +146,6 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
             kwargs[key] = _FIELDS[key](value)
         except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"config key {key!r}: cannot use {value!r}") from exc
-    if os.environ.get(OUTPUT_DIR_ENV):
-        kwargs["output_dir"] = Path(os.environ[OUTPUT_DIR_ENV])
     return RunConfig(**kwargs).validate()
 
 

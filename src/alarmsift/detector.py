@@ -205,13 +205,11 @@ def import_scores(
     Mirrors classify: the same decision rule, results in the order of
     known_ids, and truth labels from the caller. A known flow without a
     score is left out; score rows for flow ids not in known_ids are
-    skipped and returned (sorted). Raises DataError when no known flow has
-    a score.
+    skipped and returned (sorted) for the caller to report. Raises
+    DataError when no known flow has a score.
     """
     scores = dict(read_scores_csv(path))
     skipped = sorted(set(scores) - set(known_ids))
-    if skipped:
-        logger.warning("external scores: skipped %d unknown flow id(s)", len(skipped))
     truths = truths or [TRUTH_UNKNOWN] * len(known_ids)
     scored = [
         ScoredFlow(flow_id=fid, score=scores[fid], positive=scores[fid] > threshold, truth=truth)

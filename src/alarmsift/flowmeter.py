@@ -362,20 +362,30 @@ def write_flow_events(flows: list[Flow], path: str | Path) -> None:
 def read_corpus(flows_csv: str | Path, events_path: str | Path) -> list[FlowRecord]:
     """Loads FlowRecords back from the flows CSV plus the events file.
 
-    Every distinct event label must parse (parse_event_label); a label that
-    does not raises SchemaError naming the events file.
+    An events row that is not valid JSON, lacks flow_id or events, or has
+    an event that is not a (direction, flags, timestamp) triple raises
+    SchemaError naming the file and line; so does a flows CSV row with a
+    missing column, a non-numeric value or a non-finite feature. Every
+    distinct event label must parse (parse_event_label); a label that does
+    not raises SchemaError naming the events file.
     """
     flows_csv, events_path = Path(flows_csv), Path(events_path)
     events: dict[str, tuple[str, ...]] = {}
     with events_path.open() as fh:
-        header = json.loads(fh.readline())
-        if header.get("schema") != FLOW_EVENTS_SCHEMA:
+        try:
+            schema = json.loads(fh.readline()).get("schema")
+        except (AttributeError, ValueError):
+            schema = None
+        if schema != FLOW_EVENTS_SCHEMA:
             raise SchemaError(f"{events_path}: expected schema {FLOW_EVENTS_SCHEMA}")
-        for line in fh:
-            row = json.loads(line)
-            events[row["flow_id"]] = tuple(
-                f"{direction}_{flags}" for direction, flags, _ts in row["events"]
-            )
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                row = json.loads(line)
+                events[row["flow_id"]] = tuple(
+                    f"{direction}_{flags}" for direction, flags, _ts in row["events"]
+                )
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SchemaError(f"{events_path}: line {lineno}: malformed row: {exc!r}") from exc
     for label in sorted({label for trace in events.values() for label in trace}):
         try:
             parse_event_label(label)
@@ -388,19 +398,28 @@ def read_corpus(flows_csv: str | Path, events_path: str | Path) -> list[FlowReco
             raise SchemaError(f"{flows_csv}: expected schema {FLOWS_CSV_SCHEMA}")
         reader = csv.DictReader(fh)
         for row in reader:
-            flow_id = row["flow_id"]
-            if flow_id not in events:
-                raise DataError(f"{flows_csv}: flow {flow_id} missing from events file")
-            records.append(
-                FlowRecord(
-                    flow_id=flow_id,
-                    truth=row["truth"],
-                    features=np.array([float(row[name]) for name in FEATURE_NAMES]),
-                    events=events[flow_id],
-                    client=(row["client_ip"], int(row["client_port"])),
-                    server=(row["server_ip"], int(row["server_port"])),
-                    first_ts=float(row["first_ts"]),
-                    last_ts=float(row["last_ts"]),
+            try:
+                flow_id = row["flow_id"]
+                if flow_id not in events:
+                    raise DataError(f"{flows_csv}: flow {flow_id} missing from events file")
+                features = np.array([float(row[name]) for name in FEATURE_NAMES])
+                if not np.isfinite(features).all():
+                    raise ValueError("feature values must be finite")
+                records.append(
+                    FlowRecord(
+                        flow_id=flow_id,
+                        truth=row["truth"],
+                        features=features,
+                        events=events[flow_id],
+                        client=(row["client_ip"], int(row["client_port"])),
+                        server=(row["server_ip"], int(row["server_port"])),
+                        first_ts=float(row["first_ts"]),
+                        last_ts=float(row["last_ts"]),
+                    )
                 )
-            )
+            except (KeyError, TypeError, ValueError) as exc:
+                # The schema comment precedes the lines the reader counts.
+                raise SchemaError(
+                    f"{flows_csv}: line {reader.line_num + 1}: malformed row: {exc!r}"
+                ) from exc
     return records

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,9 +29,10 @@ from .rating import (
     RatedAlarm,
     SeverityBands,
     banded_metrics,
-    cos_sim,
     rate_all,
 )
+
+logger = logging.getLogger(__name__)
 
 BUNDLE_SCHEMA = "alarmsift-bundle/1"
 REPORT_SCHEMA = "alarmsift-report/1"
@@ -77,7 +79,6 @@ class TrainedBundle:
     nets: dict[int, PetriNet]
     reference: dict[str, float]
     fp_pool: tuple[str, ...]
-    logs: dict[int, events.StateEventLog] = field(default_factory=dict)
 
 
 def split_normals(
@@ -98,9 +99,12 @@ def split_normals(
     return train, val, rest
 
 
-def train_bundle(records: list[FlowRecord], config: RunConfig, seed: int) -> TrainedBundle:
+def train_bundle(
+    records: list[FlowRecord], config: RunConfig, seed: int
+) -> tuple[TrainedBundle, dict[int, events.StateEventLog]]:
     """Training phase: detector fit + calibration, then the process-based
-    characterization mined from misclassified validation flows."""
+    characterization mined from misclassified validation flows. Returns the
+    bundle and the state event logs it was mined from."""
     normals = [r for r in records if r.truth == det.TRUTH_NORMAL or r.truth == det.TRUTH_UNKNOWN]
     if not normals:
         raise DataError("training requires normal flows")
@@ -113,15 +117,9 @@ def _train_from_split(
     val_recs: list[FlowRecord],
     config: RunConfig,
     seed: int,
-) -> TrainedBundle:
+) -> tuple[TrainedBundle, dict[int, events.StateEventLog]]:
     if config.external_scores is not None:
-        kind, model = KIND_EXTERNAL, None
-        threshold = config.external_threshold
-        val_scored, _ = det.import_scores(
-            config.external_scores, threshold, [r.flow_id for r in val_recs]
-        )
-        flagged = {s.flow_id for s in val_scored if s.positive}
-        fp_records = [r for r in val_recs if r.flow_id in flagged]
+        kind, model, threshold = KIND_EXTERNAL, None, config.external_threshold
     else:
         model = det.fit_baseline(
             _features_matrix(train_recs), config.components,
@@ -129,8 +127,9 @@ def _train_from_split(
         )
         model = det.calibrate_threshold(model, _features_matrix(val_recs), config.percentile)
         kind, threshold = model.kind, model.threshold
-        val_scores = det.score_flows(model, _features_matrix(val_recs))
-        fp_records = [r for r, s in zip(val_recs, val_scores) if s > model.threshold]
+    val_scored, _ = _detect(kind, model, threshold, val_recs, config)
+    flagged = {s.flow_id for s in val_scored if s.positive}
+    fp_records = [r for r in val_recs if r.flow_id in flagged]
 
     if not fp_records:
         raise DataError(
@@ -156,11 +155,15 @@ def _train_from_split(
         nets=nets,
         reference=reference,
         fp_pool=tuple(r.flow_id for r in fp_records),
-        logs=logs,
-    )
+    ), logs
 
 
-def save_bundle(bundle: TrainedBundle, out_dir: str | Path, config: RunConfig) -> Path:
+def save_bundle(
+    bundle: TrainedBundle,
+    logs: dict[int, events.StateEventLog],
+    out_dir: str | Path,
+    config: RunConfig,
+) -> Path:
     out_dir = Path(out_dir)
     (out_dir / "nets").mkdir(parents=True, exist_ok=True)
     (out_dir / "logs").mkdir(exist_ok=True)
@@ -178,9 +181,9 @@ def save_bundle(bundle: TrainedBundle, out_dir: str | Path, config: RunConfig) -
     events.save_params(bundle.params, out_dir / "extraction.json")
     for state, net in sorted(bundle.nets.items()):
         export_pnml(net, out_dir / "nets" / f"state_{state}.pnml", net_id=f"state_{state}")
-    for state, log in sorted(bundle.logs.items()):
+    for state, log in sorted(logs.items()):
         events.export_xes(log, out_dir / "logs" / f"state_{state}.xes")
-    events.export_logs_jsonl(bundle.logs, out_dir / "logs" / "state_logs.jsonl")
+    events.export_logs_jsonl(logs, out_dir / "logs" / "state_logs.jsonl")
     al.write_profile_csv(bundle.reference, out_dir / "reference_profile.csv")
     return out_dir
 
@@ -215,8 +218,8 @@ def load_bundle(bundle_dir: str | Path) -> TrainedBundle:
 
 def cmd_train(config: RunConfig) -> Path:
     records = load_records(config)
-    bundle = train_bundle(records, config, config.seed)
-    return save_bundle(bundle, config.output_dir / "bundle", config)
+    bundle, logs = train_bundle(records, config, config.seed)
+    return save_bundle(bundle, logs, config.output_dir / "bundle", config)
 
 
 # --- rating ----------------------------------------------------------------
@@ -227,7 +230,6 @@ class RateReport:
     alarms: list[RatedAlarm]
     histogram: dict[int, int]
     explanations: list[dict]
-    unseen: dict[str, tuple[str, ...]]
 
     @property
     def negatives(self) -> list[det.ScoredFlow]:
@@ -245,33 +247,33 @@ def _profile_record(
     return profile, aligned, events.unseen_labels(trace, bundle.params)
 
 
+def _detect(
+    kind: str, model: det.DetectorModel | None, threshold: float,
+    records: list[FlowRecord], config: RunConfig,
+) -> tuple[list[det.ScoredFlow], list[str]]:
+    """The detector decision for each record, in record order, plus the
+    external score rows that name no record (empty for the baseline)."""
+    ids, truths = [r.flow_id for r in records], [r.truth for r in records]
+    if kind != KIND_EXTERNAL:
+        return det.classify(model, _features_matrix(records), ids, truths), []
+    if config.external_scores is None:
+        raise ConfigError("bundle was trained on external scores; configure external_scores")
+    return det.import_scores(config.external_scores, threshold, ids, truths)
+
+
 def rate_records(bundle: TrainedBundle, records: list[FlowRecord], config: RunConfig) -> RateReport:
     """Inference phase: classify, then rate the positives only."""
     bands = SeverityBands(config.band_boundaries)
-    if bundle.kind == KIND_EXTERNAL:
-        if config.external_scores is None:
-            raise ConfigError("bundle was trained on external scores; configure external_scores")
-        scored, _ = det.import_scores(
-            config.external_scores, bundle.threshold,
-            [r.flow_id for r in records], [r.truth for r in records],
-        )
-    else:
-        scored = det.classify(
-            bundle.model,
-            _features_matrix(records),
-            [r.flow_id for r in records],
-            [r.truth for r in records],
-        )
+    scored, skipped = _detect(bundle.kind, bundle.model, bundle.threshold, records, config)
+    if skipped:
+        logger.warning("external scores: skipped %d unknown flow id(s)", len(skipped))
     by_id = {r.flow_id: r for r in records}
     rows = []
     explanations = []
-    unseen: dict[str, tuple[str, ...]] = {}
     for s in scored:
         if not s.positive:
             continue
         profile, aligned, novel = _profile_record(by_id[s.flow_id], bundle, config)
-        if novel:
-            unseen[s.flow_id] = novel
         rows.append((s.flow_id, profile, s.truth))
         for fa in aligned:
             rec = al.fragment_alignment_record(fa)
@@ -279,8 +281,7 @@ def rate_records(bundle: TrainedBundle, records: list[FlowRecord], config: RunCo
             explanations.append(rec)
     alarms, histogram = rate_all(bundle.reference, rows, bands)
     return RateReport(
-        scored=scored, alarms=alarms, histogram=histogram,
-        explanations=explanations, unseen=unseen,
+        scored=scored, alarms=alarms, histogram=histogram, explanations=explanations
     )
 
 
@@ -378,9 +379,9 @@ def evaluate(config: RunConfig) -> ExperimentReport:
     for run in range(config.runs):
         run_seed = derive_seed(config.seed, f"run-{run}")
         train_recs, val_recs, test_normals = split_normals(normals, config, run_seed)
-        bundle = _train_from_split(train_recs, val_recs, config, run_seed)
+        bundle, logs = _train_from_split(train_recs, val_recs, config, run_seed)
         run_dir = out_root / "runs" / f"run_{run}"
-        save_bundle(bundle, run_dir / "bundle", config)
+        save_bundle(bundle, logs, run_dir / "bundle", config)
         report = rate_records(bundle, test_normals + attacks, config)
         write_rate_report(report, run_dir / "rating")
         confusion = _confusion_from(report)
@@ -498,18 +499,21 @@ def explain_flows(
         missing = wanted - {r.flow_id for r in records}
         if missing:
             raise DataError(f"unknown flow id(s): {sorted(missing)}")
-    out = []
-    bands = SeverityBands(config.band_boundaries)
+    rows, details = [], []
     for record in records:
         profile, aligned, novel = _profile_record(record, bundle, config)
-        score = cos_sim(bundle.reference, profile)
-        out.append({
-            "flow_id": record.flow_id,
-            "truth": record.truth,
-            "cos_sim": score,
-            "band": bands.band_of(score),
-            "profile": profile,
+        rows.append((record.flow_id, profile, record.truth))
+        details.append((aligned, novel))
+    alarms, _ = rate_all(bundle.reference, rows, SeverityBands(config.band_boundaries))
+    return [
+        {
+            "flow_id": alarm.flow_id,
+            "truth": alarm.truth,
+            "cos_sim": alarm.cos_sim,
+            "band": alarm.band,
+            "profile": alarm.profile,
             "unseen_labels": list(novel),
             "fragments": [al.fragment_alignment_record(fa) for fa in aligned],
-        })
-    return out
+        }
+        for alarm, (aligned, novel) in zip(alarms, details)
+    ]

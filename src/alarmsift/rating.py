@@ -36,9 +36,6 @@ class SeverityBands:
                 return k
         return NUM_BANDS
 
-    def name_of(self, score: float) -> str:
-        return BAND_NAMES[self.band_of(score)]
-
 
 def cos_sim(reference: Mapping[str, float], flow: Mapping[str, float]) -> float:
     """Cosine similarity over the union alphabet; missing entries read 0.

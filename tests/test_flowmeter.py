@@ -221,3 +221,44 @@ def test_read_corpus_rejects_corrupt_event_label(tmp_path, bad_flags):
     (tmp_path / "events.jsonl").write_text("\n".join([header, json.dumps(row), *rest]) + "\n")
     with pytest.raises(SchemaError, match="events.jsonl"):
         read_corpus(tmp_path / "flows.csv", tmp_path / "events.jsonl")
+
+
+def _without(key):
+    def edit(line):
+        row = json.loads(line)
+        del row[key]
+        return json.dumps(row)
+    return edit
+
+
+def _two_field_event(line):
+    row = json.loads(line)
+    row["events"][0] = row["events"][0][:2]
+    return json.dumps(row)
+
+
+def _last_feature(value):
+    return lambda line: line.rsplit(",", 1)[0] + "," + value
+
+
+@pytest.mark.parametrize("name, index, edit", [
+    ("events.jsonl", 1, lambda line: line[:-1]),  # not valid JSON
+    ("events.jsonl", 1, _without("flow_id")),
+    ("events.jsonl", 1, _without("events")),
+    ("events.jsonl", 1, _two_field_event),
+    ("flows.csv", 2, lambda line: line.rsplit(",", 1)[0]),  # one column short
+    ("flows.csv", 2, _last_feature("n/a")),
+    ("flows.csv", 2, _last_feature("nan")),
+], ids=[
+    "bad-json", "no-flow-id", "no-events", "two-field-event", "short-row", "non-numeric",
+    "non-finite",
+])
+def test_read_corpus_rejects_malformed_rows(tmp_path, name, index, edit):
+    flows = assemble_flows(ingest_pcap_write(tmp_path, handshake_fin_frames()).packets)
+    write_flows_csv([flow_to_record(f) for f in flows], tmp_path / "flows.csv")
+    write_flow_events(flows, tmp_path / "events.jsonl")
+    lines = (tmp_path / name).read_text().splitlines()
+    lines[index] = edit(lines[index])
+    (tmp_path / name).write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError, match=rf"{name}: line {index + 1}: malformed row"):
+        read_corpus(tmp_path / "flows.csv", tmp_path / "events.jsonl")

@@ -1,8 +1,11 @@
 """End-to-end pipeline stages and the CLI surface."""
+import csv
 import dataclasses
 import json
+import logging
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from alarmsift import detector, pipeline, synthetic
@@ -126,8 +129,36 @@ def test_external_fp_pool_is_exactly_the_flagged_flows(normal_only_dir, tmp_path
     rows = [f"{r.flow_id},{1.0 if r.flow_id in flagged else 0.0}" for r in val[1:]]
     scores_csv.write_text("flow_id,score\n" + "\n".join(rows) + "\n")
     ext = dataclasses.replace(cfg, external_scores=scores_csv, external_threshold=0.5)
-    bundle = pipeline.train_bundle(records, ext, ext.seed)
+    bundle, _ = pipeline.train_bundle(records, ext, ext.seed)
     assert bundle.fp_pool == tuple(flagged)
+
+
+def test_baseline_fp_pool_is_the_validation_positives(normal_only_dir, tmp_path):
+    cfg = _cfg(normal_only_dir, tmp_path / "out")
+    records = pipeline.load_records(cfg)
+    _, val, _ = pipeline.split_normals(records, cfg, cfg.seed)
+    bundle, _ = pipeline.train_bundle(records, cfg, cfg.seed)
+    scored = detector.classify(
+        bundle.model, np.stack([r.features for r in val]), [r.flow_id for r in val]
+    )
+    assert bundle.fp_pool == tuple(s.flow_id for s in scored if s.positive)
+    assert bundle.fp_pool
+
+
+def test_external_skipped_ids_warn_only_when_rating(normal_only_dir, tmp_path, caplog):
+    # The scores file covers the whole corpus plus one stray id. Training
+    # looks up only its validation flows, so only rating reports the stray.
+    cfg = _cfg(normal_only_dir, tmp_path / "out")
+    records = pipeline.load_records(cfg)
+    scores_csv = tmp_path / "scores.csv"
+    rows = [f"{r.flow_id},{1.0 if i % 4 == 0 else 0.0}" for i, r in enumerate(records)]
+    scores_csv.write_text("flow_id,score\n" + "\n".join(rows + ["ghost-1,9.9"]) + "\n")
+    ext = dataclasses.replace(cfg, external_scores=scores_csv, external_threshold=0.5)
+    with caplog.at_level(logging.WARNING):
+        bundle, _ = pipeline.train_bundle(records, ext, ext.seed)
+        assert "skipped" not in caplog.text
+        pipeline.rate_records(bundle, records, ext)
+    assert "external scores: skipped 1 unknown flow id(s)" in caplog.text
 
 
 def test_evaluate_report_shape_and_determinism(corpus_dir, tmp_path):
@@ -182,6 +213,20 @@ def test_explain_selected_flow(corpus_dir, normal_only_dir, tmp_path):
         pipeline.explain_flows(_cfg(corpus_dir, tmp_path / "ex2"), bundle_dir, ["nope"])
 
 
+def test_explain_rates_a_positive_as_rate_does(corpus_dir, normal_only_dir, tmp_path):
+    bundle_dir = pipeline.cmd_train(_cfg(normal_only_dir, tmp_path / "train"))
+    cfg = _cfg(corpus_dir, tmp_path / "rate")
+    pipeline.cmd_rate(cfg, bundle_dir)
+    with (tmp_path / "rate" / "rating" / "rated_alarms.csv").open(newline="") as fh:
+        rated = {row["flow_id"]: row for row in csv.DictReader(fh)}
+    first_per_band = {row["band"]: flow_id for flow_id, row in reversed(rated.items())}
+    explained = pipeline.explain_flows(cfg, bundle_dir, list(first_per_band.values()))
+    assert len(explained) == len(first_per_band) >= 2
+    for entry in explained:
+        row = rated[entry["flow_id"]]
+        assert (repr(entry["cos_sim"]), str(entry["band"])) == (row["cos_sim"], row["band"])
+
+
 def test_seed_derivation_stable():
     assert derive_seed(7, "run-0") == derive_seed(7, "run-0")
     assert derive_seed(7, "run-0") != derive_seed(7, "run-1")
@@ -199,6 +244,8 @@ def test_config_precedence_and_env(tmp_path, monkeypatch):
     monkeypatch.setenv("ALARMSIFT_OUTPUT_DIR", str(tmp_path / "env_out"))
     cfg = load_config(cfg_file, {})
     assert cfg.output_dir == tmp_path / "env_out"
+    cfg = load_config(cfg_file, {"output_dir": Path("from_flag")})
+    assert cfg.output_dir == Path("from_flag")
 
 
 def test_config_rejects_unknown_keys_and_bad_values(tmp_path):
@@ -260,6 +307,7 @@ def test_config_null_means_default(tmp_path, monkeypatch):
 @pytest.mark.parametrize("key, value", [
     ("runs", "abc"), ("seed", [1]), ("captures", [{"truth": "attack"}]),
     ("server_ports", ["http"]), ("band_boundaries", 0.5),
+    ("runs", 2.7), ("runs", True), ("captures", "ab.pcap"), ("server_ports", "80"),
 ])
 def test_config_unconvertible_value_names_key(tmp_path, key, value):
     cfg_file = tmp_path / "cfg.json"
