@@ -29,8 +29,8 @@ from .events import (
     to_trace,
 )
 from .flowmeter import FEATURE_NAMES, Direction, Flow, FlowPacket, FlowRecord, assemble_flows, featurize
-from .pcap import CaptureFilter, PacketRecord, ingest_pcap
-from .petri import Marking, PetriNet, Transition, check_soundness, is_workflow_net
+from .pcap import PacketRecord, ingest_pcap
+from .petri import Marking, PetriNet, Transition, check_soundness
 from .rating import (
     BandedConfusion,
     RatedAlarm,

@@ -8,20 +8,21 @@ remaining trace labels that no net transition can ever match.
 
 Tie-breaking is deterministic: successors are generated preferring
 synchronous moves, then silent model moves, then visible model moves in
-label order, then the log move; equal-cost frontier entries pop in
-generation order.
+(label, index) order (the order of PetriNet.successors), then the log
+move; equal-cost frontier entries pop in generation order.
 """
 from __future__ import annotations
 
 import heapq
 import json
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import BudgetError, DataError
+from .errors import BudgetError, DataError, SchemaError
 from .events import Fragment, StateEventLog
 from .petri import PetriNet
 
@@ -125,30 +126,21 @@ def align(net: PetriNet, trace: Sequence[str], budget: int = DEFAULT_BUDGET) -> 
                 cost_lower_bound=f,
             )
 
+        edges = net.successors(marking)
         succs: list[tuple[tuple, Move]] = []
-        enabled = net.enabled_indexes(marking)
         if pos < goal_pos:
-            for j in enabled:
-                t = net.transitions[j]
-                if t.label == trace[pos]:
-                    succs.append(
-                        ((net.fire_index(marking, j), pos + 1),
-                         Move(MoveKind.SYNCHRONOUS, trace[pos], t.tid))
-                    )
-        for j in enabled:
-            t = net.transitions[j]
-            if t.silent:
-                succs.append(
-                    ((net.fire_index(marking, j), pos), Move(MoveKind.MODEL_SILENT, None, t.tid))
-                )
-        for j in sorted(enabled, key=lambda j: net.transitions[j].label or ""):
-            t = net.transitions[j]
-            if t.label is not None:
-                succs.append(
-                    ((net.fire_index(marking, j), pos), Move(MoveKind.MODEL_ONLY, t.label, t.tid))
-                )
+            label = trace[pos]
+            succs = [
+                ((nxt, pos + 1), Move(MoveKind.SYNCHRONOUS, label, t.tid))
+                for t, nxt in edges if t.label == label
+            ]
+        succs += [
+            ((nxt, pos), Move(MoveKind.MODEL_SILENT if t.silent else MoveKind.MODEL_ONLY,
+                              t.label, t.tid))
+            for t, nxt in edges
+        ]
         if pos < goal_pos:
-            succs.append(((marking, pos + 1), Move(MoveKind.LOG_ONLY, trace[pos])))
+            succs.append(((marking, pos + 1), Move(MoveKind.LOG_ONLY, label)))
 
         for nxt, move in succs:
             ng = g + move.cost
@@ -171,12 +163,6 @@ class FragmentAlignment:
     index: int
     events: tuple[str, ...]
     alignment: Alignment
-    missing_net: bool = False
-
-
-def _all_log_moves(events: Sequence[str]) -> Alignment:
-    moves = tuple(Move(MoveKind.LOG_ONLY, e) for e in events)
-    return Alignment(moves=moves, cost=len(moves))
 
 
 def profile_flow(
@@ -186,26 +172,22 @@ def profile_flow(
 ) -> tuple[dict[str, float], list[FragmentAlignment]]:
     """Raw per-flow misaligned-move counts plus the fragment alignments.
 
-    A fragment whose state has no net contributes all of its events as
-    log-only moves, flagged in the explanation. Training gives every state
-    a net (an empty log mines discover([])), so only a bundle whose
-    manifest lacks a state reaches this.
+    Raises DataError for a fragment whose state has no net. Training gives
+    every state a net (an empty log mines discover([])), and load_bundle
+    rejects a bundle that lacks one.
     """
     profile: dict[str, float] = {}
     aligned: list[FragmentAlignment] = []
     for frag in fragments:
-        net = nets.get(frag.state)
-        alignment = (
-            _all_log_moves(frag.events) if net is None
-            else align(net, frag.events, budget=budget)
-        )
+        if frag.state not in nets:
+            raise DataError(f"no net for state {frag.state}")
+        alignment = align(nets[frag.state], frag.events, budget=budget)
         aligned.append(FragmentAlignment(
             flow_id=frag.flow_id,
             state=frag.state,
             index=frag.index,
             events=frag.events,
             alignment=alignment,
-            missing_net=net is None,
         ))
         for move in alignment.misaligned():
             profile[move.label] = profile.get(move.label, 0.0) + 1.0
@@ -221,8 +203,6 @@ def profile_reference(
     of the source traces in the logs. Silent model moves are never counted."""
     by_flow: dict[str, list[Fragment]] = defaultdict(list)
     for state in sorted(logs):
-        if logs[state].fragments and state not in nets:
-            raise DataError(f"no net for populated state {state}")
         for frag in logs[state].fragments:
             by_flow[frag.flow_id].append(frag)
     # Integral counts summed, then divided once: the mean stays exact.
@@ -247,15 +227,25 @@ def write_profile_csv(profile: Mapping[str, float], path: str | Path) -> None:
 
 
 def read_profile_csv(path: str | Path) -> dict[str, float]:
-    lines = Path(path).read_text().splitlines()
+    """Reads write_profile_csv's file; a count must be finite and >= 0."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path}: cannot read profile: {exc}") from exc
     if not lines or not lines[0].startswith(f"# schema: {PROFILE_CSV_SCHEMA}"):
-        raise DataError(f"{path}: expected schema {PROFILE_CSV_SCHEMA}")
+        raise SchemaError(f"{path}: expected schema {PROFILE_CSV_SCHEMA}")
     profile: dict[str, float] = {}
-    for line in lines[2:]:
+    for number, line in enumerate(lines[2:], start=3):
         if not line:
             continue
-        label, value = line.rsplit(",", 1)
-        profile[label] = float(value)
+        label, _, value = line.rpartition(",")
+        try:
+            count = float(value)
+        except ValueError:
+            count = math.nan
+        if not label or not 0 <= count < math.inf:
+            raise SchemaError(f"{path}: line {number}: malformed profile row {line!r}")
+        profile[label] = count
     return profile
 
 
@@ -265,7 +255,7 @@ def fragment_alignment_record(fa: FragmentAlignment) -> dict:
         "state": fa.state,
         "fragment": fa.index,
         "cost": fa.alignment.cost,
-        "missing_net": fa.missing_net,
+        "missing_net": False,  # kept for alarmsift-alignments/1: every state has a net
         "moves": [
             {"kind": m.kind.value, "label": m.label, "tid": m.tid}
             for m in fa.alignment.moves

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -81,6 +82,16 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _number(value) -> float:
+    # float() alone would accept true and "30"; NaN and infinities slip
+    # past comparisons such as flow_timeout <= 0 in validate.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not finite")
+    return float(value)
+
+
 def _json_list(value) -> list:
     # Iterating a string would split it into characters.
     if not isinstance(value, list):
@@ -88,20 +99,20 @@ def _json_list(value) -> list:
     return value
 
 
-# Converters for the fields whose default's type cannot convert a JSON value.
+# Converters for the fields that are not plain ints or floats.
 _CONVERTERS = {
     "output_dir": Path,
     "corpus": Path,
     "captures": lambda items: tuple(_capture_spec(item) for item in _json_list(items)),
     "server_ports": lambda ports: frozenset(_integer(p) for p in _json_list(ports)),
     "external_scores": Path,
-    "external_threshold": float,
-    "band_boundaries": lambda bounds: tuple(float(b) for b in _json_list(bounds)),
+    "external_threshold": _number,
+    "band_boundaries": lambda bounds: tuple(_number(b) for b in _json_list(bounds)),
 }
 
 #: Config-file key -> converter from its JSON value, one per RunConfig field.
 _FIELDS = {
-    f.name: _CONVERTERS.get(f.name, _integer if type(f.default) is int else type(f.default))
+    f.name: _CONVERTERS.get(f.name) or {int: _integer, float: _number}[type(f.default)]
     for f in fields(RunConfig)
 }
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, SchemaError
+from .errors import DataError, SchemaError, read_schema_json
 
 logger = logging.getLogger(__name__)
 
@@ -257,18 +257,19 @@ def save_model(model: DetectorModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> DetectorModel:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("schema") != MODEL_SCHEMA:
-        raise SchemaError(f"{path}: expected schema {MODEL_SCHEMA}")
-    return DetectorModel(
-        feature_names=tuple(payload["feature_names"]),
-        mean=np.array(payload["mean"]),
-        std=np.array(payload["std"]),
-        mask=np.array(payload["mask"], dtype=bool),
-        basis=np.array(payload["basis"]),
-        components=payload["components"],
-        seed=payload["seed"],
-        threshold=payload["threshold"],
-        percentile=payload["percentile"],
-        kind=payload["kind"],
-    )
+    payload = read_schema_json(path, MODEL_SCHEMA)
+    try:
+        return DetectorModel(
+            feature_names=tuple(payload["feature_names"]),
+            mean=np.array(payload["mean"]),
+            std=np.array(payload["std"]),
+            mask=np.array(payload["mask"], dtype=bool),
+            basis=np.array(payload["basis"]),
+            components=payload["components"],
+            seed=payload["seed"],
+            threshold=payload["threshold"],
+            percentile=payload["percentile"],
+            kind=payload["kind"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: malformed detector model: {exc!r}") from exc

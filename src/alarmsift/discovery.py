@@ -184,8 +184,7 @@ def _par_cut(alphabet, dfg, starts, ends):
     invalid = [c for c in comps if not (set(c) & starts and set(c) & ends)]
     if not valid:
         return None
-    while invalid and len(valid) + len(invalid) - 1 >= 1:
-        bad = invalid.pop(0)
+    for bad in invalid:
         valid[0] = tuple(sorted(set(valid[0]) | set(bad)))
     comps = sorted(valid)
     return comps if len(comps) >= 2 else None

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the reader of the
+schema-tagged JSON artifacts that raises SchemaError for them.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
 BudgetError -> 4.
 """
+import json
+from pathlib import Path
 
 
 class AlarmsiftError(Exception):
@@ -39,3 +42,15 @@ class BudgetError(AlarmsiftError):
     def __init__(self, message: str, cost_lower_bound: float | None = None):
         super().__init__(message)
         self.cost_lower_bound = cost_lower_bound
+
+
+def read_schema_json(path: str | Path, schema: str) -> dict:
+    """The JSON object in path, whose "schema" key must equal schema.
+    Raises SchemaError naming the file otherwise."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"{path}: cannot read JSON: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("schema") != schema:
+        raise SchemaError(f"{path}: expected a JSON object of schema {schema}")
+    return payload

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, SchemaError
+from .errors import DataError, SchemaError, read_schema_json
 # The event-label codec lives in flowmeter, next to Direction; it is
 # re-exported here as part of the event layer's API.
 from .flowmeter import (
@@ -29,11 +29,6 @@ from .flowmeter import (
     flags_label,
     parse_event_label,
 )
-
-# Reserved clustering dimension for labels unseen at fit time. Counting
-# them here leaves the nearest-centroid decision unchanged (the same
-# offset is added to every distance) while keeping their presence visible.
-OTHER_DIMENSION = "__OTHER__"
 
 PARAMS_SCHEMA = "alarmsift-extraction/1"
 STATE_LOGS_SCHEMA = "alarmsift-state-logs/1"
@@ -118,7 +113,10 @@ def _window_slices(events: Sequence[str], window: int) -> list[Sequence[str]]:
 
 
 def _count_vectors(windows: list[Sequence[str]], index: dict[str, int]) -> np.ndarray:
-    dim = len(index) + 1  # trailing OTHER dimension
+    # A trailing OTHER dimension counts the labels unseen at fit time. That
+    # leaves the nearest-centroid decision unchanged (the same offset is
+    # added to every distance) while keeping their presence visible.
+    dim = len(index) + 1
     out = np.zeros((len(windows), dim))
     other = dim - 1
     for row, win in enumerate(windows):
@@ -263,16 +261,25 @@ def save_params(params: ExtractionParams, path: str | Path) -> None:
 
 
 def load_params(path: str | Path) -> ExtractionParams:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("schema") != PARAMS_SCHEMA:
-        raise SchemaError(f"{path}: expected schema {PARAMS_SCHEMA}")
-    return ExtractionParams(
-        clusters=payload["clusters"],
-        window=payload["window"],
-        seed=payload["seed"],
-        alphabet=tuple(payload["alphabet"]),
-        centroids=np.array(payload["centroids"]),
-    )
+    payload = read_schema_json(path, PARAMS_SCHEMA)
+    for key in ("clusters", "window", "seed"):
+        if type(payload.get(key)) is not int:
+            raise SchemaError(f"{path}: key {key!r} is missing or not an integer")
+    try:
+        params = ExtractionParams(
+            clusters=payload["clusters"],
+            window=payload["window"],
+            seed=payload["seed"],
+            alphabet=tuple(payload["alphabet"]),
+            centroids=np.array(payload["centroids"], dtype=float),
+        )
+    except (KeyError, TypeError, ValueError, DataError) as exc:
+        raise SchemaError(f"{path}: malformed extraction params: {exc!r}") from exc
+    # One row per state, one column per alphabet label plus the OTHER one.
+    shape = (params.clusters, len(params.alphabet) + 1)
+    if params.centroids.shape != shape or not np.isfinite(params.centroids).all():
+        raise SchemaError(f"{path}: centroids must be a finite {shape[0]} x {shape[1]} matrix")
+    return params
 
 
 def export_xes(log: StateEventLog, path: str | Path) -> None:

@@ -68,22 +68,6 @@ class PacketRecord:
     total_len: int
 
 
-@dataclass(frozen=True)
-class CaptureFilter:
-    """Restricts ingestion to TCP and, optionally, a server-port allowlist.
-
-    A packet is admitted when either endpoint port is in ``ports``; an
-    empty set admits all TCP traffic.
-    """
-
-    ports: frozenset[int] = frozenset()
-
-    def admits(self, src_port: int, dst_port: int) -> bool:
-        if not self.ports:
-            return True
-        return src_port in self.ports or dst_port in self.ports
-
-
 @dataclass
 class IngestResult:
     """Packets plus ingest bookkeeping.
@@ -187,14 +171,15 @@ def _parse_tcp(ip_fields: tuple[str, str, int, bytes]) -> tuple | None:
     return src, dst, sport, dport, flags, payload_len
 
 
-def ingest_pcap(path: str | Path, capture_filter: CaptureFilter | None = None) -> IngestResult:
+def ingest_pcap(path: str | Path, ports: frozenset[int] = frozenset()) -> IngestResult:
     """Reads a classic PCAP file and returns its TCP packets in capture order.
 
-    Raises PcapFormatError when the global header is malformed. A malformed
-    record header mid-file stops the scan and flags the result as partial;
-    a record truncated at end-of-file is dropped and counted.
+    A packet is admitted when either endpoint port is in ports; an empty
+    set admits all TCP traffic. Raises PcapFormatError when the global
+    header is malformed. A malformed record header mid-file stops the scan
+    and flags the result as partial; a record truncated at end-of-file is
+    dropped and counted.
     """
-    capture_filter = capture_filter or CaptureFilter()
     raw = Path(path).read_bytes()
     if len(raw) < _GLOBAL_HEADER_LEN:
         raise PcapFormatError(f"{path}: file shorter than a PCAP global header")
@@ -241,7 +226,7 @@ def ingest_pcap(path: str | Path, capture_filter: CaptureFilter | None = None) -
             result.non_tcp += 1
             continue
         src, dst, sport, dport, flags, payload_len = tcp
-        if not capture_filter.admits(sport, dport):
+        if ports and sport not in ports and dport not in ports:
             result.filtered += 1
             continue
         result.packets.append(

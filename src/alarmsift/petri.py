@@ -80,14 +80,15 @@ class PetriNet:
         self.labels: frozenset[str] = frozenset(
             t.label for t in self.transitions if t.label is not None
         )
+        self._order: tuple[int, ...] = tuple(sorted(
+            range(len(self.transitions)),
+            key=lambda j: (not self.transitions[j].silent, self.transitions[j].label or "", j),
+        ))
 
-    # --- tuple-marking fast path (used by replay and alignment search) ----
+    # --- tuple markings (used by alignment and the soundness check) ------
 
     def marking_tuple(self, marking: Mapping[str, int]) -> tuple[int, ...]:
         return tuple(marking.get(p, 0) for p in self.places)
-
-    def marking_dict(self, m: tuple[int, ...]) -> Marking:
-        return {p: c for p, c in zip(self.places, m) if c}
 
     @property
     def initial_tuple(self) -> tuple[int, ...]:
@@ -97,11 +98,9 @@ class PetriNet:
     def final_tuple(self) -> tuple[int, ...]:
         return self.marking_tuple(self.final_marking)
 
-    def is_enabled_index(self, m: tuple[int, ...], j: int) -> bool:
-        return all(m[p] >= 1 for p in self._pre[j])
-
     def enabled_indexes(self, m: tuple[int, ...]) -> list[int]:
-        return [j for j in range(len(self.transitions)) if self.is_enabled_index(m, j)]
+        """Enabled transitions, in the successor order (see successors)."""
+        return [j for j in self._order if all(m[p] >= 1 for p in self._pre[j])]
 
     def fire_index(self, m: tuple[int, ...], j: int) -> tuple[int, ...]:
         out = list(m)
@@ -111,23 +110,12 @@ class PetriNet:
             out[p] += 1
         return tuple(out)
 
-    # --- spec-facing marking API ------------------------------------------
-
-    def enabled(self, marking: Mapping[str, int]) -> list[Transition]:
-        """Transitions enabled under the marking, in deterministic (id) order."""
-        m = self.marking_tuple(marking)
-        js = self.enabled_indexes(m)
-        return sorted((self.transitions[j] for j in js), key=lambda t: t.tid)
-
-    def fire(self, marking: Mapping[str, int], tid: str) -> Marking:
-        """Fires one transition; raises DataError if it is not enabled."""
-        if tid not in self._tid_idx:
-            raise DataError(f"unknown transition {tid!r}")
-        j = self._tid_idx[tid]
-        m = self.marking_tuple(marking)
-        if not self.is_enabled_index(m, j):
-            raise DataError(f"transition {tid!r} is not enabled")
-        return self.marking_dict(self.fire_index(m, j))
+    def successors(self, m: tuple[int, ...]) -> list[tuple[Transition, tuple[int, ...]]]:
+        """The firing rule: each enabled transition with the marking it
+        leads to. Silent transitions come first in index order, then
+        visible ones by (label, index), which is the alignment tie-break."""
+        fire = self.fire_index
+        return [(self.transitions[j], fire(m, j)) for j in self.enabled_indexes(m)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PetriNet):
@@ -178,10 +166,6 @@ def workflow_shape_errors(net: PetriNet) -> list[str]:
     return errors
 
 
-def is_workflow_net(net: PetriNet) -> bool:
-    return not workflow_shape_errors(net)
-
-
 def _graph_reach(net: PetriNet, start: str, forward: bool) -> set[str]:
     adj: dict[str, list[str]] = {}
     for src, dst in net.arcs:
@@ -198,6 +182,11 @@ def _graph_reach(net: PetriNet, start: str, forward: bool) -> set[str]:
     return seen
 
 
+#: Reachable markings check_soundness explores before it reports the net
+#: as unbounded.
+MAX_MARKINGS = 50_000
+
+
 @dataclass
 class SoundnessReport:
     bounded: bool
@@ -205,37 +194,34 @@ class SoundnessReport:
     issues: list[str]
 
 
-def check_soundness(net: PetriNet, max_markings: int = 50_000) -> SoundnessReport:
+def check_soundness(net: PetriNet) -> SoundnessReport:
     """Reachability-based soundness check for desk-scale nets.
 
     Verifies the option to complete (the final marking is reachable from
     every reachable marking), proper completion (no reachable marking
     strictly covers the final marking), and absence of dead transitions.
-    Exploration is capped at max_markings states.
+    Exploration is capped at MAX_MARKINGS states.
     """
     issues: list[str] = []
     initial = net.initial_tuple
     final = net.final_tuple
-    edges: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+    rev: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     seen = {initial}
     queue = deque([initial])
-    fired: set[int] = set()
+    fired: set[str] = set()
     bounded = True
     while queue:
-        if len(seen) > max_markings:
+        if len(seen) > MAX_MARKINGS:
             bounded = False
-            issues.append(f"exploration cap of {max_markings} markings exceeded")
+            issues.append(f"exploration cap of {MAX_MARKINGS} markings exceeded")
             break
         m = queue.popleft()
-        succs = []
-        for j in net.enabled_indexes(m):
-            fired.add(j)
-            nxt = net.fire_index(m, j)
-            succs.append((j, nxt))
+        for t, nxt in net.successors(m):
+            fired.add(t.tid)
+            rev.setdefault(nxt, []).append(m)
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-        edges[m] = succs
     if bounded:
         if final not in seen:
             issues.append("final marking unreachable from the initial marking")
@@ -246,10 +232,6 @@ def check_soundness(net: PetriNet, max_markings: int = 50_000) -> SoundnessRepor
                 issues.append(f"improper completion: marking {m} covers the final marking")
                 break
         # Option to complete: reverse reachability from the final marking.
-        rev: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for m, succs in edges.items():
-            for _, nxt in succs:
-                rev.setdefault(nxt, []).append(m)
         can_finish = {final} if final in seen else set()
         queue = deque(can_finish)
         while queue:
@@ -261,9 +243,9 @@ def check_soundness(net: PetriNet, max_markings: int = 50_000) -> SoundnessRepor
         stuck = [m for m in seen if m not in can_finish]
         if stuck:
             issues.append(f"{len(stuck)} reachable marking(s) cannot reach the final marking")
-        dead = [net.transitions[j].tid for j in range(len(net.transitions)) if j not in fired]
+        dead = sorted(t.tid for t in net.transitions if t.tid not in fired)
         if dead:
-            issues.append(f"dead transitions: {sorted(dead)}")
+            issues.append(f"dead transitions: {dead}")
     return SoundnessReport(bounded=bounded, sound=bounded and not issues, issues=issues)
 
 
@@ -298,10 +280,18 @@ def export_pnml(net: PetriNet, path: str | Path, net_id: str = "net0") -> None:
 
 
 def import_pnml(path: str | Path) -> PetriNet:
+    """Reads a net written by export_pnml; raises SchemaError naming the
+    file when it cannot be read or does not describe a valid net."""
     try:
-        root = ET.parse(Path(path)).getroot()
-    except ET.ParseError as exc:
-        raise SchemaError(f"{path}: not parseable PNML: {exc}") from exc
+        return _read_pnml(path)
+    except SchemaError:
+        raise
+    except (ET.ParseError, OSError, KeyError, ValueError, DataError) as exc:
+        raise SchemaError(f"{path}: not a readable PNML net: {exc!r}") from exc
+
+
+def _read_pnml(path: str | Path) -> PetriNet:
+    root = ET.parse(Path(path)).getroot()
     net_el = root.find("net")
     if net_el is None:
         raise SchemaError(f"{path}: missing <net> element")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,10 +20,10 @@ from . import alignment as al
 from . import detector as det
 from . import discovery, events
 from .config import RunConfig, derive_seed, semantic_echo
-from .errors import ConfigError, DataError, SchemaError
+from .errors import ConfigError, DataError, SchemaError, read_schema_json
 from .flowmeter import FEATURE_NAMES, FlowRecord, assemble_flows, read_corpus
-from .pcap import CaptureFilter, ingest_pcap
-from .petri import PetriNet, export_pnml, import_pnml
+from .pcap import ingest_pcap
+from .petri import PetriNet, check_soundness, export_pnml, import_pnml, workflow_shape_errors
 from .rating import (
     BAND_NAMES,
     BandedConfusion,
@@ -49,9 +50,8 @@ def load_records(config: RunConfig) -> list[FlowRecord]:
     if not config.captures:
         raise ConfigError("no input configured: set either corpus or captures")
     records: list[FlowRecord] = []
-    cap_filter = CaptureFilter(ports=config.server_ports)
     for spec in config.captures:
-        result = ingest_pcap(spec.path, cap_filter)
+        result = ingest_pcap(spec.path, config.server_ports)
         if result.partial:
             raise DataError(f"{spec.path}: capture is malformed mid-file; refusing partial input")
         flows = assemble_flows(
@@ -188,22 +188,43 @@ def save_bundle(
     return out_dir
 
 
+# Manifest key -> whether a JSON value is valid for it (a missing key reads None).
+_MANIFEST_KEYS = {
+    "kind": lambda v: isinstance(v, str),
+    "threshold": lambda v: type(v) in (int, float) and math.isfinite(v),
+    "states": lambda v: isinstance(v, list) and all(type(s) is int for s in v),
+    "fp_pool": lambda v: isinstance(v, list) and all(isinstance(f, str) for f in v),
+}
+
+
 def load_bundle(bundle_dir: str | Path) -> TrainedBundle:
+    """Reads a bundle, raising SchemaError naming the file for any artifact
+    that is malformed or inconsistent with the others."""
     bundle_dir = Path(bundle_dir)
     manifest_path = bundle_dir / "manifest.json"
     if not manifest_path.exists():
         raise DataError(f"{bundle_dir}: not a bundle (missing manifest.json)")
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("schema") != BUNDLE_SCHEMA:
-        raise SchemaError(f"{bundle_dir}: expected bundle schema {BUNDLE_SCHEMA}")
+    manifest = read_schema_json(manifest_path, BUNDLE_SCHEMA)
+    for key, valid in _MANIFEST_KEYS.items():
+        if not valid(manifest.get(key)):
+            raise SchemaError(f"{manifest_path}: key {key!r} is missing or malformed")
     model = None
     if manifest["kind"] != KIND_EXTERNAL:
         model = det.load_model(bundle_dir / "detector.json")
     params = events.load_params(bundle_dir / "extraction.json")
-    nets = {
-        state: import_pnml(bundle_dir / "nets" / f"state_{state}.pnml")
-        for state in manifest["states"]
-    }
+    states = manifest["states"]
+    if states != list(range(params.clusters)):
+        raise SchemaError(
+            f"{manifest_path}: states {states} are not 0..{params.clusters - 1} "
+            "of extraction.json"
+        )
+    nets = {}
+    for state in states:
+        path = bundle_dir / "nets" / f"state_{state}.pnml"
+        nets[state] = import_pnml(path)
+        problems = workflow_shape_errors(nets[state]) or check_soundness(nets[state]).issues
+        if problems:
+            raise SchemaError(f"{path}: not a sound workflow net: {problems}")
     reference = al.read_profile_csv(bundle_dir / "reference_profile.csv")
     return TrainedBundle(
         kind=manifest["kind"],
@@ -261,12 +282,13 @@ def _detect(
     return det.import_scores(config.external_scores, threshold, ids, truths)
 
 
-def rate_records(bundle: TrainedBundle, records: list[FlowRecord], config: RunConfig) -> RateReport:
-    """Inference phase: classify, then rate the positives only."""
+def rate_records(
+    bundle: TrainedBundle, records: list[FlowRecord], config: RunConfig
+) -> tuple[RateReport, list[str]]:
+    """Inference phase: classify, then rate the positives only. Returns the
+    report plus the external score rows that name none of the records."""
     bands = SeverityBands(config.band_boundaries)
     scored, skipped = _detect(bundle.kind, bundle.model, bundle.threshold, records, config)
-    if skipped:
-        logger.warning("external scores: skipped %d unknown flow id(s)", len(skipped))
     by_id = {r.flow_id: r for r in records}
     rows = []
     explanations = []
@@ -282,7 +304,7 @@ def rate_records(bundle: TrainedBundle, records: list[FlowRecord], config: RunCo
     alarms, histogram = rate_all(bundle.reference, rows, bands)
     return RateReport(
         scored=scored, alarms=alarms, histogram=histogram, explanations=explanations
-    )
+    ), skipped
 
 
 def write_rate_report(report: RateReport, out_dir: str | Path) -> None:
@@ -327,7 +349,9 @@ def cmd_rate(config: RunConfig, bundle_dir: str | Path) -> RateReport:
     if bundle.kind != KIND_EXTERNAL and tuple(bundle.model.feature_names) != FEATURE_NAMES:
         raise SchemaError("bundle feature list does not match this build")
     records = load_records(config)
-    report = rate_records(bundle, records, config)
+    report, skipped = rate_records(bundle, records, config)
+    if skipped:
+        logger.warning("external scores: skipped %d unknown flow id(s)", len(skipped))
     write_rate_report(report, config.output_dir / "rating")
     return report
 
@@ -376,13 +400,18 @@ def evaluate(config: RunConfig) -> ExperimentReport:
 
     outcomes: list[RunOutcome] = []
     out_root = Path(config.output_dir)
+    # Each run rates only part of the corpus, so a score row is unknown only
+    # when it names no corpus flow at all.
+    corpus_ids = {r.flow_id for r in records}
+    stray_score_ids: set[str] = set()
     for run in range(config.runs):
         run_seed = derive_seed(config.seed, f"run-{run}")
         train_recs, val_recs, test_normals = split_normals(normals, config, run_seed)
         bundle, logs = _train_from_split(train_recs, val_recs, config, run_seed)
         run_dir = out_root / "runs" / f"run_{run}"
         save_bundle(bundle, logs, run_dir / "bundle", config)
-        report = rate_records(bundle, test_normals + attacks, config)
+        report, skipped = rate_records(bundle, test_normals + attacks, config)
+        stray_score_ids.update(set(skipped) - corpus_ids)
         write_rate_report(report, run_dir / "rating")
         confusion = _confusion_from(report)
         recall, precision = {}, {}
@@ -404,6 +433,8 @@ def evaluate(config: RunConfig) -> ExperimentReport:
                 },
             )
         )
+    if stray_score_ids:
+        logger.warning("external scores: skipped %d unknown flow id(s)", len(stray_score_ids))
     report = ExperimentReport(runs=outcomes, aggregate=_aggregate(outcomes))
     _write_experiment(report, config, out_root)
     return report

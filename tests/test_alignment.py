@@ -1,4 +1,6 @@
 """Optimal alignments: costs, projections, profiles, search budget."""
+import hashlib
+import json
 import random
 
 import pytest
@@ -52,20 +54,26 @@ def test_foreign_labels_forced_to_log_moves():
 
 
 def _replay_model_projection(net: PetriNet, alignment: Alignment) -> bool:
-    by_tid = {t.tid: j for j, t in enumerate(net.transitions)}
     marking = net.initial_tuple
     for move in alignment.moves:
         if move.kind is MoveKind.LOG_ONLY:
             continue
-        j = by_tid[move.tid]
-        if net.transitions[j].label != move.label or not net.is_enabled_index(marking, j):
+        step = {t.tid: (t, nxt) for t, nxt in net.successors(marking)}.get(move.tid)
+        if step is None or step[0].label != move.label:
             return False
-        marking = net.fire_index(marking, j)
+        marking = step[1]
     return marking == net.final_tuple
+
+
+# sha256 of the 40 move sequences below, one JSON line of [kind, label, tid]
+# triples each. Equal-cost alignments differ only in the tie-break, so this
+# pins the order in which align generates successors.
+RANDOM_INSTANCES_MOVES_SHA256 = "1b571daf35dc6d1293ceeefd52f82ac2db48479495bc8d95bed27270d3145f0f"
 
 
 def test_projections_hold_on_random_instances():
     rng = random.Random(11)
+    digest = hashlib.sha256()
     checked = 0
     for _ in range(40):
         tree = random_tree(rng, list("abcd"), max_depth=2)
@@ -75,8 +83,58 @@ def test_projections_hold_on_random_instances():
         result = align(net, trace)
         assert result.log_projection() == tuple(trace)
         assert _replay_model_projection(net, result)
+        moves = [[m.kind.value, m.label, m.tid] for m in result.moves]
+        digest.update(json.dumps(moves).encode() + b"\n")
         checked += 1
     assert checked == 40
+    assert digest.hexdigest() == RANDOM_INSTANCES_MOVES_SHA256
+
+
+def _parallel_net(first: Transition, second: Transition) -> PetriNet:
+    """split -> (first || second) -> join, with first at index 0."""
+    a, b = first.tid, second.tid
+    return PetriNet(
+        ["i", "p1", "p2", "q1", "q2", "o"],
+        [first, second, Transition("split"), Transition("join")],
+        [("i", "split"), ("split", "p1"), ("split", "p2"), ("p1", a), (a, "q1"),
+         ("p2", b), (b, "q2"), ("q1", "join"), ("q2", "join"), ("join", "o")],
+        {"i": 1}, {"o": 1},
+    )
+
+
+def _sync_or_skip_net() -> PetriNet:
+    """Choice between the sequence a c d and a lone b (b at index 0)."""
+    return PetriNet(
+        ["i", "p1", "p2", "o"],
+        [Transition("t_b", "b"), Transition("t_a", "a"), Transition("t_c", "c"),
+         Transition("t_d", "d")],
+        [("i", "t_a"), ("t_a", "p1"), ("p1", "t_c"), ("t_c", "p2"), ("p2", "t_d"),
+         ("t_d", "o"), ("i", "t_b"), ("t_b", "o")],
+        {"i": 1}, {"o": 1},
+    )
+
+
+SILENT, MODEL, SYNC, LOG = (
+    MoveKind.MODEL_SILENT, MoveKind.MODEL_ONLY, MoveKind.SYNCHRONOUS, MoveKind.LOG_ONLY,
+)
+
+
+@pytest.mark.parametrize("net, trace, expected", [
+    # Silent before visible, though the visible transition has the lower index.
+    (_parallel_net(Transition("t_a", "a"), Transition("tau")), (),
+     [(SILENT, None, "split"), (SILENT, None, "tau"), (MODEL, "a", "t_a"),
+      (SILENT, None, "join")]),
+    # Visible model moves by label, not by index.
+    (_parallel_net(Transition("t_b", "b"), Transition("t_a", "a")), (),
+     [(SILENT, None, "split"), (MODEL, "a", "t_a"), (MODEL, "b", "t_b"),
+      (SILENT, None, "join")]),
+    # Cost 2 either way: sync a + model c + model d, or model b + log a.
+    (_sync_or_skip_net(), ("a",), [(MODEL, "b", "t_b"), (LOG, "a", None)]),
+], ids=["silent-vs-visible", "visible-by-label", "sync-vs-model-and-log"])
+def test_equal_cost_ties_resolve_deterministically(net, trace, expected):
+    result = align(net, trace)
+    assert [(m.kind, m.label, m.tid) for m in result.moves] == expected
+    assert result.cost == sum(kind in (MODEL, LOG) for kind, _, _ in expected)
 
 
 def test_cost_matches_bruteforce_oracle_quick():
@@ -146,10 +204,11 @@ def test_flow_profile_counts_raw_and_flags_missing_net():
         _frag("f1", 0, 0, ("a", "b")),
         _frag("f1", 1, 1, ("x", "y")),  # state 1 has no net
     ]
-    profile, aligned = profile_flow(frags, {0: net})
-    assert profile == {"x": 1.0, "y": 1.0}
-    assert aligned[1].missing_net and not aligned[0].missing_net
-    assert aligned[1].alignment.cost == 2
+    with pytest.raises(DataError, match="no net for state 1"):
+        profile_flow(frags, {0: net})
+    profile, aligned = profile_flow(frags, {0: net, 1: discover([("x",)])})
+    assert profile == {"y": 1.0}
+    assert aligned[1].alignment.cost == 1
 
 
 def test_flow_profile_misaligned_pushes():

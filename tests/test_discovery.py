@@ -7,12 +7,12 @@ from alarmsift.alignment import align
 from alarmsift.discovery import discover, mine_tree, tree_to_net
 from alarmsift.errors import DataError
 from alarmsift.petri import (
+    MAX_MARKINGS,
     PetriNet,
     Transition,
     check_soundness,
     export_pnml,
     import_pnml,
-    is_workflow_net,
     workflow_shape_errors,
 )
 
@@ -41,7 +41,7 @@ def test_handshake_pattern_language():
 
 def test_empty_log_gives_trivial_silent_net():
     net = discover([])
-    assert is_workflow_net(net)
+    assert workflow_shape_errors(net) == []
     assert align(net, ()).cost == 0
     assert len(net.transitions) == 1 and net.transitions[0].silent
 
@@ -86,13 +86,47 @@ def test_tree_to_net_shape_and_soundness_on_random_trees():
         assert report.bounded and report.sound, report.issues
 
 
+def _hand_net(transitions, arcs, places=("i", "p", "q", "o")) -> PetriNet:
+    return PetriNet(places, transitions, arcs, {"i": 1}, {"o": 1})
+
+
+@pytest.mark.parametrize("net, issues", [
+    # d waits on a place that never gets a token.
+    (_hand_net([Transition("a", "a"), Transition("d", "d")],
+               [("i", "a"), ("a", "o"), ("q", "d"), ("d", "o")]),
+     ["dead transitions: ['d']"]),
+    # a leaves a token behind next to the final one.
+    (_hand_net([Transition("a", "a")], [("i", "a"), ("a", "o"), ("a", "p")]),
+     ["final marking unreachable from the initial marking",
+      "improper completion: marking (0, 1, 0, 1) covers the final marking",
+      "2 reachable marking(s) cannot reach the final marking"]),
+    # Choosing b leads to p, where nothing is enabled.
+    (_hand_net([Transition("a", "a"), Transition("b", "b"), Transition("c", "c")],
+               [("i", "a"), ("a", "q"), ("q", "c"), ("c", "o"), ("i", "b"), ("b", "p")]),
+     ["1 reachable marking(s) cannot reach the final marking"]),
+], ids=["dead-transition", "improper-completion", "cannot-finish"])
+def test_unsound_nets_are_reported(net, issues):
+    report = check_soundness(net)
+    assert report.bounded and not report.sound
+    assert report.issues == issues
+
+
+def test_unbounded_generator_net_stops_at_the_cap():
+    # gen puts one more token on p each time it fires.
+    net = _hand_net([Transition("gen", "g"), Transition("a", "a")],
+                    [("i", "gen"), ("gen", "i"), ("gen", "p"), ("i", "a"), ("a", "o")])
+    report = check_soundness(net)
+    assert not report.bounded and not report.sound
+    assert report.issues == [f"exploration cap of {MAX_MARKINGS} markings exceeded"]
+
+
 def test_rediscovery_fitness_quick():
     rng = random.Random(7)
     for _ in range(10):
         tree = random_tree(rng, list("abcde"), max_depth=3)
         log = [sample_trace(tree, rng) for _ in range(30)]
         net = discover(log)
-        assert is_workflow_net(net)
+        assert workflow_shape_errors(net) == []
         for trace in log:
             assert align(net, trace).cost == 0, (str(tree), trace)
 
@@ -103,40 +137,36 @@ def _sequence_net() -> PetriNet:
 
 def test_enabled_initial_and_final():
     net = _sequence_net()
-    first = net.enabled(net.initial_marking)
-    assert [t.label for t in first] == ["a"]
-    assert net.enabled(net.final_marking) == []
+    first = net.successors(net.initial_tuple)
+    assert [t.label for t, _ in first] == ["a"]
+    assert net.successors(net.final_tuple) == []
 
 
 def test_fire_moves_token_and_rejects_disabled():
     net = _sequence_net()
-    (t_a,) = net.enabled(net.initial_marking)
-    m1 = net.fire(net.initial_marking, t_a.tid)
-    assert sum(m1.values()) == 1 and m1 != net.initial_marking
-    with pytest.raises(DataError):
-        net.fire(net.initial_marking, net.transitions[-1].tid
-                 if net.transitions[-1].tid != t_a.tid else net.transitions[1].tid)
+    ((t_a, m1),) = net.successors(net.initial_tuple)
+    assert t_a.label == "a"
+    assert sum(m1) == 1 and m1 != net.initial_tuple
 
 
 def test_flower_marking_enables_all_loop_bodies():
     # Rotations of a cycle defeat all four cuts, forcing the flower model.
     net = discover([("a", "b", "c"), ("c", "a", "b"), ("b", "c", "a")])
-    m = net.initial_marking
+    m = net.initial_tuple
     # Step through the silent enter/body transitions to the loop's hub place.
     for _ in range(2):
-        silent = [t for t in net.enabled(m) if t.silent]
-        m = net.fire(m, silent[0].tid)
-    labels = {t.label for t in net.enabled(m) if t.label}
+        silent = [nxt for t, nxt in net.successors(m) if t.silent]
+        m = silent[0]
+    labels = {t.label for t, _ in net.successors(m) if t.label}
     assert labels == {"a", "b", "c"}
 
 
 def test_silent_one_in_one_out_preserves_token_count():
     net = discover([("a",), ()])  # xor with a tau branch
-    m = net.initial_marking
-    silent = [t for t in net.enabled(m) if t.silent]
+    m = net.initial_tuple
+    silent = [nxt for t, nxt in net.successors(m) if t.silent]
     assert silent
-    m2 = net.fire(m, silent[0].tid)
-    assert sum(m2.values()) == sum(m.values())
+    assert sum(silent[0]) == sum(m)
 
 
 def test_pnml_round_trip(tmp_path):

@@ -4,7 +4,7 @@ import struct
 import pytest
 
 from alarmsift.errors import PcapFormatError
-from alarmsift.pcap import CaptureFilter, ingest_pcap
+from alarmsift.pcap import ingest_pcap
 
 from capturecraft import (
     MAGIC_MICRO_BE,
@@ -110,7 +110,7 @@ def test_port_filter(tmp_path):
         (1.1, ipv4_tcp_frame("10.0.0.1", "10.0.0.3", 2222, 8443, ("SYN",))),
     ]
     result = ingest_pcap(
-        _write(tmp_path, pcap_bytes(frames)), CaptureFilter(ports=frozenset({80}))
+        _write(tmp_path, pcap_bytes(frames)), ports=frozenset({80})
     )
     assert len(result.packets) == 1
     assert result.packets[0].dst_port == 80

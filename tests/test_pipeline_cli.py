@@ -3,6 +3,8 @@ import csv
 import dataclasses
 import json
 import logging
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,8 @@ import pytest
 from alarmsift import detector, pipeline, synthetic
 from alarmsift.cli import main
 from alarmsift.config import CaptureSpec, RunConfig, derive_seed, load_config, semantic_echo
-from alarmsift.errors import ConfigError, DataError
+from alarmsift.errors import ConfigError, DataError, SchemaError
+from alarmsift.petri import PetriNet, Transition, export_pnml
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +104,7 @@ def test_rate_external_scores_all_negative_is_empty(corpus_dir, normal_only_dir,
     bundle.threshold = 5.0
     cfg = _cfg(corpus_dir, tmp_path / "rate2",
                external_scores=scores_csv, external_threshold=5.0)
-    report = pipeline.rate_records(bundle, records, cfg)
+    report, _ = pipeline.rate_records(bundle, records, cfg)
     assert report.alarms == []
     assert len(report.scored) == len(records)
 
@@ -155,10 +158,30 @@ def test_external_skipped_ids_warn_only_when_rating(normal_only_dir, tmp_path, c
     scores_csv.write_text("flow_id,score\n" + "\n".join(rows + ["ghost-1,9.9"]) + "\n")
     ext = dataclasses.replace(cfg, external_scores=scores_csv, external_threshold=0.5)
     with caplog.at_level(logging.WARNING):
-        bundle, _ = pipeline.train_bundle(records, ext, ext.seed)
+        bundle_dir = pipeline.cmd_train(ext)
         assert "skipped" not in caplog.text
-        pipeline.rate_records(bundle, records, ext)
+        pipeline.cmd_rate(ext, bundle_dir)
     assert "external scores: skipped 1 unknown flow id(s)" in caplog.text
+
+
+@pytest.mark.parametrize("extra_rows, warnings", [
+    ([], []),
+    (["ghost-1,9.9"], ["external scores: skipped 1 unknown flow id(s)"]),
+], ids=["corpus-exact", "one-stray-id"])
+def test_evaluate_warns_once_about_ids_outside_the_corpus(
+    corpus_dir, tmp_path, caplog, extra_rows, warnings
+):
+    # Each run rates only its test normals and the attacks; the train and
+    # validation flows of a run are in the corpus, so they are not unknown.
+    cfg = _cfg(corpus_dir, tmp_path / "eval", runs=2)
+    records = pipeline.load_records(cfg)
+    scores_csv = tmp_path / "scores.csv"
+    rows = [f"{r.flow_id},{1.0 if i % 4 == 0 else 0.0}" for i, r in enumerate(records)]
+    scores_csv.write_text("flow_id,score\n" + "\n".join(rows + extra_rows) + "\n")
+    ext = dataclasses.replace(cfg, external_scores=scores_csv, external_threshold=0.5)
+    with caplog.at_level(logging.WARNING, logger="alarmsift.pipeline"):
+        pipeline.evaluate(ext)
+    assert [r.getMessage() for r in caplog.records if r.name == "alarmsift.pipeline"] == warnings
 
 
 def test_evaluate_report_shape_and_determinism(corpus_dir, tmp_path):
@@ -225,6 +248,96 @@ def test_explain_rates_a_positive_as_rate_does(corpus_dir, normal_only_dir, tmp_
     for entry in explained:
         row = rated[entry["flow_id"]]
         assert (repr(entry["cos_sim"]), str(entry["band"])) == (row["cos_sim"], row["band"])
+
+
+@pytest.fixture(scope="module")
+def trained_bundle(normal_only_dir, tmp_path_factory):
+    return pipeline.cmd_train(_cfg(normal_only_dir, tmp_path_factory.mktemp("trained")))
+
+
+def _edit_json(name, edit):
+    def corrupt(bundle: Path) -> None:
+        payload = json.loads((bundle / name).read_text())
+        (bundle / name).write_text(json.dumps(edit(payload)))
+    return corrupt
+
+
+def _truncate(name):
+    def corrupt(bundle: Path) -> None:
+        text = (bundle / name).read_text()
+        (bundle / name).write_text(text[: len(text) // 2])
+    return corrupt
+
+
+def _append(name, text):
+    def corrupt(bundle: Path) -> None:
+        with (bundle / name).open("a") as fh:
+            fh.write(text)
+    return corrupt
+
+
+def _without(payload, key):
+    del payload[key]
+    return payload
+
+
+def _with(payload, **changes):
+    payload.update(changes)
+    return payload
+
+
+def _net_file(net):
+    def corrupt(bundle: Path) -> None:
+        export_pnml(net, bundle / "nets" / "state_1.pnml")
+    return corrupt
+
+
+# A workflow-shaped net that can deadlock: after b, the join d waits on p.
+_DEADLOCKING_NET = PetriNet(
+    ["i", "p", "q", "o"],
+    [Transition("a", "a"), Transition("b", "b"), Transition("c", "c"), Transition("d", "d")],
+    [("i", "a"), ("a", "p"), ("i", "b"), ("b", "q"), ("p", "c"), ("c", "o"),
+     ("p", "d"), ("q", "d"), ("d", "o")],
+    {"i": 1}, {"o": 1},
+)
+
+
+@pytest.mark.parametrize("corrupt, culprit", [
+    (_edit_json("manifest.json", lambda m: _without(m, "states")), "manifest.json"),
+    (_edit_json("manifest.json", lambda m: _with(m, threshold="0.5")), "manifest.json"),
+    (_edit_json("manifest.json", lambda m: _with(m, fp_pool="nor-00001")), "manifest.json"),
+    (_edit_json("manifest.json", lambda m: _with(m, states=[0])), "manifest.json"),
+    (_edit_json("manifest.json", lambda m: [m]), "manifest.json"),
+    (_truncate("manifest.json"), "manifest.json"),
+    (_edit_json("extraction.json",
+                lambda e: _with(e, centroids=[row[:-1] for row in e["centroids"]])),
+     "extraction.json"),
+    (_edit_json("extraction.json", lambda e: _without(e, "alphabet")), "extraction.json"),
+    (_edit_json("extraction.json", lambda e: _with(e, clusters=float(e["clusters"]))),
+     "extraction.json"),
+    (_edit_json("extraction.json", lambda e: _with(e, window=float(e["window"]))),
+     "extraction.json"),
+    (_truncate("detector.json"), "detector.json"),
+    (_edit_json("detector.json", lambda d: _without(d, "basis")), "detector.json"),
+    (_net_file(PetriNet(["i", "o"], [Transition("a", "a")], [("i", "a")], {"i": 1}, {"o": 1})),
+     "state_1.pnml"),
+    (_net_file(_DEADLOCKING_NET), "state_1.pnml"),
+    (_append("reference_profile.csv", "C_to_S_ACK;0.5\n"), "reference_profile.csv"),
+    (_append("reference_profile.csv", "C_to_S_ACK,nan\n"), "reference_profile.csv"),
+], ids=[
+    "no-states", "string-threshold", "string-fp-pool", "one-state-of-two", "not-an-object",
+    "truncated-manifest", "short-centroids", "no-alphabet", "float-clusters", "float-window",
+    "truncated-detector", "no-basis", "not-a-workflow-net", "unsound-net", "profile-row-without-comma",
+    "nan-profile-count",
+])
+def test_corrupt_bundle_is_a_schema_error(trained_bundle, tmp_path, corrupt, culprit):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(trained_bundle, bundle)
+    corrupt(bundle)
+    with pytest.raises(SchemaError, match=re.escape(culprit)):
+        pipeline.load_bundle(bundle)
+    assert main(["rate", "--corpus", str(tmp_path / "unused"), "--bundle", str(bundle),
+                 "--output-dir", str(tmp_path / "out")]) == 3
 
 
 def test_seed_derivation_stable():
@@ -308,6 +421,9 @@ def test_config_null_means_default(tmp_path, monkeypatch):
     ("runs", "abc"), ("seed", [1]), ("captures", [{"truth": "attack"}]),
     ("server_ports", ["http"]), ("band_boundaries", 0.5),
     ("runs", 2.7), ("runs", True), ("captures", "ab.pcap"), ("server_ports", "80"),
+    ("percentile", True), ("flow_timeout", "30"), ("band_boundaries", ["0.2", 0.4, 0.6, 0.8]),
+    ("flow_timeout", float("nan")), ("external_threshold", float("nan")),
+    ("band_boundaries", [0.2, 0.4, 0.6, float("inf")]),
 ])
 def test_config_unconvertible_value_names_key(tmp_path, key, value):
     cfg_file = tmp_path / "cfg.json"
@@ -351,6 +467,10 @@ def test_cli_exit_codes(tmp_path):
     cfg_file.write_text(json.dumps({"band_boundaries": [0.5, 0.25, 0.75, 0.99]}))
     rc = main(["train", "--config", str(cfg_file), "--corpus", str(corpus),
                "--output-dir", str(tmp_path / "o3")])
+    assert rc == 2
+    # config error: a NaN threshold would make every external score negative
+    rc = main(["train", "--corpus", str(corpus), "--external-scores", str(tmp_path / "s.csv"),
+               "--external-threshold", "nan", "--output-dir", str(tmp_path / "o4")])
     assert rc == 2
 
 

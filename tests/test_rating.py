@@ -1,8 +1,9 @@
 """Cosine-similarity rating, severity bands, banded metrics."""
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from alarmsift.errors import ContractError, DataError
 from alarmsift.rating import (
@@ -45,6 +46,20 @@ def test_negative_entries_rejected():
         cos_sim({"a": 0.5}, {"a": -1.0})
 
 
+def _scaled_exactly(reference, scaled):
+    """Each nonzero entry and its scaled copy are normal floats, so the copy
+    is the reference times the scale up to one rounding per entry."""
+    return all(
+        v == 0.0 or min(v, w) >= sys.float_info.min
+        for v, w in zip(reference.values(), scaled.values())
+    )
+
+
+# A subnormal reference entry times a scale below 1 loses its digits, and
+# 5e-324 * 0.5 rounds to 0.0: the scaled copy is then no multiple of the
+# reference, and an all-zero one rates 0.0 by the zero-reference rule.
+@example(reference={"a": 5e-324}, flow={"a": 1.0}, scale=0.5)
+@example(reference={"a": 5e-324, "b": 1.5e-323}, flow={"a": 1.0}, scale=0.5)
 @given(
     st.dictionaries(st.sampled_from("abcdef"), st.floats(0, 50), min_size=1),
     st.dictionaries(st.sampled_from("abcdef"), st.floats(0, 50), min_size=1),
@@ -52,10 +67,14 @@ def test_negative_entries_rejected():
 )
 @settings(max_examples=200, deadline=None)
 def test_scale_invariance_and_range(reference, flow, scale):
+    scaled_reference = {k: v * scale for k, v in reference.items()}
     base = cos_sim(reference, flow)
-    scaled = cos_sim({k: v * scale for k, v in reference.items()}, flow)
-    assert 0.0 <= base <= 1.0
-    assert abs(base - scaled) <= 1e-12
+    scaled = cos_sim(scaled_reference, flow)
+    assert 0.0 <= base <= 1.0 and 0.0 <= scaled <= 1.0
+    if _scaled_exactly(reference, scaled_reference):
+        assert abs(base - scaled) <= 1e-12
+    elif max(scaled_reference.values()) == 0.0 and max(flow.values()) > 0.0:
+        assert scaled == 0.0
 
 
 def test_band_boundaries():

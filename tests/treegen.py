@@ -76,9 +76,7 @@ def oracle_align_cost(net: PetriNet, trace, cap: int = 500_000) -> int | None:
             raise RuntimeError("oracle cap exceeded")
         marking, pos = state
         succs: list[tuple[tuple, int]] = []
-        for j in net.enabled_indexes(marking):
-            t = net.transitions[j]
-            fired = net.fire_index(marking, j)
+        for t, fired in net.successors(marking):
             succs.append(((fired, pos), 0 if t.silent else 1))
             if pos < len(trace) and t.label == trace[pos]:
                 succs.append(((fired, pos + 1), 0))
