@@ -22,7 +22,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import BudgetError, DataError, SchemaError
+from .errors import BudgetError, DataError, SchemaError, open_text
 from .events import Fragment, StateEventLog
 from .petri import PetriNet
 
@@ -154,41 +154,24 @@ def align(net: PetriNet, trace: Sequence[str], budget: int = DEFAULT_BUDGET) -> 
     raise DataError("final marking is unreachable from the initial marking")
 
 
-@dataclass
-class FragmentAlignment:
-    """One aligned fragment: the per-analyst explanation unit."""
-
-    flow_id: str
-    state: int
-    index: int
-    events: tuple[str, ...]
-    alignment: Alignment
-
-
 def profile_flow(
     fragments: Iterable[Fragment],
     nets: Mapping[int, PetriNet],
     budget: int = DEFAULT_BUDGET,
-) -> tuple[dict[str, float], list[FragmentAlignment]]:
-    """Raw per-flow misaligned-move counts plus the fragment alignments.
+) -> tuple[dict[str, float], list[tuple[Fragment, Alignment]]]:
+    """Raw per-flow misaligned-move counts plus each fragment with its alignment.
 
     Raises DataError for a fragment whose state has no net. Training gives
     every state a net (an empty log mines discover([])), and load_bundle
     rejects a bundle that lacks one.
     """
     profile: dict[str, float] = {}
-    aligned: list[FragmentAlignment] = []
+    aligned: list[tuple[Fragment, Alignment]] = []
     for frag in fragments:
         if frag.state not in nets:
             raise DataError(f"no net for state {frag.state}")
         alignment = align(nets[frag.state], frag.events, budget=budget)
-        aligned.append(FragmentAlignment(
-            flow_id=frag.flow_id,
-            state=frag.state,
-            index=frag.index,
-            events=frag.events,
-            alignment=alignment,
-        ))
+        aligned.append((frag, alignment))
         for move in alignment.misaligned():
             profile[move.label] = profile.get(move.label, 0.0) + 1.0
     return profile, aligned
@@ -228,10 +211,8 @@ def write_profile_csv(profile: Mapping[str, float], path: str | Path) -> None:
 
 def read_profile_csv(path: str | Path) -> dict[str, float]:
     """Reads write_profile_csv's file; a count must be finite and >= 0."""
-    try:
-        lines = Path(path).read_text().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SchemaError(f"{path}: cannot read profile: {exc}") from exc
+    with open_text(path) as fh:
+        lines = fh.read().splitlines()
     if not lines or not lines[0].startswith(f"# schema: {PROFILE_CSV_SCHEMA}"):
         raise SchemaError(f"{path}: expected schema {PROFILE_CSV_SCHEMA}")
     profile: dict[str, float] = {}
@@ -249,16 +230,16 @@ def read_profile_csv(path: str | Path) -> dict[str, float]:
     return profile
 
 
-def fragment_alignment_record(fa: FragmentAlignment) -> dict:
+def fragment_alignment_record(frag: Fragment, alignment: Alignment) -> dict:
     return {
-        "flow_id": fa.flow_id,
-        "state": fa.state,
-        "fragment": fa.index,
-        "cost": fa.alignment.cost,
+        "flow_id": frag.flow_id,
+        "state": frag.state,
+        "fragment": frag.index,
+        "cost": alignment.cost,
         "missing_net": False,  # kept for alarmsift-alignments/1: every state has a net
         "moves": [
             {"kind": m.kind.value, "label": m.label, "tid": m.tid}
-            for m in fa.alignment.moves
+            for m in alignment.moves
         ],
     }
 

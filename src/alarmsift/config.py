@@ -12,6 +12,7 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .alignment import DEFAULT_BUDGET
 from .errors import ConfigError, DataError
 from .rating import DEFAULT_BAND_BOUNDARIES, SeverityBands
 
@@ -42,7 +43,7 @@ class RunConfig:
     validation_fraction: float = 0.25
     runs: int = 5
     seed: int = 7
-    alignment_budget: int = 1_000_000
+    alignment_budget: int = DEFAULT_BUDGET
 
     def validate(self) -> "RunConfig":
         if self.flow_timeout <= 0:

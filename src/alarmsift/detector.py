@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, SchemaError, read_schema_json
+from .errors import DataError, SchemaError, open_text, read_schema_json
 
 logger = logging.getLogger(__name__)
 
@@ -163,15 +163,16 @@ def classify(
 
 # --- external scores -------------------------------------------------------
 
-def read_scores_csv(path: str | Path) -> list[tuple[str, float]]:
-    """Reads (flow_id, score) rows from a scores CSV; other columns, such as
-    truth, are ignored.
+def read_scores_csv(path: str | Path) -> dict[str, float]:
+    """Reads flow_id -> score, in row order, from a scores CSV; other
+    columns, such as truth, are ignored.
 
-    Each score must be a finite number; anything else raises SchemaError
-    naming the file and the data row (1-based).
+    Each score must be a finite number and each flow id may occur once;
+    anything else, or a file that cannot be read, raises SchemaError naming
+    the file (and the data row, 1-based).
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    with open_text(path, newline="") as fh:
         pos = fh.tell()
         first = fh.readline()
         if not first.startswith("#"):
@@ -180,7 +181,7 @@ def read_scores_csv(path: str | Path) -> list[tuple[str, float]]:
         fields = reader.fieldnames or []
         if "flow_id" not in fields or "score" not in fields:
             raise SchemaError(f"{path}: scores CSV needs flow_id and score columns, got {fields}")
-        rows = []
+        scores: dict[str, float] = {}
         for i, row in enumerate(reader, start=1):
             try:
                 score = float(row["score"])
@@ -190,8 +191,10 @@ def read_scores_csv(path: str | Path) -> list[tuple[str, float]]:
                 raise SchemaError(
                     f"{path}: row {i}: score {row['score']!r} is not a finite number"
                 )
-            rows.append((row["flow_id"], score))
-    return rows
+            if row["flow_id"] in scores:
+                raise SchemaError(f"{path}: row {i}: repeated flow id {row['flow_id']!r}")
+            scores[row["flow_id"]] = score
+    return scores
 
 
 def import_scores(
@@ -208,7 +211,7 @@ def import_scores(
     skipped and returned (sorted) for the caller to report. Raises
     DataError when no known flow has a score.
     """
-    scores = dict(read_scores_csv(path))
+    scores = read_scores_csv(path)
     skipped = sorted(set(scores) - set(known_ids))
     truths = truths or [TRUTH_UNKNOWN] * len(known_ids)
     scored = [

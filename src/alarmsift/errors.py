@@ -1,11 +1,13 @@
-"""Exception hierarchy shared across the package, and the reader of the
-schema-tagged JSON artifacts that raises SchemaError for them.
+"""Exception hierarchy shared across the package, and the readers that
+raise SchemaError naming an input file that cannot be read.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
 BudgetError -> 4.
 """
 import json
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator, TextIO
 
 
 class AlarmsiftError(Exception):
@@ -42,6 +44,17 @@ class BudgetError(AlarmsiftError):
     def __init__(self, message: str, cost_lower_bound: float | None = None):
         super().__init__(message)
         self.cost_lower_bound = cost_lower_bound
+
+
+@contextmanager
+def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """path opened for reading text. A file that cannot be opened, read or
+    decoded raises SchemaError naming it."""
+    try:
+        with Path(path).open(newline=newline) as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path}: cannot read: {exc}") from exc
 
 
 def read_schema_json(path: str | Path, schema: str) -> dict:

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DataError, SchemaError
+from .errors import DataError, SchemaError, open_text
 from .pcap import PacketRecord
 
 logger = logging.getLogger(__name__)
@@ -362,16 +362,17 @@ def write_flow_events(flows: list[Flow], path: str | Path) -> None:
 def read_corpus(flows_csv: str | Path, events_path: str | Path) -> list[FlowRecord]:
     """Loads FlowRecords back from the flows CSV plus the events file.
 
-    An events row that is not valid JSON, lacks flow_id or events, or has
-    an event that is not a (direction, flags, timestamp) triple raises
-    SchemaError naming the file and line; so does a flows CSV row with a
-    missing column, a non-numeric value or a non-finite feature. Every
-    distinct event label must parse (parse_event_label); a label that does
-    not raises SchemaError naming the events file.
+    An events row that is not valid JSON, lacks flow_id or events, repeats
+    a flow id, or has an event that is not a (direction, flags, timestamp)
+    triple raises SchemaError naming the file and line; so does a flows CSV
+    row with a missing column, a non-numeric value, a non-finite feature or
+    a repeated flow id. Every distinct event label must parse
+    (parse_event_label); a label that does not raises SchemaError naming
+    the events file, and so does a file that cannot be read.
     """
     flows_csv, events_path = Path(flows_csv), Path(events_path)
     events: dict[str, tuple[str, ...]] = {}
-    with events_path.open() as fh:
+    with open_text(events_path) as fh:
         try:
             schema = json.loads(fh.readline()).get("schema")
         except (AttributeError, ValueError):
@@ -381,6 +382,10 @@ def read_corpus(flows_csv: str | Path, events_path: str | Path) -> list[FlowReco
         for lineno, line in enumerate(fh, start=2):
             try:
                 row = json.loads(line)
+                if row["flow_id"] in events:
+                    raise SchemaError(
+                        f"{events_path}: line {lineno}: repeated flow id {row['flow_id']!r}"
+                    )
                 events[row["flow_id"]] = tuple(
                     f"{direction}_{flags}" for direction, flags, _ts in row["events"]
                 )
@@ -392,7 +397,8 @@ def read_corpus(flows_csv: str | Path, events_path: str | Path) -> list[FlowReco
         except DataError as exc:
             raise SchemaError(f"{events_path}: {exc}") from exc
     records: list[FlowRecord] = []
-    with flows_csv.open(newline="") as fh:
+    seen: set[str] = set()
+    with open_text(flows_csv, newline="") as fh:
         first = fh.readline()
         if not first.startswith(f"# schema: {FLOWS_CSV_SCHEMA}"):
             raise SchemaError(f"{flows_csv}: expected schema {FLOWS_CSV_SCHEMA}")
@@ -402,6 +408,11 @@ def read_corpus(flows_csv: str | Path, events_path: str | Path) -> list[FlowReco
                 flow_id = row["flow_id"]
                 if flow_id not in events:
                     raise DataError(f"{flows_csv}: flow {flow_id} missing from events file")
+                if flow_id in seen:
+                    raise SchemaError(
+                        f"{flows_csv}: line {reader.line_num + 1}: repeated flow id {flow_id!r}"
+                    )
+                seen.add(flow_id)
                 features = np.array([float(row[name]) for name in FEATURE_NAMES])
                 if not np.isfinite(features).all():
                     raise ValueError("feature values must be finite")

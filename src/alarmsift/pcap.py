@@ -176,11 +176,14 @@ def ingest_pcap(path: str | Path, ports: frozenset[int] = frozenset()) -> Ingest
 
     A packet is admitted when either endpoint port is in ports; an empty
     set admits all TCP traffic. Raises PcapFormatError when the global
-    header is malformed. A malformed record header mid-file stops the scan
-    and flags the result as partial; a record truncated at end-of-file is
-    dropped and counted.
+    header is malformed or the file cannot be read. A malformed record
+    header mid-file stops the scan and flags the result as partial; a
+    record truncated at end-of-file is dropped and counted.
     """
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise PcapFormatError(f"{path}: cannot read capture: {exc}") from exc
     if len(raw) < _GLOBAL_HEADER_LEN:
         raise PcapFormatError(f"{path}: file shorter than a PCAP global header")
     magic = raw[:4]

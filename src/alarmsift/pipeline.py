@@ -11,7 +11,7 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,12 +44,15 @@ KIND_EXTERNAL = "external-scores"
 # --- input loading ---------------------------------------------------------
 
 def load_records(config: RunConfig) -> list[FlowRecord]:
-    """Loads flow records from the configured corpus or PCAP captures."""
+    """Loads flow records from the configured corpus or PCAP captures. Flow
+    ids must be distinct: a capture's ids are prefixed with its file stem,
+    and two captures that yield the same id raise DataError naming both."""
     if config.corpus is not None:
         return read_corpus(config.corpus / "flows.csv", config.corpus / "events.jsonl")
     if not config.captures:
         raise ConfigError("no input configured: set either corpus or captures")
     records: list[FlowRecord] = []
+    origin: dict[str, Path] = {}  # flow id -> the capture it came from
     for spec in config.captures:
         result = ingest_pcap(spec.path, config.server_ports)
         if result.partial:
@@ -60,7 +63,14 @@ def load_records(config: RunConfig) -> list[FlowRecord]:
             id_prefix=Path(spec.path).stem,
             truth=spec.truth,
         )
-        records.extend(events.flow_to_record(f) for f in flows)
+        for flow in flows:
+            if flow.flow_id in origin:
+                raise DataError(
+                    f"flow id {flow.flow_id} occurs in captures {origin[flow.flow_id]} "
+                    f"and {spec.path}; give the captures distinct file names"
+                )
+            origin[flow.flow_id] = spec.path
+            records.append(events.flow_to_record(flow))
     return records
 
 
@@ -250,22 +260,11 @@ class RateReport:
     scored: list[det.ScoredFlow]
     alarms: list[RatedAlarm]
     histogram: dict[int, int]
-    explanations: list[dict]
+    explanations: list[dict]  # per alarm: {"unseen_labels": [...], "fragments": [record, ...]}
 
     @property
     def negatives(self) -> list[det.ScoredFlow]:
         return [s for s in self.scored if not s.positive]
-
-
-def _profile_record(
-    record: FlowRecord, bundle: TrainedBundle, config: RunConfig
-) -> tuple[dict[str, float], list[al.FragmentAlignment], tuple[str, ...]]:
-    """One flow's misalignment profile, its fragment alignments, and the
-    labels of its trace outside the trained alphabet."""
-    trace = events.Trace(record.flow_id, record.events)
-    fragments = events.split_by_state(trace, bundle.params)
-    profile, aligned = al.profile_flow(fragments, bundle.nets, budget=config.alignment_budget)
-    return profile, aligned, events.unseen_labels(trace, bundle.params)
 
 
 def _detect(
@@ -282,29 +281,36 @@ def _detect(
     return det.import_scores(config.external_scores, threshold, ids, truths)
 
 
+def _rate(
+    bundle: TrainedBundle, records: list[FlowRecord], config: RunConfig
+) -> tuple[list[RatedAlarm], dict[int, int], list[dict]]:
+    """Rates each record against the bundle's reference profile. Returns the
+    alarms and the band histogram (rate_all), and one explanation per record
+    in record order: the labels of its trace outside the trained alphabet
+    and its fragment alignments."""
+    rows, explanations = [], []
+    for record in records:
+        trace = events.Trace(record.flow_id, record.events)
+        fragments = events.split_by_state(trace, bundle.params)
+        profile, aligned = al.profile_flow(fragments, bundle.nets, budget=config.alignment_budget)
+        rows.append((record.flow_id, profile, record.truth))
+        explanations.append({
+            "unseen_labels": list(events.unseen_labels(trace, bundle.params)),
+            "fragments": [al.fragment_alignment_record(f, a) for f, a in aligned],
+        })
+    alarms, histogram = rate_all(bundle.reference, rows, SeverityBands(config.band_boundaries))
+    return alarms, histogram, explanations
+
+
 def rate_records(
     bundle: TrainedBundle, records: list[FlowRecord], config: RunConfig
 ) -> tuple[RateReport, list[str]]:
     """Inference phase: classify, then rate the positives only. Returns the
     report plus the external score rows that name none of the records."""
-    bands = SeverityBands(config.band_boundaries)
     scored, skipped = _detect(bundle.kind, bundle.model, bundle.threshold, records, config)
-    by_id = {r.flow_id: r for r in records}
-    rows = []
-    explanations = []
-    for s in scored:
-        if not s.positive:
-            continue
-        profile, aligned, novel = _profile_record(by_id[s.flow_id], bundle, config)
-        rows.append((s.flow_id, profile, s.truth))
-        for fa in aligned:
-            rec = al.fragment_alignment_record(fa)
-            rec["unseen_labels"] = list(novel)
-            explanations.append(rec)
-    alarms, histogram = rate_all(bundle.reference, rows, bands)
-    return RateReport(
-        scored=scored, alarms=alarms, histogram=histogram, explanations=explanations
-    ), skipped
+    flagged = {s.flow_id for s in scored if s.positive}
+    rated = _rate(bundle, [r for r in records if r.flow_id in flagged], config)
+    return RateReport(scored, *rated), skipped
 
 
 def write_rate_report(report: RateReport, out_dir: str | Path) -> None:
@@ -322,7 +328,11 @@ def write_rate_report(report: RateReport, out_dir: str | Path) -> None:
         writer.writerow(["band", "band_name", "count"])
         for band in sorted(report.histogram):
             writer.writerow([band, BAND_NAMES[band], report.histogram[band]])
-    al.write_alignments_jsonl(report.explanations, out_dir / "alignments.jsonl")
+    al.write_alignments_jsonl(
+        ({**frag, "unseen_labels": e["unseen_labels"]}
+         for e in report.explanations for frag in e["fragments"]),
+        out_dir / "alignments.jsonl",
+    )
     det.write_scores_csv(report.scored, out_dir / "scores.csv")
     _write_band_profiles(report.alarms, out_dir / "band_mean_profiles.csv")
 
@@ -362,11 +372,7 @@ def cmd_rate(config: RunConfig, bundle_dir: str | Path) -> RateReport:
 class RunOutcome:
     seed: int
     confusion: BandedConfusion
-    recall: dict[int, float]
-    precision: dict[int, float | None]
-    positives: int
     fp_pool: int
-    artifacts: dict[str, str] = field(default_factory=dict)  # paths relative to the output dir
 
 
 @dataclass
@@ -413,26 +419,9 @@ def evaluate(config: RunConfig) -> ExperimentReport:
         report, skipped = rate_records(bundle, test_normals + attacks, config)
         stray_score_ids.update(set(skipped) - corpus_ids)
         write_rate_report(report, run_dir / "rating")
-        confusion = _confusion_from(report)
-        recall, precision = {}, {}
-        for k in range(1, 6):
-            r, p = banded_metrics(confusion, k)
-            recall[k] = r
-            precision[k] = p
-        outcomes.append(
-            RunOutcome(
-                seed=run_seed,
-                confusion=confusion,
-                recall=recall,
-                precision=precision,
-                positives=len(report.alarms),
-                fp_pool=len(bundle.fp_pool),
-                artifacts={
-                    "bundle": f"runs/run_{run}/bundle",
-                    "rating": f"runs/run_{run}/rating",
-                },
-            )
-        )
+        outcomes.append(RunOutcome(
+            seed=run_seed, confusion=_confusion_from(report), fp_pool=len(bundle.fp_pool)
+        ))
     if stray_score_ids:
         logger.warning("external scores: skipped %d unknown flow id(s)", len(stray_score_ids))
     report = ExperimentReport(runs=outcomes, aggregate=_aggregate(outcomes))
@@ -450,36 +439,42 @@ def _mean_std(values: list[float]) -> dict:
 def _aggregate(outcomes: list[RunOutcome]) -> dict:
     agg: dict = {"recall": {}, "precision": {}, "tp_band": {}, "fp_band": {}}
     for k in range(1, 6):
-        agg["recall"][k] = _mean_std([o.recall[k] for o in outcomes])
-        agg["precision"][k] = _mean_std(
-            [o.precision[k] for o in outcomes if o.precision[k] is not None]
-        )
+        metrics = [banded_metrics(o.confusion, k) for o in outcomes]
+        agg["recall"][k] = _mean_std([recall for recall, _ in metrics])
+        agg["precision"][k] = _mean_std([p for _, p in metrics if p is not None])
         agg["tp_band"][k] = _mean_std([o.confusion.tp_at(k) for o in outcomes])
         agg["fp_band"][k] = _mean_std([o.confusion.fp_at(k) for o in outcomes])
     agg["fn"] = _mean_std([o.confusion.fn for o in outcomes])
     return agg
 
 
+def _run_record(run: int, o: RunOutcome) -> dict:
+    """One run's entry in report.json, its metrics derived from the confusion."""
+    metrics = {k: banded_metrics(o.confusion, k) for k in range(1, 6)}
+    return {
+        "seed": o.seed,
+        "tp": o.confusion.tp,
+        "fp": o.confusion.fp,
+        "fn": o.confusion.fn,
+        "recall": {k: recall for k, (recall, _) in metrics.items()},
+        "precision": {k: precision for k, (_, precision) in metrics.items()},
+        "positives": sum(o.confusion.tp.values()) + sum(o.confusion.fp.values()),
+        "fp_pool": o.fp_pool,
+        "artifacts": {  # paths relative to the output dir
+            "bundle": f"runs/run_{run}/bundle",
+            "rating": f"runs/run_{run}/rating",
+        },
+    }
+
+
 def _write_experiment(report: ExperimentReport, config: RunConfig, out_root: Path) -> None:
     out_root.mkdir(parents=True, exist_ok=True)
+    agg = report.aggregate
     payload = {
         "schema": REPORT_SCHEMA,
         "config": semantic_echo(config),
-        "runs": [
-            {
-                "seed": o.seed,
-                "tp": o.confusion.tp,
-                "fp": o.confusion.fp,
-                "fn": o.confusion.fn,
-                "recall": o.recall,
-                "precision": o.precision,
-                "positives": o.positives,
-                "fp_pool": o.fp_pool,
-                "artifacts": o.artifacts,
-            }
-            for o in report.runs
-        ],
-        "aggregate": report.aggregate,
+        "runs": [_run_record(run, o) for run, o in enumerate(report.runs)],
+        "aggregate": agg,
     }
     (out_root / "report.json").write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
     with (out_root / "metrics.csv").open("w", newline="") as fh:
@@ -489,7 +484,6 @@ def _write_experiment(report: ExperimentReport, config: RunConfig, out_root: Pat
              "recall_mean", "recall_std", "precision_mean", "precision_std"]
         )
         for k in (5, 4, 3, 2, 1):
-            agg = report.aggregate
             prec = agg["precision"][k]
             writer.writerow([
                 BAND_NAMES[k], k,
@@ -502,10 +496,9 @@ def _write_experiment(report: ExperimentReport, config: RunConfig, out_root: Pat
     with (out_root / "fig_performance.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "band", "recall_mean", "precision_mean", "tp_share", "fp_share"])
-        total_tp = sum(report.aggregate["tp_band"][k]["mean"] for k in range(1, 6)) or 1.0
-        total_fp = sum(report.aggregate["fp_band"][k]["mean"] for k in range(1, 6)) or 1.0
+        total_tp = sum(agg["tp_band"][k]["mean"] for k in range(1, 6)) or 1.0
+        total_fp = sum(agg["fp_band"][k]["mean"] for k in range(1, 6)) or 1.0
         for k in range(1, 6):
-            agg = report.aggregate
             prec = agg["precision"][k]
             writer.writerow([
                 k, BAND_NAMES[k],
@@ -530,12 +523,7 @@ def explain_flows(
         missing = wanted - {r.flow_id for r in records}
         if missing:
             raise DataError(f"unknown flow id(s): {sorted(missing)}")
-    rows, details = [], []
-    for record in records:
-        profile, aligned, novel = _profile_record(record, bundle, config)
-        rows.append((record.flow_id, profile, record.truth))
-        details.append((aligned, novel))
-    alarms, _ = rate_all(bundle.reference, rows, SeverityBands(config.band_boundaries))
+    alarms, _, explanations = _rate(bundle, records, config)
     return [
         {
             "flow_id": alarm.flow_id,
@@ -543,8 +531,7 @@ def explain_flows(
             "cos_sim": alarm.cos_sim,
             "band": alarm.band,
             "profile": alarm.profile,
-            "unseen_labels": list(novel),
-            "fragments": [al.fragment_alignment_record(fa) for fa in aligned],
+            **explanation,
         }
-        for alarm, (aligned, novel) in zip(alarms, details)
+        for alarm, explanation in zip(alarms, explanations)
     ]

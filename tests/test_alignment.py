@@ -208,7 +208,7 @@ def test_flow_profile_counts_raw_and_flags_missing_net():
         profile_flow(frags, {0: net})
     profile, aligned = profile_flow(frags, {0: net, 1: discover([("x",)])})
     assert profile == {"y": 1.0}
-    assert aligned[1].alignment.cost == 1
+    assert aligned[1][1].cost == 1
 
 
 def test_flow_profile_misaligned_pushes():
@@ -248,7 +248,7 @@ def test_silent_moves_never_counted():
     net = discover([("a",), ()])  # xor with tau branch
     profile, aligned = profile_flow([_frag("f", 0, 0, ())], {0: net})
     assert profile == {}
-    assert any(m.kind is MoveKind.MODEL_SILENT for m in aligned[0].alignment.moves)
+    assert any(m.kind is MoveKind.MODEL_SILENT for m in aligned[0][1].moves)
 
 
 def test_profile_csv_round_trip(tmp_path):

@@ -15,6 +15,7 @@ from alarmsift.cli import main
 from alarmsift.config import CaptureSpec, RunConfig, derive_seed, load_config, semantic_echo
 from alarmsift.errors import ConfigError, DataError, SchemaError
 from alarmsift.petri import PetriNet, Transition, export_pnml
+from capturecraft import handshake_fin_frames, pcap_bytes
 
 
 @pytest.fixture(scope="module")
@@ -433,6 +434,49 @@ def test_config_unconvertible_value_names_key(tmp_path, key, value):
     assert main(["train", "--config", str(cfg_file), "--output-dir", str(tmp_path / "o")]) == 2
 
 
+def _captures_sharing_a_stem(tmp_path, corpus):
+    specs = []
+    for sub, truth in (("a", "normal"), ("b", "attack")):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "cap.pcap").write_bytes(pcap_bytes(handshake_fin_frames()))
+        specs.append(CaptureSpec(tmp_path / sub / "cap.pcap", truth))
+    cfg = RunConfig(output_dir=tmp_path / "out", captures=tuple(specs)).validate()
+    pattern = re.escape(f"cap-000000 occurs in captures {specs[0].path} and {specs[1].path}")
+    return (lambda: pipeline.load_records(cfg)), DataError, pattern
+
+
+def _corpus_repeating_a_row(name, index):
+    def build(tmp_path, corpus):
+        out = tmp_path / "corpus"
+        shutil.copytree(corpus, out)
+        lines = (out / name).read_text().splitlines(keepends=True)
+        (out / name).write_text("".join(lines + [lines[index]]))
+        pattern = re.escape(f"{out / name}: line {len(lines) + 1}: repeated flow id")
+        return (lambda: pipeline.load_records(_cfg(out, tmp_path / "out"))), SchemaError, pattern
+    return build
+
+
+def _scores_repeating_an_id(tmp_path, corpus):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("flow_id,score\nf1,3\nf2,1\nf1,0\n")
+    pattern = re.escape(f"{scores}: row 3: repeated flow id 'f1'")
+    return (lambda: detector.import_scores(scores, 2.0, ["f1", "f2"])), SchemaError, pattern
+
+
+@pytest.mark.parametrize("build", [
+    _captures_sharing_a_stem,
+    _corpus_repeating_a_row("events.jsonl", 1),
+    _corpus_repeating_a_row("flows.csv", 2),
+    _scores_repeating_an_id,
+], ids=["capture-stems", "events-row", "flows-row", "scores-row"])
+def test_repeated_flow_ids_are_rejected(corpus_dir, tmp_path, build):
+    # Rating walks records and external scores join on flow ids, so a
+    # repeated id would rate or score one flow with another's data.
+    load, error, pattern = build(tmp_path, corpus_dir)
+    with pytest.raises(error, match=pattern):
+        load()
+
+
 # --- CLI ------------------------------------------------------------------
 
 def test_cli_gen_train_rate_roundtrip(tmp_path, capsys):
@@ -472,6 +516,17 @@ def test_cli_exit_codes(tmp_path):
     rc = main(["train", "--corpus", str(corpus), "--external-scores", str(tmp_path / "s.csv"),
                "--external-threshold", "nan", "--output-dir", str(tmp_path / "o4")])
     assert rc == 2
+    # data error: a corpus, a score file or a capture that does not exist
+    rc = main(["train", "--corpus", str(tmp_path / "nonexist"),
+               "--output-dir", str(tmp_path / "o5")])
+    assert rc == 3
+    rc = main(["train", "--corpus", str(corpus), "--external-scores", str(tmp_path / "nope.csv"),
+               "--external-threshold", "0.5", "--output-dir", str(tmp_path / "o6")])
+    assert rc == 3
+    cfg_file = tmp_path / "capture.json"
+    cfg_file.write_text(json.dumps({"captures": [str(tmp_path / "nope.pcap")]}))
+    rc = main(["train", "--config", str(cfg_file), "--output-dir", str(tmp_path / "o7")])
+    assert rc == 3
 
 
 def test_cli_budget_exceeded_exit_code(tmp_path):
