@@ -5,7 +5,7 @@ TCP event traces -> state-wise event logs -> discovered workflow nets ->
 alignment profiles -> cosine-similarity severity bands.
 """
 
-from .alignment import Alignment, Move, MoveKind, align, profile_flow, profile_reference
+from .alignment import Aligner, Alignment, Move, MoveKind, align, profile_flow, profile_reference
 from .detector import DetectorModel, ScoredFlow, calibrate_threshold, classify, fit_baseline
 from .discovery import ProcessTree, discover, mine_tree, tree_to_net
 from .errors import (

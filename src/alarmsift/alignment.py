@@ -10,6 +10,11 @@ Tie-breaking is deterministic: successors are generated preferring
 synchronous moves, then silent model moves, then visible model moves in
 (label, index) order (the order of PetriNet.successors), then the log
 move; equal-cost frontier entries pop in generation order.
+
+An Aligner caches alignments per (state, events) for one set of nets, so
+each distinct fragment is searched once; a cached result is the one a
+fresh search returns, so tie-breaks and outputs are unchanged. A search
+that exceeds its budget is not cached.
 """
 from __future__ import annotations
 
@@ -49,10 +54,6 @@ class Move:
     kind: MoveKind
     label: str | None = None
     tid: str | None = None  # firing transition; absent for log-only moves
-
-    @property
-    def cost(self) -> int:
-        return _MOVE_COST[self.kind]
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,9 @@ def align(net: PetriNet, trace: Sequence[str], budget: int = DEFAULT_BUDGET) -> 
     frontier: list[tuple[int, int, int, tuple]] = []
     heapq.heappush(frontier, (h[0], h[0], counter, start))
     best_g: dict[tuple, int] = {start: 0}
-    came_from: dict[tuple, tuple[tuple, Move]] = {}
+    # state -> (previous state, kind, label, tid) of the cheapest move into it;
+    # Moves are built only for the returned path.
+    came_from: dict[tuple, tuple[tuple, MoveKind, str | None, str | None]] = {}
     expansions = 0
 
     while frontier:
@@ -114,9 +117,8 @@ def align(net: PetriNet, trace: Sequence[str], budget: int = DEFAULT_BUDGET) -> 
             moves: list[Move] = []
             cur = state
             while cur != start:
-                prev, move = came_from[cur]
-                moves.append(move)
-                cur = prev
+                cur, kind, label, tid = came_from[cur]
+                moves.append(Move(kind, label, tid))
             moves.reverse()
             return Alignment(moves=tuple(moves), cost=g)
         expansions += 1
@@ -127,26 +129,26 @@ def align(net: PetriNet, trace: Sequence[str], budget: int = DEFAULT_BUDGET) -> 
             )
 
         edges = net.successors(marking)
-        succs: list[tuple[tuple, Move]] = []
+        succs: list[tuple[tuple, MoveKind, str | None, str | None]] = []
         if pos < goal_pos:
             label = trace[pos]
             succs = [
-                ((nxt, pos + 1), Move(MoveKind.SYNCHRONOUS, label, t.tid))
+                ((nxt, pos + 1), MoveKind.SYNCHRONOUS, label, t.tid)
                 for t, nxt in edges if t.label == label
             ]
         succs += [
-            ((nxt, pos), Move(MoveKind.MODEL_SILENT if t.silent else MoveKind.MODEL_ONLY,
-                              t.label, t.tid))
+            ((nxt, pos), MoveKind.MODEL_SILENT if t.silent else MoveKind.MODEL_ONLY,
+             t.label, t.tid)
             for t, nxt in edges
         ]
         if pos < goal_pos:
-            succs.append(((marking, pos + 1), Move(MoveKind.LOG_ONLY, label)))
+            succs.append(((marking, pos + 1), MoveKind.LOG_ONLY, label, None))
 
-        for nxt, move in succs:
-            ng = g + move.cost
+        for nxt, kind, move_label, tid in succs:
+            ng = g + _MOVE_COST[kind]
             if ng < best_g.get(nxt, ng + 1):
                 best_g[nxt] = ng
-                came_from[nxt] = (state, move)
+                came_from[nxt] = (state, kind, move_label, tid)
                 counter += 1
                 nh = h[nxt[1]]
                 heapq.heappush(frontier, (ng + nh, nh, counter, nxt))
@@ -154,12 +156,39 @@ def align(net: PetriNet, trace: Sequence[str], budget: int = DEFAULT_BUDGET) -> 
     raise DataError("final marking is unreachable from the initial marking")
 
 
+class Aligner:
+    """The one owner of alignment results for one set of nets.
+
+    Calling it on a fragment returns the alignment of the fragment's events
+    against its state's net, searched once per distinct (state, events) and
+    cached. Each search gets the full budget; a BudgetError propagates and
+    is never cached, so the same fragment searches again on the next call.
+    Raises DataError for a state without a net.
+    """
+
+    def __init__(self, nets: Mapping[int, PetriNet], budget: int = DEFAULT_BUDGET):
+        self.nets = nets
+        self.budget = budget
+        self._cache: dict[tuple[int, tuple[str, ...]], Alignment] = {}
+
+    def __call__(self, frag: Fragment) -> Alignment:
+        key = (frag.state, frag.events)
+        alignment = self._cache.get(key)
+        if alignment is None:
+            if frag.state not in self.nets:
+                raise DataError(f"no net for state {frag.state}")
+            # The module global, looked up at call time, so that a wrapped
+            # align sees every search.
+            alignment = align(self.nets[frag.state], frag.events, self.budget)
+            self._cache[key] = alignment
+        return alignment
+
+
 def profile_flow(
-    fragments: Iterable[Fragment],
-    nets: Mapping[int, PetriNet],
-    budget: int = DEFAULT_BUDGET,
+    fragments: Iterable[Fragment], aligner: Aligner
 ) -> tuple[dict[str, float], list[tuple[Fragment, Alignment]]]:
-    """Raw per-flow misaligned-move counts plus each fragment with its alignment.
+    """Raw per-flow misaligned-move counts plus each fragment with its
+    alignment, as the aligner returns it.
 
     Raises DataError for a fragment whose state has no net. Training gives
     every state a net (an empty log mines discover([])), and load_bundle
@@ -168,22 +197,17 @@ def profile_flow(
     profile: dict[str, float] = {}
     aligned: list[tuple[Fragment, Alignment]] = []
     for frag in fragments:
-        if frag.state not in nets:
-            raise DataError(f"no net for state {frag.state}")
-        alignment = align(nets[frag.state], frag.events, budget=budget)
+        alignment = aligner(frag)
         aligned.append((frag, alignment))
         for move in alignment.misaligned():
             profile[move.label] = profile.get(move.label, 0.0) + 1.0
     return profile, aligned
 
 
-def profile_reference(
-    logs: Mapping[int, StateEventLog],
-    nets: Mapping[int, PetriNet],
-    budget: int = DEFAULT_BUDGET,
-) -> dict[str, float]:
-    """Reference profile: the mean of the per-flow profiles (profile_flow)
-    of the source traces in the logs. Silent model moves are never counted."""
+def profile_reference(logs: Mapping[int, StateEventLog], aligner: Aligner) -> dict[str, float]:
+    """Reference profile: the mean of the per-flow profiles (profile_flow,
+    with the given aligner) of the source traces in the logs. Silent model
+    moves are never counted."""
     by_flow: dict[str, list[Fragment]] = defaultdict(list)
     for state in sorted(logs):
         for frag in logs[state].fragments:
@@ -191,7 +215,7 @@ def profile_reference(
     # Integral counts summed, then divided once: the mean stays exact.
     totals: dict[str, float] = defaultdict(float)
     for fragments in by_flow.values():
-        for label, count in profile_flow(fragments, nets, budget)[0].items():
+        for label, count in profile_flow(fragments, aligner)[0].items():
             totals[label] += count
     return {label: totals[label] / len(by_flow) for label in sorted(totals)}
 

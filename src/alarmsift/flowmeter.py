@@ -80,7 +80,7 @@ def pair_key(a: Endpoint, b: Endpoint) -> tuple[Endpoint, Endpoint]:
     return (a, b) if a <= b else (b, a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowPacket:
     """A packet inside a flow, tagged with its direction."""
 
@@ -368,7 +368,8 @@ def read_corpus(flows_csv: str | Path, events_path: str | Path) -> list[FlowReco
     row with a missing column, a non-numeric value, a non-finite feature or
     a repeated flow id. Every distinct event label must parse
     (parse_event_label); a label that does not raises SchemaError naming
-    the events file, and so does a file that cannot be read.
+    the events file, and so does a file that cannot be read. So does an
+    events row that no flows CSV row names, such as from a cut-short CSV.
     """
     flows_csv, events_path = Path(flows_csv), Path(events_path)
     events: dict[str, tuple[str, ...]] = {}
@@ -433,4 +434,10 @@ def read_corpus(flows_csv: str | Path, events_path: str | Path) -> list[FlowReco
                 raise SchemaError(
                     f"{flows_csv}: line {reader.line_num + 1}: malformed row: {exc!r}"
                 ) from exc
+    orphans = [flow_id for flow_id in events if flow_id not in seen]
+    if orphans:
+        raise SchemaError(
+            f"{events_path}: {len(orphans)} flow id(s) missing from {flows_csv}, "
+            f"first {orphans[0]!r}"
+        )
     return records

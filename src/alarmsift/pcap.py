@@ -54,7 +54,7 @@ _FLAG_BITS = (
     ("URG", 0x20),
 )
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PacketRecord:
     """One captured TCP segment, reduced to what the pipeline needs."""
 

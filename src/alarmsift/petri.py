@@ -84,6 +84,7 @@ class PetriNet:
             range(len(self.transitions)),
             key=lambda j: (not self.transitions[j].silent, self.transitions[j].label or "", j),
         ))
+        self._successors: dict[tuple[int, ...], list[tuple[Transition, tuple[int, ...]]]] = {}
 
     # --- tuple markings (used by alignment and the soundness check) ------
 
@@ -113,9 +114,17 @@ class PetriNet:
     def successors(self, m: tuple[int, ...]) -> list[tuple[Transition, tuple[int, ...]]]:
         """The firing rule: each enabled transition with the marking it
         leads to. Silent transitions come first in index order, then
-        visible ones by (label, index), which is the alignment tie-break."""
-        fire = self.fire_index
-        return [(self.transitions[j], fire(m, j)) for j in self.enabled_indexes(m)]
+        visible ones by (label, index), which is the alignment tie-break.
+
+        Memoized per marking, so the memo holds at most the net's reachable
+        markings. The returned list is shared between callers and must not
+        be mutated."""
+        edges = self._successors.get(m)
+        if edges is None:
+            fire = self.fire_index
+            edges = [(self.transitions[j], fire(m, j)) for j in self.enabled_indexes(m)]
+            self._successors[m] = edges
+        return edges
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PetriNet):

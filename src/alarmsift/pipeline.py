@@ -156,7 +156,7 @@ def _train_from_split(
         state: discovery.discover([f.events for f in logs[state].fragments])
         for state in sorted(logs)
     }
-    reference = al.profile_reference(logs, nets, budget=config.alignment_budget)
+    reference = al.profile_reference(logs, al.Aligner(nets, config.alignment_budget))
     return TrainedBundle(
         kind=kind,
         model=model,
@@ -288,11 +288,12 @@ def _rate(
     alarms and the band histogram (rate_all), and one explanation per record
     in record order: the labels of its trace outside the trained alphabet
     and its fragment alignments."""
+    aligner = al.Aligner(bundle.nets, config.alignment_budget)
     rows, explanations = [], []
     for record in records:
         trace = events.Trace(record.flow_id, record.events)
         fragments = events.split_by_state(trace, bundle.params)
-        profile, aligned = al.profile_flow(fragments, bundle.nets, budget=config.alignment_budget)
+        profile, aligned = al.profile_flow(fragments, aligner)
         rows.append((record.flow_id, profile, record.truth))
         explanations.append({
             "unseen_labels": list(events.unseen_labels(trace, bundle.params)),

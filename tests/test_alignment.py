@@ -5,7 +5,9 @@ import random
 
 import pytest
 
+from alarmsift import alignment as alignment_module
 from alarmsift.alignment import (
+    Aligner,
     Alignment,
     MoveKind,
     align,
@@ -177,7 +179,7 @@ def _frag(flow_id, state, index, events):
 def test_reference_profile_perfect_replay_is_zero():
     net = discover([("a", "b")] * 4)
     logs = {0: StateEventLog(0, [_frag("f1", 0, 0, ("a", "b")), _frag("f2", 0, 0, ("a", "b"))])}
-    assert profile_reference(logs, {0: net}) == {}
+    assert profile_reference(logs, Aligner({0: net})) == {}
 
 
 def test_reference_profile_averages_over_source_traces():
@@ -188,14 +190,14 @@ def test_reference_profile_averages_over_source_traces():
             _frag("f2", 0, 0, ("syn", "synack")),  # one model-only "ack"
         ])
     }
-    profile = profile_reference(logs, {0: net})
+    profile = profile_reference(logs, Aligner({0: net}))
     assert profile == {"ack": 0.5}
 
 
 def test_reference_profile_missing_net_is_an_error():
     logs = {0: StateEventLog(0, [_frag("f1", 0, 0, ("a",))])}
     with pytest.raises(DataError):
-        profile_reference(logs, {})
+        profile_reference(logs, Aligner({}))
 
 
 def test_flow_profile_counts_raw_and_flags_missing_net():
@@ -205,8 +207,8 @@ def test_flow_profile_counts_raw_and_flags_missing_net():
         _frag("f1", 1, 1, ("x", "y")),  # state 1 has no net
     ]
     with pytest.raises(DataError, match="no net for state 1"):
-        profile_flow(frags, {0: net})
-    profile, aligned = profile_flow(frags, {0: net, 1: discover([("x",)])})
+        profile_flow(frags, Aligner({0: net}))
+    profile, aligned = profile_flow(frags, Aligner({0: net, 1: discover([("x",)])}))
     assert profile == {"y": 1.0}
     assert aligned[1][1].cost == 1
 
@@ -214,7 +216,7 @@ def test_flow_profile_counts_raw_and_flags_missing_net():
 def test_flow_profile_misaligned_pushes():
     net = discover([("psh", "ack")] * 4)
     frags = [_frag("f1", 0, 0, ("psh", "psh", "psh", "ack"))]
-    profile, _ = profile_flow(frags, {0: net})
+    profile, _ = profile_flow(frags, Aligner({0: net}))
     assert sum(profile.values()) == align(net, ("psh", "psh", "psh", "ack")).cost
 
 
@@ -224,10 +226,10 @@ def test_profile_linearity_over_traces():
     logs = {0: StateEventLog(0, [
         _frag(f"f{i}", 0, 0, t) for i, t in enumerate(traces)
     ])}
-    combined = profile_reference(logs, {0: net})
+    combined = profile_reference(logs, Aligner({0: net}))
     per_trace = []
     for i, t in enumerate(traces):
-        p, _ = profile_flow([_frag(f"f{i}", 0, 0, t)], {0: net})
+        p, _ = profile_flow([_frag(f"f{i}", 0, 0, t)], Aligner({0: net}))
         per_trace.append(p)
     labels = {k for p in per_trace for k in p}
     for label in labels:
@@ -239,16 +241,87 @@ def test_zero_cost_iff_zero_profile_contribution():
     net = discover([("a", "b"), ("b", "a")])
     for trace in [("a", "b"), ("b", "a"), ("a", "a"), ("a", "b", "zz")]:
         result = align(net, trace)
-        profile, _ = profile_flow([_frag("f", 0, 0, trace)], {0: net})
+        profile, _ = profile_flow([_frag("f", 0, 0, trace)], Aligner({0: net}))
         assert (result.cost == 0) == (sum(profile.values()) == 0)
         assert sum(profile.values()) == result.cost
 
 
 def test_silent_moves_never_counted():
     net = discover([("a",), ()])  # xor with tau branch
-    profile, aligned = profile_flow([_frag("f", 0, 0, ())], {0: net})
+    profile, aligned = profile_flow([_frag("f", 0, 0, ())], Aligner({0: net}))
     assert profile == {}
     assert any(m.kind is MoveKind.MODEL_SILENT for m in aligned[0][1].moves)
+
+
+def _counting_align(monkeypatch):
+    """Replaces the module-global align, which Aligner calls on a miss,
+    with a wrapper that records each search's (net, trace)."""
+    calls = []
+
+    def counting(net, trace, budget):
+        calls.append((net, tuple(trace)))
+        return align(net, trace, budget)
+
+    monkeypatch.setattr(alignment_module, "align", counting)
+    return calls
+
+
+def test_aligner_searches_each_distinct_fragment_once(monkeypatch):
+    calls = _counting_align(monkeypatch)
+    nets = {0: discover([("a", "b")] * 2), 1: discover([("x",)])}
+    aligner = Aligner(nets)
+    frags = [
+        _frag("f1", 0, 0, ("a", "b")),
+        _frag("f2", 0, 0, ("a", "b")),
+        _frag("f1", 1, 1, ("a", "b")),  # same events, other state
+        _frag("f3", 0, 0, ("b",)),
+        _frag("f4", 1, 0, ("a", "b")),
+    ]
+    results = [aligner(f) for f in frags]
+    assert calls == [(nets[0], ("a", "b")), (nets[1], ("a", "b")), (nets[0], ("b",))]
+    assert results[0] is results[1] and results[2] is results[4]
+    assert [r.cost for r in results] == [0, 0, 3, 1, 3]
+
+
+def test_aligner_never_caches_a_budget_error(monkeypatch):
+    calls = _counting_align(monkeypatch)
+    net = discover([("a", "b", "c", "d")] * 2)
+    frag = _frag("f", 0, 0, ("d", "c", "b", "a"))
+    tight = Aligner({0: net}, budget=2)
+    for _ in range(2):
+        with pytest.raises(BudgetError):
+            tight(frag)
+    assert len(calls) == 2
+    assert Aligner({0: net}, budget=1000)(frag) == align(net, frag.events)
+
+
+def test_aligner_state_without_net_is_an_error():
+    with pytest.raises(DataError, match="no net for state 1"):
+        Aligner({0: discover([("a",)])})(_frag("f", 1, 0, ("a",)))
+
+
+def test_aligner_results_equal_fresh_searches_in_any_order():
+    rng = random.Random(23)
+    trees, frags = {}, []
+    for state in range(4):
+        trees[state] = random_tree(rng, list("abcd"), max_depth=2)
+        bases = [sample_trace(trees[state], rng) for _ in range(3)]
+        for i in range(12):
+            trace = rng.choice(bases)
+            if rng.random() < 0.5:
+                trace = perturb_trace(trace, rng, list("abcd"))
+            frags.append(_frag(f"f{i}", state, 0, trace))
+    # Each expected result comes from a cold net, searched on its own.
+    expected = {
+        (f.state, f.events): align(tree_to_net(trees[f.state]), f.events) for f in frags
+    }
+    assert len(expected) < len(frags)
+    nets = {state: tree_to_net(tree) for state, tree in trees.items()}
+    for _ in range(3):
+        rng.shuffle(frags)
+        aligner = Aligner(nets)
+        for frag in frags + frags:
+            assert aligner(frag) == expected[frag.state, frag.events]
 
 
 def test_profile_csv_round_trip(tmp_path):

@@ -1,5 +1,6 @@
 """Inductive miner and Petri net semantics."""
 import random
+from collections import Counter
 
 import pytest
 
@@ -140,6 +141,39 @@ def test_enabled_initial_and_final():
     first = net.successors(net.initial_tuple)
     assert [t.label for t, _ in first] == ["a"]
     assert net.successors(net.final_tuple) == []
+
+
+def test_successors_memo_matches_a_recomputation():
+    rng = random.Random(5)
+    for _ in range(30):
+        net = tree_to_net(random_tree(rng, list("abcd"), max_depth=3))
+        seen, stack = {net.initial_tuple}, [net.initial_tuple]
+        while stack:
+            m = stack.pop()
+            edges = net.successors(m)
+            assert net.successors(m) is edges
+            assert edges == [
+                (net.transitions[j], net.fire_index(m, j)) for j in net.enabled_indexes(m)
+            ]
+            for _, nxt in edges:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+
+
+def test_cold_successors_call_enabled_indexes_and_fire_index(monkeypatch):
+    # A traced run counts these two class attributes; a memo miss must reach both.
+    calls = Counter()
+    for name in ("enabled_indexes", "fire_index"):
+        def counted(self, *args, _original=getattr(PetriNet, name), _name=name):
+            calls[_name] += 1
+            return _original(self, *args)
+        monkeypatch.setattr(PetriNet, name, counted)
+    net = _sequence_net()
+    net.successors(net.initial_tuple)
+    assert calls == {"enabled_indexes": 1, "fire_index": 1}
+    net.successors(net.initial_tuple)
+    assert calls == {"enabled_indexes": 1, "fire_index": 1}
 
 
 def test_fire_moves_token_and_rejects_disabled():

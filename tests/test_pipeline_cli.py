@@ -477,6 +477,21 @@ def test_repeated_flow_ids_are_rejected(corpus_dir, tmp_path, build):
         load()
 
 
+def test_flows_csv_cut_short_is_rejected(tmp_path):
+    # A flows CSV cut at a row boundary must not load as a smaller corpus.
+    corpus = tmp_path / "corpus"
+    synthetic.write_corpus(synthetic.generate_flows("normal", 70, seed=41), corpus)
+    lines = (corpus / "flows.csv").read_text().splitlines(keepends=True)
+    first_cut = lines[-10].split(",", 1)[0]
+    (corpus / "flows.csv").write_text("".join(lines[:-10]))
+    pattern = re.escape(f"{corpus / 'events.jsonl'}: 10 flow id(s) missing from ") + (
+        f".*first {first_cut!r}"
+    )
+    with pytest.raises(SchemaError, match=pattern):
+        pipeline.load_records(_cfg(corpus, tmp_path / "out"))
+    assert main(["train", "--corpus", str(corpus), "--output-dir", str(tmp_path / "o")]) == 3
+
+
 # --- CLI ------------------------------------------------------------------
 
 def test_cli_gen_train_rate_roundtrip(tmp_path, capsys):
