@@ -19,7 +19,6 @@ that exceeds its budget is not cached.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -27,7 +26,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import BudgetError, DataError, SchemaError, open_text
+from .artifacts import read_csv, write_csv
+from .errors import BudgetError, DataError, SchemaError
 from .events import Fragment, StateEventLog
 from .petri import PetriNet
 
@@ -227,30 +227,26 @@ ALIGNMENTS_SCHEMA = "alarmsift-alignments/1"
 
 
 def write_profile_csv(profile: Mapping[str, float], path: str | Path) -> None:
-    lines = [f"# schema: {PROFILE_CSV_SCHEMA}", "event_type,count"]
-    for label in sorted(profile):
-        lines.append(f"{label},{float(profile[label])!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = ([label, repr(float(profile[label]))] for label in sorted(profile))
+    write_csv(path, ["event_type", "count"], rows, schema=PROFILE_CSV_SCHEMA, lineterminator="\n")
 
 
 def read_profile_csv(path: str | Path) -> dict[str, float]:
     """Reads write_profile_csv's file; a count must be finite and >= 0."""
-    with open_text(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith(f"# schema: {PROFILE_CSV_SCHEMA}"):
-        raise SchemaError(f"{path}: expected schema {PROFILE_CSV_SCHEMA}")
     profile: dict[str, float] = {}
-    for number, line in enumerate(lines[2:], start=3):
-        if not line:
-            continue
-        label, _, value = line.rpartition(",")
-        try:
-            count = float(value)
-        except ValueError:
-            count = math.nan
-        if not label or not 0 <= count < math.inf:
-            raise SchemaError(f"{path}: line {number}: malformed profile row {line!r}")
-        profile[label] = count
+    with read_csv(path, PROFILE_CSV_SCHEMA) as reader:
+        for row in reader:
+            label, value = row.get("event_type"), row.get("count")
+            try:
+                count = float(value)
+            except (TypeError, ValueError):
+                count = math.nan
+            if not label or None in row or not 0 <= count < math.inf:
+                # The schema comment precedes the lines the reader counts.
+                raise SchemaError(
+                    f"{path}: line {reader.line_num + 1}: malformed profile row {row!r}"
+                )
+            profile[label] = count
     return profile
 
 
@@ -266,10 +262,3 @@ def fragment_alignment_record(frag: Fragment, alignment: Alignment) -> dict:
             for m in alignment.moves
         ],
     }
-
-
-def write_alignments_jsonl(records: Iterable[dict], path: str | Path) -> None:
-    with Path(path).open("w") as fh:
-        fh.write(json.dumps({"schema": ALIGNMENTS_SCHEMA}) + "\n")
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")

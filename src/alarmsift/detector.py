@@ -5,8 +5,6 @@ black-box IDS's alarms can be rated.
 """
 from __future__ import annotations
 
-import csv
-import json
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -15,7 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, SchemaError, open_text, read_schema_json
+from .artifacts import read_csv, read_schema_json, write_csv, write_schema_json
+from .errors import DataError, SchemaError
 
 logger = logging.getLogger(__name__)
 
@@ -171,13 +170,7 @@ def read_scores_csv(path: str | Path) -> dict[str, float]:
     anything else, or a file that cannot be read, raises SchemaError naming
     the file (and the data row, 1-based).
     """
-    path = Path(path)
-    with open_text(path, newline="") as fh:
-        pos = fh.tell()
-        first = fh.readline()
-        if not first.startswith("#"):
-            fh.seek(pos)
-        reader = csv.DictReader(fh)
+    with read_csv(path, None) as reader:
         fields = reader.fieldnames or []
         if "flow_id" not in fields or "score" not in fields:
             raise SchemaError(f"{path}: scores CSV needs flow_id and score columns, got {fields}")
@@ -230,21 +223,17 @@ def import_scores(
 
 
 def write_scores_csv(scored: Sequence[ScoredFlow], path: str | Path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        fh.write(f"# schema: {SCORES_CSV_SCHEMA}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["flow_id", "score", "predicted", "truth"])
-        for s in scored:
-            writer.writerow(
-                [s.flow_id, repr(s.score), "positive" if s.positive else "negative", s.truth]
-            )
+    rows = (
+        [s.flow_id, repr(s.score), "positive" if s.positive else "negative", s.truth]
+        for s in scored
+    )
+    write_csv(path, ["flow_id", "score", "predicted", "truth"], rows, schema=SCORES_CSV_SCHEMA)
 
 
 # --- persistence -----------------------------------------------------------
 
 def save_model(model: DetectorModel, path: str | Path) -> None:
-    payload = {
-        "schema": MODEL_SCHEMA,
+    write_schema_json(path, MODEL_SCHEMA, {
         "kind": model.kind,
         "feature_names": list(model.feature_names),
         "mean": [float(v) for v in model.mean],
@@ -255,19 +244,23 @@ def save_model(model: DetectorModel, path: str | Path) -> None:
         "seed": model.seed,
         "threshold": model.threshold,
         "percentile": model.percentile,
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    })
 
 
 def load_model(path: str | Path) -> DetectorModel:
+    """Reads save_model's file. Raises SchemaError naming the file for a
+    missing or mistyped key, for mean, std, mask or basis shapes that do not
+    fit the feature list and the active mask, for a non-finite value, for a
+    std that is not positive on an active column, for a threshold that is
+    not a finite number, and for a kind other than KIND_BASELINE."""
     payload = read_schema_json(path, MODEL_SCHEMA)
     try:
-        return DetectorModel(
+        model = DetectorModel(
             feature_names=tuple(payload["feature_names"]),
-            mean=np.array(payload["mean"]),
-            std=np.array(payload["std"]),
+            mean=np.array(payload["mean"], dtype=float),
+            std=np.array(payload["std"], dtype=float),
             mask=np.array(payload["mask"], dtype=bool),
-            basis=np.array(payload["basis"]),
+            basis=np.array(payload["basis"], dtype=float),
             components=payload["components"],
             seed=payload["seed"],
             threshold=payload["threshold"],
@@ -276,3 +269,19 @@ def load_model(path: str | Path) -> DetectorModel:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed detector model: {exc!r}") from exc
+    n, active = len(model.feature_names), int(model.mask.sum())
+    if any(v.shape != (n,) for v in (model.mean, model.std, model.mask)):
+        problem = f"mean, std and mask must have {n} entries, one per feature"
+    elif model.basis.shape != (model.components, active):
+        problem = f"basis must be components x active features ({model.components} x {active})"
+    elif not all(np.isfinite(v).all() for v in (model.mean, model.std, model.basis)):
+        problem = "mean, std and basis must be finite"
+    elif not (model.std[model.mask] > 0).all():
+        problem = "std must be positive on every active feature"
+    elif type(model.threshold) not in (int, float) or not math.isfinite(model.threshold):
+        problem = f"threshold {model.threshold!r} is not a finite number"
+    elif model.kind != KIND_BASELINE:
+        problem = f"kind {model.kind!r} is not {KIND_BASELINE!r}"
+    else:
+        return model
+    raise SchemaError(f"{path}: malformed detector model: {problem}")

@@ -47,12 +47,6 @@ def tau() -> ProcessTree:
     return ProcessTree()
 
 
-def node(op: str, children: Sequence[ProcessTree]) -> ProcessTree:
-    if len(children) == 1:
-        return children[0]
-    return ProcessTree(op=op, children=tuple(children))
-
-
 Log = Counter  # multiset of event tuples
 
 

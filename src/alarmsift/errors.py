@@ -1,13 +1,9 @@
-"""Exception hierarchy shared across the package, and the readers that
-raise SchemaError naming an input file that cannot be read.
+"""Exception hierarchy shared across the package. The readers in artifacts
+raise SchemaError naming the artifact file that is unreadable or malformed.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
 BudgetError -> 4.
 """
-import json
-from contextlib import contextmanager
-from pathlib import Path
-from typing import Iterator, TextIO
 
 
 class AlarmsiftError(Exception):
@@ -44,26 +40,3 @@ class BudgetError(AlarmsiftError):
     def __init__(self, message: str, cost_lower_bound: float | None = None):
         super().__init__(message)
         self.cost_lower_bound = cost_lower_bound
-
-
-@contextmanager
-def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
-    """path opened for reading text. A file that cannot be opened, read or
-    decoded raises SchemaError naming it."""
-    try:
-        with Path(path).open(newline=newline) as fh:
-            yield fh
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SchemaError(f"{path}: cannot read: {exc}") from exc
-
-
-def read_schema_json(path: str | Path, schema: str) -> dict:
-    """The JSON object in path, whose "schema" key must equal schema.
-    Raises SchemaError naming the file otherwise."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"{path}: cannot read JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("schema") != schema:
-        raise SchemaError(f"{path}: expected a JSON object of schema {schema}")
-    return payload

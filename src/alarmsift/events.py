@@ -8,7 +8,6 @@ fragments whose concatenation reproduces the original trace.
 """
 from __future__ import annotations
 
-import json
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -16,7 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, SchemaError, read_schema_json
+from .artifacts import read_schema_json, write_jsonl, write_schema_json, write_xml
+from .errors import DataError, SchemaError
 # The event-label codec lives in flowmeter, next to Direction; it is
 # re-exported here as part of the event layer's API.
 from .flowmeter import (
@@ -249,15 +249,13 @@ def build_logs(traces: Iterable[Trace], params: ExtractionParams) -> dict[int, S
 def save_params(params: ExtractionParams, path: str | Path) -> None:
     if not params.fitted:
         raise DataError("refusing to persist unfitted extraction params")
-    payload = {
-        "schema": PARAMS_SCHEMA,
+    write_schema_json(path, PARAMS_SCHEMA, {
         "clusters": params.clusters,
         "window": params.window,
         "seed": params.seed,
         "alphabet": list(params.alphabet),
         "centroids": [[float(v) for v in row] for row in params.centroids],
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    })
 
 
 def load_params(path: str | Path) -> ExtractionParams:
@@ -298,18 +296,12 @@ def export_xes(log: StateEventLog, path: str | Path) -> None:
         for label in frag.events:
             event_el = ET.SubElement(trace_el, "event")
             ET.SubElement(event_el, "string", {"key": "concept:name", "value": label})
-    ET.indent(root)
-    Path(path).write_bytes(ET.tostring(root, xml_declaration=True, encoding="utf-8"))
+    write_xml(root, path)
 
 
 def export_logs_jsonl(logs: dict[int, StateEventLog], path: str | Path) -> None:
-    with Path(path).open("w") as fh:
-        fh.write(json.dumps({"schema": STATE_LOGS_SCHEMA}) + "\n")
-        for state in sorted(logs):
-            for frag in logs[state].fragments:
-                fh.write(json.dumps({
-                    "state": state,
-                    "flow_id": frag.flow_id,
-                    "fragment": frag.index,
-                    "events": list(frag.events),
-                }, sort_keys=True) + "\n")
+    write_jsonl(path, STATE_LOGS_SCHEMA, (
+        {"state": state, "flow_id": frag.flow_id, "fragment": frag.index,
+         "events": list(frag.events)}
+        for state in sorted(logs) for frag in logs[state].fragments
+    ))

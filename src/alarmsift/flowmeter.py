@@ -10,8 +10,6 @@ with the same key starts a new flow).
 """
 from __future__ import annotations
 
-import csv
-import json
 import logging
 from dataclasses import dataclass
 from enum import Enum
@@ -20,7 +18,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DataError, SchemaError, open_text
+from .artifacts import read_csv, read_jsonl, write_csv, write_jsonl
+from .errors import DataError, SchemaError
 from .pcap import PacketRecord
 
 logger = logging.getLogger(__name__)
@@ -326,37 +325,28 @@ def _fmt(value: float) -> str:
 
 def write_flows_csv(records: list[FlowRecord], path: str | Path) -> None:
     """Writes the documented flows CSV (one row per flow, schema versioned)."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        fh.write(f"# schema: {FLOWS_CSV_SCHEMA}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["flow_id", "client_ip", "client_port", "server_ip", "server_port",
-             "first_ts", "last_ts", "truth", *FEATURE_NAMES]
-        )
-        for rec in records:
-            writer.writerow(
-                [rec.flow_id, rec.client[0], rec.client[1], rec.server[0], rec.server[1],
-                 _fmt(rec.first_ts), _fmt(rec.last_ts), rec.truth,
-                 *(_fmt(v) for v in rec.features)]
-            )
+    header = ["flow_id", "client_ip", "client_port", "server_ip", "server_port",
+              "first_ts", "last_ts", "truth", *FEATURE_NAMES]
+    rows = (
+        [rec.flow_id, rec.client[0], rec.client[1], rec.server[0], rec.server[1],
+         _fmt(rec.first_ts), _fmt(rec.last_ts), rec.truth, *(_fmt(v) for v in rec.features)]
+        for rec in records
+    )
+    write_csv(path, header, rows, schema=FLOWS_CSV_SCHEMA)
 
 
 def write_flow_events(flows: list[Flow], path: str | Path) -> None:
     """Writes the flow-id -> ordered (direction, flags, timestamp) mapping."""
-    path = Path(path)
-    with path.open("w") as fh:
-        fh.write(json.dumps({"schema": FLOW_EVENTS_SCHEMA}) + "\n")
-        for flow in flows:
-            row = {
-                "flow_id": flow.flow_id,
-                "truth": flow.truth,
-                "events": [
-                    [p.direction.value, flags_label(p.flags), p.timestamp]
-                    for p in flow.packets
-                ],
-            }
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    write_jsonl(path, FLOW_EVENTS_SCHEMA, (
+        {
+            "flow_id": flow.flow_id,
+            "truth": flow.truth,
+            "events": [
+                [p.direction.value, flags_label(p.flags), p.timestamp] for p in flow.packets
+            ],
+        }
+        for flow in flows
+    ))
 
 
 def read_corpus(flows_csv: str | Path, events_path: str | Path) -> list[FlowRecord]:
@@ -373,25 +363,17 @@ def read_corpus(flows_csv: str | Path, events_path: str | Path) -> list[FlowReco
     """
     flows_csv, events_path = Path(flows_csv), Path(events_path)
     events: dict[str, tuple[str, ...]] = {}
-    with open_text(events_path) as fh:
+    for lineno, row in read_jsonl(events_path, FLOW_EVENTS_SCHEMA):
         try:
-            schema = json.loads(fh.readline()).get("schema")
-        except (AttributeError, ValueError):
-            schema = None
-        if schema != FLOW_EVENTS_SCHEMA:
-            raise SchemaError(f"{events_path}: expected schema {FLOW_EVENTS_SCHEMA}")
-        for lineno, line in enumerate(fh, start=2):
-            try:
-                row = json.loads(line)
-                if row["flow_id"] in events:
-                    raise SchemaError(
-                        f"{events_path}: line {lineno}: repeated flow id {row['flow_id']!r}"
-                    )
-                events[row["flow_id"]] = tuple(
-                    f"{direction}_{flags}" for direction, flags, _ts in row["events"]
+            if row["flow_id"] in events:
+                raise SchemaError(
+                    f"{events_path}: line {lineno}: repeated flow id {row['flow_id']!r}"
                 )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SchemaError(f"{events_path}: line {lineno}: malformed row: {exc!r}") from exc
+            events[row["flow_id"]] = tuple(
+                f"{direction}_{flags}" for direction, flags, _ts in row["events"]
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"{events_path}: line {lineno}: malformed row: {exc!r}") from exc
     for label in sorted({label for trace in events.values() for label in trace}):
         try:
             parse_event_label(label)
@@ -399,11 +381,7 @@ def read_corpus(flows_csv: str | Path, events_path: str | Path) -> list[FlowReco
             raise SchemaError(f"{events_path}: {exc}") from exc
     records: list[FlowRecord] = []
     seen: set[str] = set()
-    with open_text(flows_csv, newline="") as fh:
-        first = fh.readline()
-        if not first.startswith(f"# schema: {FLOWS_CSV_SCHEMA}"):
-            raise SchemaError(f"{flows_csv}: expected schema {FLOWS_CSV_SCHEMA}")
-        reader = csv.DictReader(fh)
+    with read_csv(flows_csv, FLOWS_CSV_SCHEMA) as reader:
         for row in reader:
             try:
                 flow_id = row["flow_id"]

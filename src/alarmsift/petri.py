@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from .artifacts import write_xml
 from .errors import DataError, SchemaError
 
 PNML_NET_TYPE = "http://www.pnml.org/version-2009/grammar/ptnet"
@@ -284,8 +285,7 @@ def export_pnml(net: PetriNet, path: str | Path, net_id: str = "net0") -> None:
     for p in sorted(net.final_marking):
         ref = ET.SubElement(marking_el, "place", {"idref": p})
         ET.SubElement(ref, "text").text = str(net.final_marking[p])
-    ET.indent(root)
-    Path(path).write_bytes(ET.tostring(root, xml_declaration=True, encoding="utf-8"))
+    write_xml(root, path)
 
 
 def import_pnml(path: str | Path) -> PetriNet:

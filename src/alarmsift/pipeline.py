@@ -7,8 +7,6 @@ master seed via named sub-seeds.
 """
 from __future__ import annotations
 
-import csv
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -19,11 +17,12 @@ import numpy as np
 from . import alignment as al
 from . import detector as det
 from . import discovery, events
+from .artifacts import read_schema_json, write_csv, write_jsonl, write_schema_json
 from .config import RunConfig, derive_seed, semantic_echo
-from .errors import ConfigError, DataError, SchemaError, read_schema_json
+from .errors import ConfigError, DataError, SchemaError
 from .flowmeter import FEATURE_NAMES, FlowRecord, assemble_flows, read_corpus
 from .pcap import ingest_pcap
-from .petri import PetriNet, check_soundness, export_pnml, import_pnml, workflow_shape_errors
+from .petri import check_soundness, export_pnml, import_pnml, workflow_shape_errors
 from .rating import (
     BAND_NAMES,
     BandedConfusion,
@@ -86,7 +85,9 @@ class TrainedBundle:
     model: det.DetectorModel | None
     threshold: float
     params: events.ExtractionParams
-    nets: dict[int, PetriNet]
+    # Holds the nets. After training it also holds the reference profile's
+    # alignments, so rating does not search those fragments again.
+    aligner: al.Aligner
     reference: dict[str, float]
     fp_pool: tuple[str, ...]
 
@@ -156,13 +157,14 @@ def _train_from_split(
         state: discovery.discover([f.events for f in logs[state].fragments])
         for state in sorted(logs)
     }
-    reference = al.profile_reference(logs, al.Aligner(nets, config.alignment_budget))
+    aligner = al.Aligner(nets, config.alignment_budget)
+    reference = al.profile_reference(logs, aligner)
     return TrainedBundle(
         kind=kind,
         model=model,
         threshold=float(threshold),
         params=params,
-        nets=nets,
+        aligner=aligner,
         reference=reference,
         fp_pool=tuple(r.flow_id for r in fp_records),
     ), logs
@@ -177,19 +179,17 @@ def save_bundle(
     out_dir = Path(out_dir)
     (out_dir / "nets").mkdir(parents=True, exist_ok=True)
     (out_dir / "logs").mkdir(exist_ok=True)
-    manifest = {
-        "schema": BUNDLE_SCHEMA,
+    write_schema_json(out_dir / "manifest.json", BUNDLE_SCHEMA, {
         "kind": bundle.kind,
         "threshold": bundle.threshold,
-        "states": sorted(bundle.nets),
+        "states": sorted(bundle.aligner.nets),
         "fp_pool": list(bundle.fp_pool),
         "config": semantic_echo(config),
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    })
     if bundle.model is not None:
         det.save_model(bundle.model, out_dir / "detector.json")
     events.save_params(bundle.params, out_dir / "extraction.json")
-    for state, net in sorted(bundle.nets.items()):
+    for state, net in sorted(bundle.aligner.nets.items()):
         export_pnml(net, out_dir / "nets" / f"state_{state}.pnml", net_id=f"state_{state}")
     for state, log in sorted(logs.items()):
         events.export_xes(log, out_dir / "logs" / f"state_{state}.xes")
@@ -207,9 +207,10 @@ _MANIFEST_KEYS = {
 }
 
 
-def load_bundle(bundle_dir: str | Path) -> TrainedBundle:
+def load_bundle(bundle_dir: str | Path, budget: int = al.DEFAULT_BUDGET) -> TrainedBundle:
     """Reads a bundle, raising SchemaError naming the file for any artifact
-    that is malformed or inconsistent with the others."""
+    that is malformed or inconsistent with the others. The bundle's Aligner
+    searches its nets with the given budget."""
     bundle_dir = Path(bundle_dir)
     manifest_path = bundle_dir / "manifest.json"
     if not manifest_path.exists():
@@ -221,6 +222,11 @@ def load_bundle(bundle_dir: str | Path) -> TrainedBundle:
     model = None
     if manifest["kind"] != KIND_EXTERNAL:
         model = det.load_model(bundle_dir / "detector.json")
+        if manifest["threshold"] != model.threshold:
+            raise SchemaError(
+                f"{manifest_path}: threshold {manifest['threshold']!r} differs from "
+                f"detector.json's {model.threshold!r}"
+            )
     params = events.load_params(bundle_dir / "extraction.json")
     states = manifest["states"]
     if states != list(range(params.clusters)):
@@ -241,7 +247,7 @@ def load_bundle(bundle_dir: str | Path) -> TrainedBundle:
         model=model,
         threshold=manifest["threshold"],
         params=params,
-        nets=nets,
+        aligner=al.Aligner(nets, budget),
         reference=reference,
         fp_pool=tuple(manifest["fp_pool"]),
     )
@@ -288,12 +294,11 @@ def _rate(
     alarms and the band histogram (rate_all), and one explanation per record
     in record order: the labels of its trace outside the trained alphabet
     and its fragment alignments."""
-    aligner = al.Aligner(bundle.nets, config.alignment_budget)
     rows, explanations = [], []
     for record in records:
         trace = events.Trace(record.flow_id, record.events)
         fragments = events.split_by_state(trace, bundle.params)
-        profile, aligned = al.profile_flow(fragments, aligner)
+        profile, aligned = al.profile_flow(fragments, bundle.aligner)
         rows.append((record.flow_id, profile, record.truth))
         explanations.append({
             "unseen_labels": list(events.unseen_labels(trace, bundle.params)),
@@ -317,23 +322,16 @@ def rate_records(
 def write_rate_report(report: RateReport, out_dir: str | Path) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "rated_alarms.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["flow_id", "cos_sim", "band", "band_name", "truth"])
-        for alarm in report.alarms:
-            writer.writerow(
-                [alarm.flow_id, repr(alarm.cos_sim), alarm.band, alarm.band_name, alarm.truth]
-            )
-    with (out_dir / "band_histogram.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["band", "band_name", "count"])
-        for band in sorted(report.histogram):
-            writer.writerow([band, BAND_NAMES[band], report.histogram[band]])
-    al.write_alignments_jsonl(
-        ({**frag, "unseen_labels": e["unseen_labels"]}
-         for e in report.explanations for frag in e["fragments"]),
-        out_dir / "alignments.jsonl",
-    )
+    write_csv(out_dir / "rated_alarms.csv", ["flow_id", "cos_sim", "band", "band_name", "truth"], (
+        [a.flow_id, repr(a.cos_sim), a.band, a.band_name, a.truth] for a in report.alarms
+    ))
+    write_csv(out_dir / "band_histogram.csv", ["band", "band_name", "count"], (
+        [band, BAND_NAMES[band], report.histogram[band]] for band in sorted(report.histogram)
+    ))
+    write_jsonl(out_dir / "alignments.jsonl", al.ALIGNMENTS_SCHEMA, (
+        {**frag, "unseen_labels": e["unseen_labels"]}
+        for e in report.explanations for frag in e["fragments"]
+    ))
     det.write_scores_csv(report.scored, out_dir / "scores.csv")
     _write_band_profiles(report.alarms, out_dir / "band_mean_profiles.csv")
 
@@ -344,19 +342,18 @@ def _write_band_profiles(alarms: list[RatedAlarm], path: Path) -> None:
     groups: dict[tuple[int, str], list[RatedAlarm]] = {}
     for alarm in alarms:
         groups.setdefault((alarm.band, alarm.truth), []).append(alarm)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["band", "truth", "event_type", "mean_count"])
-        for (band, truth) in sorted(groups):
-            members = groups[(band, truth)]
-            labels = sorted({label for a in members for label in a.profile})
-            for label in labels:
-                mean = sum(a.profile.get(label, 0.0) for a in members) / len(members)
-                writer.writerow([band, truth, label, repr(mean)])
+    rows = []
+    for (band, truth) in sorted(groups):
+        members = groups[(band, truth)]
+        labels = sorted({label for a in members for label in a.profile})
+        for label in labels:
+            mean = sum(a.profile.get(label, 0.0) for a in members) / len(members)
+            rows.append([band, truth, label, repr(mean)])
+    write_csv(path, ["band", "truth", "event_type", "mean_count"], rows)
 
 
 def cmd_rate(config: RunConfig, bundle_dir: str | Path) -> RateReport:
-    bundle = load_bundle(bundle_dir)
+    bundle = load_bundle(bundle_dir, config.alignment_budget)
     if bundle.kind != KIND_EXTERNAL and tuple(bundle.model.feature_names) != FEATURE_NAMES:
         raise SchemaError("bundle feature list does not match this build")
     records = load_records(config)
@@ -471,43 +468,35 @@ def _run_record(run: int, o: RunOutcome) -> dict:
 def _write_experiment(report: ExperimentReport, config: RunConfig, out_root: Path) -> None:
     out_root.mkdir(parents=True, exist_ok=True)
     agg = report.aggregate
-    payload = {
-        "schema": REPORT_SCHEMA,
+    write_schema_json(out_root / "report.json", REPORT_SCHEMA, {
         "config": semantic_echo(config),
         "runs": [_run_record(run, o) for run, o in enumerate(report.runs)],
         "aggregate": agg,
-    }
-    (out_root / "report.json").write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-    with (out_root / "metrics.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["band", "k", "tp_mean", "tp_std", "fp_mean", "fp_std",
-             "recall_mean", "recall_std", "precision_mean", "precision_std"]
-        )
-        for k in (5, 4, 3, 2, 1):
-            prec = agg["precision"][k]
-            writer.writerow([
-                BAND_NAMES[k], k,
-                repr(agg["tp_band"][k]["mean"]), repr(agg["tp_band"][k]["std"]),
-                repr(agg["fp_band"][k]["mean"]), repr(agg["fp_band"][k]["std"]),
-                repr(agg["recall"][k]["mean"]), repr(agg["recall"][k]["std"]),
-                repr(prec["mean"]) if prec["n"] else "absent",
-                repr(prec["std"]) if prec["n"] else "absent",
-            ])
-    with (out_root / "fig_performance.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "band", "recall_mean", "precision_mean", "tp_share", "fp_share"])
-        total_tp = sum(agg["tp_band"][k]["mean"] for k in range(1, 6)) or 1.0
-        total_fp = sum(agg["fp_band"][k]["mean"] for k in range(1, 6)) or 1.0
-        for k in range(1, 6):
-            prec = agg["precision"][k]
-            writer.writerow([
-                k, BAND_NAMES[k],
-                repr(agg["recall"][k]["mean"]),
-                repr(prec["mean"]) if prec["n"] else "absent",
-                repr(agg["tp_band"][k]["mean"] / total_tp),
-                repr(agg["fp_band"][k]["mean"] / total_fp),
-            ])
+    })
+
+    def precision(k: int, stat: str) -> str:
+        return repr(agg["precision"][k][stat]) if agg["precision"][k]["n"] else "absent"
+
+    write_csv(out_root / "metrics.csv", [
+        "band", "k", "tp_mean", "tp_std", "fp_mean", "fp_std",
+        "recall_mean", "recall_std", "precision_mean", "precision_std",
+    ], (
+        [BAND_NAMES[k], k,
+         repr(agg["tp_band"][k]["mean"]), repr(agg["tp_band"][k]["std"]),
+         repr(agg["fp_band"][k]["mean"]), repr(agg["fp_band"][k]["std"]),
+         repr(agg["recall"][k]["mean"]), repr(agg["recall"][k]["std"]),
+         precision(k, "mean"), precision(k, "std")]
+        for k in (5, 4, 3, 2, 1)
+    ))
+    total_tp = sum(agg["tp_band"][k]["mean"] for k in range(1, 6)) or 1.0
+    total_fp = sum(agg["fp_band"][k]["mean"] for k in range(1, 6)) or 1.0
+    write_csv(out_root / "fig_performance.csv", [
+        "k", "band", "recall_mean", "precision_mean", "tp_share", "fp_share",
+    ], (
+        [k, BAND_NAMES[k], repr(agg["recall"][k]["mean"]), precision(k, "mean"),
+         repr(agg["tp_band"][k]["mean"] / total_tp), repr(agg["fp_band"][k]["mean"] / total_fp)]
+        for k in range(1, 6)
+    ))
 
 
 # --- explain ---------------------------------------------------------------
@@ -516,7 +505,7 @@ def explain_flows(
     config: RunConfig, bundle_dir: str | Path, flow_ids: list[str] | None = None
 ) -> list[dict]:
     """Per-flow alignment explanations (any flow, not just positives)."""
-    bundle = load_bundle(bundle_dir)
+    bundle = load_bundle(bundle_dir, config.alignment_budget)
     records = load_records(config)
     if flow_ids:
         wanted = set(flow_ids)

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import re
 import shutil
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alarmsift import detector, pipeline, synthetic
+from alarmsift import alignment, detector, pipeline, synthetic
 from alarmsift.cli import main
 from alarmsift.config import CaptureSpec, RunConfig, derive_seed, load_config, semantic_echo
 from alarmsift.errors import ConfigError, DataError, SchemaError
@@ -203,6 +204,22 @@ def test_evaluate_report_shape_and_determinism(corpus_dir, tmp_path):
     ).read_bytes()
 
 
+def test_evaluate_searches_each_distinct_fragment_once(corpus_dir, tmp_path, monkeypatch):
+    # Rating reuses the Aligner that profiled the reference, so a rated
+    # fragment the reference profile already searched is not searched again.
+    searches = []  # holds the nets, so their ids stay distinct
+    search = alignment.align
+
+    def counting(net, trace, *args):
+        searches.append((net, tuple(trace)))
+        return search(net, trace, *args)
+
+    monkeypatch.setattr(alignment, "align", counting)
+    pipeline.evaluate(_cfg(corpus_dir, tmp_path / "eval", runs=1, clusters=2))
+    assert searches
+    assert len(searches) == len({(id(net), trace) for net, trace in searches})
+
+
 def test_evaluate_single_run_has_zero_std(corpus_dir, tmp_path):
     cfg = _cfg(corpus_dir, tmp_path / "eval1", runs=1)
     report = pipeline.evaluate(cfg)
@@ -293,6 +310,11 @@ def _net_file(net):
     return corrupt
 
 
+def _zero_std_on_an_active_column(model):
+    model["std"][model["mask"].index(True)] = 0.0
+    return model
+
+
 # A workflow-shaped net that can deadlock: after b, the join d waits on p.
 _DEADLOCKING_NET = PetriNet(
     ["i", "p", "q", "o"],
@@ -320,6 +342,22 @@ _DEADLOCKING_NET = PetriNet(
      "extraction.json"),
     (_truncate("detector.json"), "detector.json"),
     (_edit_json("detector.json", lambda d: _without(d, "basis")), "detector.json"),
+    (_edit_json("detector.json", lambda d: _with(d, mean=d["mean"][:-1])), "detector.json"),
+    (_edit_json("detector.json", lambda d: _with(d, std=d["std"][:-1])), "detector.json"),
+    (_edit_json("detector.json", lambda d: _with(d, mask=d["mask"][:-1])), "detector.json"),
+    (_edit_json("detector.json", lambda d: _with(d, basis=[r[:-1] for r in d["basis"]])),
+     "detector.json"),
+    (_edit_json("detector.json", lambda d: _with(d, std=[math.nan, *d["std"][1:]])),
+     "detector.json"),
+    (_edit_json("detector.json",
+                lambda d: _with(d, basis=[[math.inf, *r[1:]] for r in d["basis"]])),
+     "detector.json"),
+    (_edit_json("detector.json", _zero_std_on_an_active_column), "detector.json"),
+    (_edit_json("detector.json", lambda d: _with(d, threshold=str(d["threshold"]))),
+     "detector.json"),
+    (_edit_json("detector.json", lambda d: _with(d, threshold=math.inf)), "detector.json"),
+    (_edit_json("detector.json", lambda d: _with(d, kind="other-detector")), "detector.json"),
+    (_edit_json("manifest.json", lambda m: _with(m, threshold=1e9)), "manifest.json"),
     (_net_file(PetriNet(["i", "o"], [Transition("a", "a")], [("i", "a")], {"i": 1}, {"o": 1})),
      "state_1.pnml"),
     (_net_file(_DEADLOCKING_NET), "state_1.pnml"),
@@ -328,7 +366,10 @@ _DEADLOCKING_NET = PetriNet(
 ], ids=[
     "no-states", "string-threshold", "string-fp-pool", "one-state-of-two", "not-an-object",
     "truncated-manifest", "short-centroids", "no-alphabet", "float-clusters", "float-window",
-    "truncated-detector", "no-basis", "not-a-workflow-net", "unsound-net", "profile-row-without-comma",
+    "truncated-detector", "no-basis", "short-mean", "short-std", "short-mask",
+    "basis-one-column-short", "nan-std", "inf-basis", "zero-active-std",
+    "string-detector-threshold", "inf-detector-threshold", "unknown-detector-kind",
+    "manifest-threshold-differs", "not-a-workflow-net", "unsound-net", "profile-row-without-comma",
     "nan-profile-count",
 ])
 def test_corrupt_bundle_is_a_schema_error(trained_bundle, tmp_path, corrupt, culprit):
