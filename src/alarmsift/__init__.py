@@ -17,17 +17,7 @@ from .errors import (
     PcapFormatError,
     SchemaError,
 )
-from .events import (
-    ExtractionParams,
-    Fragment,
-    StateEventLog,
-    Trace,
-    build_logs,
-    event_label,
-    fit_states,
-    split_by_state,
-    to_trace,
-)
+from .events import ExtractionParams, Fragment, build_logs, event_label, fit_states, split_by_state
 from .flowmeter import FEATURE_NAMES, Direction, Flow, FlowPacket, FlowRecord, assemble_flows, featurize
 from .pcap import PacketRecord, ingest_pcap
 from .petri import Marking, PetriNet, Transition, check_soundness

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -28,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .artifacts import read_csv, write_csv
 from .errors import BudgetError, DataError, SchemaError
-from .events import Fragment, StateEventLog
+from .events import Fragment
 from .petri import PetriNet
 
 DEFAULT_BUDGET = 1_000_000
@@ -204,20 +203,18 @@ def profile_flow(
     return profile, aligned
 
 
-def profile_reference(logs: Mapping[int, StateEventLog], aligner: Aligner) -> dict[str, float]:
+def profile_reference(
+    per_flow_fragments: Sequence[Sequence[Fragment]], aligner: Aligner
+) -> dict[str, float]:
     """Reference profile: the mean of the per-flow profiles (profile_flow,
-    with the given aligner) of the source traces in the logs. Silent model
-    moves are never counted."""
-    by_flow: dict[str, list[Fragment]] = defaultdict(list)
-    for state in sorted(logs):
-        for frag in logs[state].fragments:
-            by_flow[frag.flow_id].append(frag)
+    with the given aligner) of the given flows, one fragment list each.
+    Silent model moves are never counted."""
     # Integral counts summed, then divided once: the mean stays exact.
-    totals: dict[str, float] = defaultdict(float)
-    for fragments in by_flow.values():
+    totals: dict[str, float] = {}
+    for fragments in per_flow_fragments:
         for label, count in profile_flow(fragments, aligner)[0].items():
-            totals[label] += count
-    return {label: totals[label] / len(by_flow) for label in sorted(totals)}
+            totals[label] = totals.get(label, 0.0) + count
+    return {label: totals[label] / len(per_flow_fragments) for label in sorted(totals)}
 
 
 # --- persistence ----------------------------------------------------------

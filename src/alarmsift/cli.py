@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: train, rate, evaluate, explain, gen-synthetic.
-Exit codes: 0 ok, 2 config error, 3 data error, 4 search budget exceeded.
+Exit codes: 0 ok, 2 config error, 3 data error or a file that cannot be
+written (the log names the path and the reason), 4 search budget exceeded.
 """
 from __future__ import annotations
 
@@ -155,6 +156,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BUDGET
     except DataError as exc:
         logger.error("data error: %s", exc)
+        return EXIT_DATA
+    except OSError as exc:
+        # Readers turn an unreadable input into ConfigError or DataError, so
+        # this is a failed write.
+        logger.error("cannot write %s: %s", exc.filename, exc.strerror or exc)
         return EXIT_DATA
 
 

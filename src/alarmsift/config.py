@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .alignment import DEFAULT_BUDGET
+from .detector import TRUTH_LABELS, TRUTH_UNKNOWN
 from .errors import ConfigError, DataError
 from .rating import DEFAULT_BAND_BOUNDARIES, SeverityBands
 
@@ -73,7 +74,10 @@ class RunConfig:
 def _capture_spec(item: str | dict) -> CaptureSpec:
     if isinstance(item, str):
         return CaptureSpec(path=Path(item))
-    return CaptureSpec(path=Path(item["path"]), truth=item.get("truth") or "unknown")
+    truth = item.get("truth") or TRUTH_UNKNOWN
+    if truth not in TRUTH_LABELS:
+        raise ValueError(f"truth {truth!r} is not one of {TRUTH_LABELS}")
+    return CaptureSpec(path=Path(item["path"]), truth=truth)
 
 
 def _integer(value) -> int:
@@ -135,8 +139,8 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     if path is not None:
         try:
             payload = json.loads(Path(path).read_text())
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):

@@ -26,6 +26,8 @@ KIND_BASELINE = "reconstruction-baseline"
 TRUTH_NORMAL = "normal"
 TRUTH_ATTACK = "attack"
 TRUTH_UNKNOWN = "unknown"
+# The ground-truth labels a flow may carry, in corpora and capture configs.
+TRUTH_LABELS = (TRUTH_NORMAL, TRUTH_ATTACK, TRUTH_UNKNOWN)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 raise SchemaError naming the artifact file that is unreadable or malformed.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-BudgetError -> 4.
+BudgetError -> 4. A write that fails raises the OSError itself, which the
+CLI also maps to 3, naming the path.
 """
 
 

@@ -1,15 +1,18 @@
-"""TCP event abstraction: traces, sliding-window state clustering, state logs.
+"""TCP event abstraction: sliding-window state clustering and state logs.
 
-Every packet becomes one event labeled by direction plus its flag
-combination ("C_to_S_SYN", "S_to_C_ACK+PSH", ...; "NONE" for a flagless
-data segment). Sliding windows over each trace are clustered with k-means
-into states; maximal runs of equal state split a trace into contiguous
-fragments whose concatenation reproduces the original trace.
+A trace is a flow's events as a plain tuple of labels, one per packet:
+direction plus flag combination ("C_to_S_SYN", "S_to_C_ACK+PSH", ...;
+"NONE" for a flagless data segment; flowmeter.event_label). Sliding
+windows over the traces are clustered with k-means into states; maximal
+runs of equal state split a trace into contiguous fragments whose
+concatenation reproduces the trace. A state's log is the list of its
+fragments: build_logs returns the logs as a dict[int, list[Fragment]]
+keyed by state, empty states included.
 """
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -17,47 +20,20 @@ import numpy as np
 
 from .artifacts import read_schema_json, write_jsonl, write_schema_json, write_xml
 from .errors import DataError, SchemaError
-# The event-label codec lives in flowmeter, next to Direction; it is
-# re-exported here as part of the event layer's API.
-from .flowmeter import (
-    EMPTY_FLAGS_LABEL,
-    FLAG_ORDER,
-    Flow,
-    FlowRecord,
-    event_label,
-    featurize,
-    flags_label,
-    parse_event_label,
-)
+from .flowmeter import Flow, FlowRecord, event_label, featurize
 
 PARAMS_SCHEMA = "alarmsift-extraction/1"
 STATE_LOGS_SCHEMA = "alarmsift-state-logs/1"
 
 
-@dataclass(frozen=True)
-class Trace:
-    """Ordered TCP event sequence of one flow."""
-
-    flow_id: str
-    events: tuple[str, ...]
-
-
-def to_trace(flow: Flow) -> Trace:
-    if not flow.packets:
-        raise DataError(f"flow {flow.flow_id} has no packets")
-    return Trace(
-        flow_id=flow.flow_id,
-        events=tuple(event_label(p.direction, p.flags) for p in flow.packets),
-    )
-
-
 def flow_to_record(flow: Flow) -> FlowRecord:
-    """Features + trace for one assembled flow."""
+    """Features + trace for one assembled flow; featurize raises DataError
+    for a flow without packets."""
     return FlowRecord(
         flow_id=flow.flow_id,
         truth=flow.truth,
         features=featurize(flow),
-        events=to_trace(flow).events,
+        events=tuple(event_label(p.direction, p.flags) for p in flow.packets),
         client=flow.client,
         server=flow.server,
         first_ts=flow.first_ts,
@@ -65,25 +41,26 @@ def flow_to_record(flow: Flow) -> FlowRecord:
     )
 
 
+def _check_sizes(clusters: int, window: int) -> None:
+    if clusters < 1:
+        raise DataError("cluster count must be >= 1")
+    if window < 1:
+        raise DataError("window length must be >= 1")
+
+
 @dataclass(frozen=True)
 class ExtractionParams:
-    """Clustering configuration; alphabet and centroids are set by fit."""
+    """A fitted state clustering, as fit_states returns and load_params
+    reads it: one centroid row per state over the alphabet plus OTHER."""
 
-    clusters: int = 2
-    window: int = 3
-    seed: int = 0
-    alphabet: tuple[str, ...] | None = None
-    centroids: np.ndarray | None = None
+    clusters: int
+    window: int
+    seed: int
+    alphabet: tuple[str, ...]
+    centroids: np.ndarray
 
     def __post_init__(self):
-        if self.clusters < 1:
-            raise DataError("cluster count must be >= 1")
-        if self.window < 1:
-            raise DataError("window length must be >= 1")
-
-    @property
-    def fitted(self) -> bool:
-        return self.centroids is not None
+        _check_sizes(self.clusters, self.window)
 
 
 @dataclass(frozen=True)
@@ -94,12 +71,6 @@ class Fragment:
     state: int
     index: int
     events: tuple[str, ...]
-
-
-@dataclass
-class StateEventLog:
-    state: int
-    fragments: list[Fragment]
 
 
 def _alphabet_index(alphabet: Sequence[str]) -> dict[str, int]:
@@ -160,35 +131,39 @@ def _kmeans(vectors: np.ndarray, k: int, seed: int, max_iter: int = 300) -> np.n
     return cents
 
 
-def fit_states(traces: Iterable[Trace], params: ExtractionParams) -> ExtractionParams:
-    """Clusters sliding-window count vectors; returns fitted params.
+def fit_states(
+    sequences: Iterable[Sequence[str]], clusters: int, window: int, seed: int
+) -> ExtractionParams:
+    """Clusters the sliding-window count vectors of the traces into
+    `clusters` states.
 
     State ids are canonicalized by sorting centroids lexicographically, so
     equal inputs produce identical state numbering.
     """
-    traces = list(traces)
-    if not traces:
+    _check_sizes(clusters, window)
+    sequences = list(sequences)
+    if not sequences:
         raise DataError("cannot fit states on an empty trace set")
-    alphabet = tuple(sorted({label for t in traces for label in t.events}))
+    alphabet = tuple(sorted({label for events in sequences for label in events}))
     index = _alphabet_index(alphabet)
     windows: list[Sequence[str]] = []
-    for trace in traces:
-        windows.extend(_window_slices(trace.events, params.window))
+    for events in sequences:
+        windows.extend(_window_slices(events, window))
     vectors = _count_vectors(windows, index)
     distinct = np.unique(vectors, axis=0)
-    if len(distinct) < params.clusters:
+    if len(distinct) < clusters:
         raise DataError(
-            f"only {len(distinct)} distinct window vectors for k={params.clusters}; "
+            f"only {len(distinct)} distinct window vectors for k={clusters}; "
             "use a smaller cluster count"
         )
-    cents = _kmeans(vectors, params.clusters, params.seed)
-    if len(np.unique(cents, axis=0)) < params.clusters:
+    cents = _kmeans(vectors, clusters, seed)
+    if len(np.unique(cents, axis=0)) < clusters:
         raise DataError(
-            f"clustering collapsed below k={params.clusters} distinct centroids; "
+            f"clustering collapsed below k={clusters} distinct centroids; "
             "use a smaller cluster count"
         )
     order = np.lexsort(cents.T[::-1])
-    return replace(params, alphabet=alphabet, centroids=cents[order])
+    return ExtractionParams(clusters, window, seed, alphabet, cents[order])
 
 
 def _nearest_state(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -196,59 +171,57 @@ def _nearest_state(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return dist.argmin(axis=1)  # ties resolve to the lowest state id
 
 
-def assign_states(trace: Trace, params: ExtractionParams) -> list[int]:
+def assign_states(events: Sequence[str], params: ExtractionParams) -> list[int]:
     """Per-event state: event i takes the state of the window starting at i;
     the final window-1 events inherit the last window's state."""
-    if not params.fitted:
-        raise DataError("extraction params are not fitted")
     index = _alphabet_index(params.alphabet)
-    windows = _window_slices(trace.events, params.window)
+    windows = _window_slices(events, params.window)
     states = _nearest_state(_count_vectors(windows, index), params.centroids)
-    n = len(trace.events)
-    return [int(states[min(i, len(states) - 1)]) for i in range(n)]
+    return [int(states[min(i, len(states) - 1)]) for i in range(len(events))]
 
 
-def split_by_state(trace: Trace, params: ExtractionParams) -> list[Fragment]:
+def split_by_state(
+    flow_id: str, events: tuple[str, ...], params: ExtractionParams
+) -> list[Fragment]:
     """Maximal runs of equal state become fragments, in trace order."""
-    states = assign_states(trace, params)
+    states = assign_states(events, params)
     fragments: list[Fragment] = []
     start = 0
     for i in range(1, len(states) + 1):
         if i == len(states) or states[i] != states[start]:
             fragments.append(
                 Fragment(
-                    flow_id=trace.flow_id,
+                    flow_id=flow_id,
                     state=states[start],
                     index=len(fragments),
-                    events=trace.events[start:i],
+                    events=events[start:i],
                 )
             )
             start = i
     return fragments
 
 
-def unseen_labels(trace: Trace, params: ExtractionParams) -> tuple[str, ...]:
+def unseen_labels(events: Sequence[str], params: ExtractionParams) -> tuple[str, ...]:
     """Labels of the trace outside the fitted alphabet (OTHER-mapped)."""
-    if not params.fitted:
-        raise DataError("extraction params are not fitted")
     known = set(params.alphabet)
-    return tuple(sorted({e for e in trace.events if e not in known}))
+    return tuple(sorted({e for e in events if e not in known}))
 
 
-def build_logs(traces: Iterable[Trace], params: ExtractionParams) -> dict[int, StateEventLog]:
-    """Groups fragments of all traces by state; empty states are retained."""
-    logs = {state: StateEventLog(state, []) for state in range(params.clusters)}
-    for trace in traces:
-        for frag in split_by_state(trace, params):
-            logs[frag.state].fragments.append(frag)
+def build_logs(
+    per_flow_fragments: Iterable[list[Fragment]], params: ExtractionParams
+) -> dict[int, list[Fragment]]:
+    """Groups split traces' fragments by state, in input order; every state
+    has a log, empty ones included."""
+    logs: dict[int, list[Fragment]] = {state: [] for state in range(params.clusters)}
+    for fragments in per_flow_fragments:
+        for frag in fragments:
+            logs[frag.state].append(frag)
     return logs
 
 
 # --- persistence ---------------------------------------------------------
 
 def save_params(params: ExtractionParams, path: str | Path) -> None:
-    if not params.fitted:
-        raise DataError("refusing to persist unfitted extraction params")
     write_schema_json(path, PARAMS_SCHEMA, {
         "clusters": params.clusters,
         "window": params.window,
@@ -280,15 +253,15 @@ def load_params(path: str | Path) -> ExtractionParams:
     return params
 
 
-def export_xes(log: StateEventLog, path: str | Path) -> None:
+def export_xes(state: int, fragments: list[Fragment], path: str | Path) -> None:
     """One XES log per state; the event concept:name is the event label."""
     root = ET.Element("log", {"xes.version": "1849-2016", "xes.features": ""})
     ET.SubElement(root, "extension", {
         "name": "Concept", "prefix": "concept",
         "uri": "http://www.xes-standard.org/concept.xesext",
     })
-    ET.SubElement(root, "string", {"key": "concept:name", "value": f"state-{log.state}"})
-    for frag in log.fragments:
+    ET.SubElement(root, "string", {"key": "concept:name", "value": f"state-{state}"})
+    for frag in fragments:
         trace_el = ET.SubElement(root, "trace")
         ET.SubElement(trace_el, "string", {
             "key": "concept:name", "value": f"{frag.flow_id}#{frag.index}",
@@ -299,9 +272,9 @@ def export_xes(log: StateEventLog, path: str | Path) -> None:
     write_xml(root, path)
 
 
-def export_logs_jsonl(logs: dict[int, StateEventLog], path: str | Path) -> None:
+def export_logs_jsonl(logs: dict[int, list[Fragment]], path: str | Path) -> None:
     write_jsonl(path, STATE_LOGS_SCHEMA, (
         {"state": state, "flow_id": frag.flow_id, "fragment": frag.index,
          "events": list(frag.events)}
-        for state in sorted(logs) for frag in logs[state].fragments
+        for state in sorted(logs) for frag in logs[state]
     ))

@@ -19,6 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .artifacts import read_csv, read_jsonl, write_csv, write_jsonl
+from .detector import TRUTH_LABELS
 from .errors import DataError, SchemaError
 from .pcap import PacketRecord
 
@@ -352,14 +353,16 @@ def write_flow_events(flows: list[Flow], path: str | Path) -> None:
 def read_corpus(flows_csv: str | Path, events_path: str | Path) -> list[FlowRecord]:
     """Loads FlowRecords back from the flows CSV plus the events file.
 
-    An events row that is not valid JSON, lacks flow_id or events, repeats
-    a flow id, or has an event that is not a (direction, flags, timestamp)
-    triple raises SchemaError naming the file and line; so does a flows CSV
-    row with a missing column, a non-numeric value, a non-finite feature or
-    a repeated flow id. Every distinct event label must parse
-    (parse_event_label); a label that does not raises SchemaError naming
-    the events file, and so does a file that cannot be read. So does an
-    events row that no flows CSV row names, such as from a cut-short CSV.
+    An events row that is not valid JSON, lacks flow_id or events, has no
+    events (every TCP flow has a packet), repeats a flow id, or has an
+    event that is not a (direction, flags, timestamp) triple raises
+    SchemaError naming the file and line; so does a flows CSV row with a
+    missing column, a non-numeric value, a non-finite feature, a truth
+    outside detector.TRUTH_LABELS or a repeated flow id. Every distinct
+    event label must parse (parse_event_label); a label that does not
+    raises SchemaError naming the events file, and so does a file that
+    cannot be read. So does an events row that no flows CSV row names,
+    such as from a cut-short CSV.
     """
     flows_csv, events_path = Path(flows_csv), Path(events_path)
     events: dict[str, tuple[str, ...]] = {}
@@ -372,6 +375,8 @@ def read_corpus(flows_csv: str | Path, events_path: str | Path) -> list[FlowReco
             events[row["flow_id"]] = tuple(
                 f"{direction}_{flags}" for direction, flags, _ts in row["events"]
             )
+            if not events[row["flow_id"]]:
+                raise ValueError("a flow has at least one event")
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"{events_path}: line {lineno}: malformed row: {exc!r}") from exc
     for label in sorted({label for trace in events.values() for label in trace}):
@@ -392,6 +397,8 @@ def read_corpus(flows_csv: str | Path, events_path: str | Path) -> list[FlowReco
                         f"{flows_csv}: line {reader.line_num + 1}: repeated flow id {flow_id!r}"
                     )
                 seen.add(flow_id)
+                if row["truth"] not in TRUTH_LABELS:
+                    raise ValueError(f"truth {row['truth']!r} is not one of {TRUTH_LABELS}")
                 features = np.array([float(row[name]) for name in FEATURE_NAMES])
                 if not np.isfinite(features).all():
                     raise ValueError("feature values must be finite")

@@ -112,7 +112,7 @@ def split_normals(
 
 def train_bundle(
     records: list[FlowRecord], config: RunConfig, seed: int
-) -> tuple[TrainedBundle, dict[int, events.StateEventLog]]:
+) -> tuple[TrainedBundle, dict[int, list[events.Fragment]]]:
     """Training phase: detector fit + calibration, then the process-based
     characterization mined from misclassified validation flows. Returns the
     bundle and the state event logs it was mined from."""
@@ -128,7 +128,7 @@ def _train_from_split(
     val_recs: list[FlowRecord],
     config: RunConfig,
     seed: int,
-) -> tuple[TrainedBundle, dict[int, events.StateEventLog]]:
+) -> tuple[TrainedBundle, dict[int, list[events.Fragment]]]:
     if config.external_scores is not None:
         kind, model, threshold = KIND_EXTERNAL, None, config.external_threshold
     else:
@@ -147,18 +147,15 @@ def _train_from_split(
             "no validation false positives available for mining; "
             "apply a more restrictive (lower) percentile"
         )
-    traces = [events.Trace(r.flow_id, r.events) for r in fp_records]
-    params = events.ExtractionParams(
-        clusters=config.clusters, window=config.window, seed=derive_seed(seed, "extraction")
+    params = events.fit_states(
+        [r.events for r in fp_records], config.clusters, config.window,
+        derive_seed(seed, "extraction"),
     )
-    params = events.fit_states(traces, params)
-    logs = events.build_logs(traces, params)
-    nets = {
-        state: discovery.discover([f.events for f in logs[state].fragments])
-        for state in sorted(logs)
-    }
+    per_flow = [events.split_by_state(r.flow_id, r.events, params) for r in fp_records]
+    logs = events.build_logs(per_flow, params)
+    nets = {state: discovery.discover([f.events for f in logs[state]]) for state in sorted(logs)}
     aligner = al.Aligner(nets, config.alignment_budget)
-    reference = al.profile_reference(logs, aligner)
+    reference = al.profile_reference(per_flow, aligner)
     return TrainedBundle(
         kind=kind,
         model=model,
@@ -172,7 +169,7 @@ def _train_from_split(
 
 def save_bundle(
     bundle: TrainedBundle,
-    logs: dict[int, events.StateEventLog],
+    logs: dict[int, list[events.Fragment]],
     out_dir: str | Path,
     config: RunConfig,
 ) -> Path:
@@ -191,8 +188,8 @@ def save_bundle(
     events.save_params(bundle.params, out_dir / "extraction.json")
     for state, net in sorted(bundle.aligner.nets.items()):
         export_pnml(net, out_dir / "nets" / f"state_{state}.pnml", net_id=f"state_{state}")
-    for state, log in sorted(logs.items()):
-        events.export_xes(log, out_dir / "logs" / f"state_{state}.xes")
+    for state, fragments in sorted(logs.items()):
+        events.export_xes(state, fragments, out_dir / "logs" / f"state_{state}.xes")
     events.export_logs_jsonl(logs, out_dir / "logs" / "state_logs.jsonl")
     al.write_profile_csv(bundle.reference, out_dir / "reference_profile.csv")
     return out_dir
@@ -296,12 +293,11 @@ def _rate(
     and its fragment alignments."""
     rows, explanations = [], []
     for record in records:
-        trace = events.Trace(record.flow_id, record.events)
-        fragments = events.split_by_state(trace, bundle.params)
+        fragments = events.split_by_state(record.flow_id, record.events, bundle.params)
         profile, aligned = al.profile_flow(fragments, bundle.aligner)
         rows.append((record.flow_id, profile, record.truth))
         explanations.append({
-            "unseen_labels": list(events.unseen_labels(trace, bundle.params)),
+            "unseen_labels": list(events.unseen_labels(record.events, bundle.params)),
             "fragments": [al.fragment_alignment_record(f, a) for f, a in aligned],
         })
     alarms, histogram = rate_all(bundle.reference, rows, SeverityBands(config.band_boundaries))

@@ -18,7 +18,7 @@ from alarmsift.alignment import (
 )
 from alarmsift.discovery import discover, tree_to_net, leaf, ProcessTree, SEQUENCE
 from alarmsift.errors import BudgetError, DataError
-from alarmsift.events import Fragment, StateEventLog
+from alarmsift.events import Fragment
 from alarmsift.petri import PetriNet, Transition
 
 from treegen import oracle_align_cost, perturb_trace, random_tree, sample_trace
@@ -178,26 +178,23 @@ def _frag(flow_id, state, index, events):
 
 def test_reference_profile_perfect_replay_is_zero():
     net = discover([("a", "b")] * 4)
-    logs = {0: StateEventLog(0, [_frag("f1", 0, 0, ("a", "b")), _frag("f2", 0, 0, ("a", "b"))])}
-    assert profile_reference(logs, Aligner({0: net})) == {}
+    per_flow = [[_frag("f1", 0, 0, ("a", "b"))], [_frag("f2", 0, 0, ("a", "b"))]]
+    assert profile_reference(per_flow, Aligner({0: net})) == {}
 
 
 def test_reference_profile_averages_over_source_traces():
     net = discover([("syn", "synack", "ack")] * 4)
-    logs = {
-        0: StateEventLog(0, [
-            _frag("f1", 0, 0, ("syn", "synack", "ack")),
-            _frag("f2", 0, 0, ("syn", "synack")),  # one model-only "ack"
-        ])
-    }
-    profile = profile_reference(logs, Aligner({0: net}))
+    per_flow = [
+        [_frag("f1", 0, 0, ("syn", "synack", "ack"))],
+        [_frag("f2", 0, 0, ("syn", "synack"))],  # one model-only "ack"
+    ]
+    profile = profile_reference(per_flow, Aligner({0: net}))
     assert profile == {"ack": 0.5}
 
 
 def test_reference_profile_missing_net_is_an_error():
-    logs = {0: StateEventLog(0, [_frag("f1", 0, 0, ("a",))])}
     with pytest.raises(DataError):
-        profile_reference(logs, Aligner({}))
+        profile_reference([[_frag("f1", 0, 0, ("a",))]], Aligner({}))
 
 
 def test_flow_profile_counts_raw_and_flags_missing_net():
@@ -223,10 +220,8 @@ def test_flow_profile_misaligned_pushes():
 def test_profile_linearity_over_traces():
     net = discover([("a", "b"), ("a", "b", "c")])
     traces = [("a", "b"), ("a", "c"), ("b", "b", "zz"), ("c",)]
-    logs = {0: StateEventLog(0, [
-        _frag(f"f{i}", 0, 0, t) for i, t in enumerate(traces)
-    ])}
-    combined = profile_reference(logs, Aligner({0: net}))
+    per_flow = [[_frag(f"f{i}", 0, 0, t)] for i, t in enumerate(traces)]
+    combined = profile_reference(per_flow, Aligner({0: net}))
     per_trace = []
     for i, t in enumerate(traces):
         p, _ = profile_flow([_frag(f"f{i}", 0, 0, t)], Aligner({0: net}))

@@ -10,23 +10,26 @@ from hypothesis import given, settings, strategies as st
 from alarmsift.errors import DataError
 from alarmsift.events import (
     ExtractionParams,
-    Trace,
     assign_states,
     build_logs,
-    event_label,
     export_logs_jsonl,
     export_xes,
     fit_states,
-    flags_label,
+    flow_to_record,
     load_params,
-    parse_event_label,
     save_params,
     split_by_state,
-    to_trace,
     unseen_labels,
     _kmeans,
 )
-from alarmsift.flowmeter import Direction, Flow, FlowPacket
+from alarmsift.flowmeter import (
+    Direction,
+    Flow,
+    FlowPacket,
+    event_label,
+    flags_label,
+    parse_event_label,
+)
 
 
 def _flow(events, flow_id="f0"):
@@ -77,12 +80,12 @@ def test_untracked_flag_rejected():
 
 def test_to_trace_handshake():
     flow = _flow([(C2S, {"SYN"}), (S2C, {"SYN", "ACK"}), (C2S, {"ACK"})])
-    assert to_trace(flow).events == ("C_to_S_SYN", "S_to_C_SYN+ACK", "C_to_S_ACK")
+    assert flow_to_record(flow).events == ("C_to_S_SYN", "S_to_C_SYN+ACK", "C_to_S_ACK")
 
 
 def test_to_trace_flagless_segment():
     flow = _flow([(C2S, set())])
-    assert to_trace(flow).events == ("C_to_S_NONE",)
+    assert flow_to_record(flow).events == ("C_to_S_NONE",)
 
 
 def _params_for(alphabet, centroids, window=1, clusters=None):
@@ -98,9 +101,9 @@ def _params_for(alphabet, centroids, window=1, clusters=None):
 def test_assign_and_split_run_lengths():
     # w=1 over alphabet (a, b): pure-a windows -> state 0, pure-b -> state 1.
     params = _params_for(("a", "b"), [[1, 0, 0], [0, 1, 0]])
-    trace = Trace("f", ("a", "a", "b", "b", "a"))
+    trace = ("a", "a", "b", "b", "a")
     assert assign_states(trace, params) == [0, 0, 1, 1, 0]
-    frags = split_by_state(trace, params)
+    frags = split_by_state("f", trace, params)
     assert [(f.state, f.events) for f in frags] == [
         (0, ("a", "a")), (1, ("b", "b")), (0, ("a",)),
     ]
@@ -109,15 +112,15 @@ def test_assign_and_split_run_lengths():
 
 def test_short_trace_is_one_window():
     params = _params_for(("a", "b"), [[2, 0, 0], [0, 2, 0]], window=3)
-    trace = Trace("f", ("a", "b"))  # shorter than the window
-    frags = split_by_state(trace, params)
+    trace = ("a", "b")  # shorter than the window
+    frags = split_by_state("f", trace, params)
     assert len(frags) == 1
     assert frags[0].events == ("a", "b")
 
 
 def test_tail_events_take_last_window_state():
     params = _params_for(("a", "b"), [[3, 0, 0], [0, 3, 0]], window=3)
-    trace = Trace("f", ("a", "a", "a", "b", "b", "b"))
+    trace = ("a", "a", "a", "b", "b", "b")
     # Windows starting at 0..3 score [0, 0, 1, 1]; the final two events
     # inherit the last window's state.
     assert assign_states(trace, params) == [0, 0, 1, 1, 1, 1]
@@ -127,43 +130,48 @@ def test_tail_events_take_last_window_state():
 @settings(max_examples=200, deadline=None)
 def test_reassembly_invariant(events):
     params = _params_for(("a", "b"), [[3, 0, 0], [0, 3, 0]], window=3)
-    trace = Trace("f", tuple(events))
-    frags = split_by_state(trace, params)
+    trace = tuple(events)
+    frags = split_by_state("f", trace, params)
     rebuilt = tuple(e for f in frags for e in f.events)
-    assert rebuilt == trace.events
+    assert rebuilt == trace
     assert [f.index for f in frags] == list(range(len(frags)))
 
 
 def test_unseen_labels_map_to_other_without_changing_assignment():
     params = _params_for(("a", "b"), [[3, 0, 0], [0, 3, 0]], window=3)
-    t1 = Trace("f", ("a", "zz1", "a", "b", "b", "b"))
-    t2 = Trace("f", ("a", "zz2", "a", "b", "b", "b"))
+    t1 = ("a", "zz1", "a", "b", "b", "b")
+    t2 = ("a", "zz2", "a", "b", "b", "b")
     assert assign_states(t1, params) == assign_states(t2, params)
     assert unseen_labels(t1, params) == ("zz1",)
 
 
 def test_fit_states_separates_two_populations():
-    traces = [Trace(f"a{i}", ("a",) * 6) for i in range(5)]
-    traces += [Trace(f"b{i}", ("b",) * 6) for i in range(5)]
-    params = fit_states(traces, ExtractionParams(clusters=2, window=3, seed=13))
-    assert params.fitted and params.alphabet == ("a", "b")
+    traces = [("a",) * 6] * 5 + [("b",) * 6] * 5
+    params = fit_states(traces, clusters=2, window=3, seed=13)
+    assert params.alphabet == ("a", "b")
     sa = set(assign_states(traces[0], params))
     sb = set(assign_states(traces[-1], params))
     assert len(sa) == 1 and len(sb) == 1 and sa != sb
 
 
 def test_fit_states_k1_trivial_concatenation():
-    traces = [Trace("f1", ("a", "b", "a")), Trace("f2", ("b", "b"))]
-    params = fit_states(traces, ExtractionParams(clusters=1, window=2, seed=5))
-    logs = build_logs(traces, params)
+    traces = {"f1": ("a", "b", "a"), "f2": ("b", "b")}
+    params = fit_states(traces.values(), clusters=1, window=2, seed=5)
+    logs = build_logs([split_by_state(f, t, params) for f, t in traces.items()], params)
     assert set(logs) == {0}
-    assert [f.events for f in logs[0].fragments] == [("a", "b", "a"), ("b", "b")]
+    assert [f.events for f in logs[0]] == [("a", "b", "a"), ("b", "b")]
 
 
 def test_fit_states_requires_k_distinct_windows():
-    traces = [Trace("f", ("a", "a", "a", "a"))]
+    traces = [("a", "a", "a", "a")]
     with pytest.raises(DataError):
-        fit_states(traces, ExtractionParams(clusters=2, window=2, seed=0))
+        fit_states(traces, clusters=2, window=2, seed=0)
+
+
+@pytest.mark.parametrize("clusters, window", [(0, 2), (2, 0)])
+def test_fit_states_rejects_sizes_below_one(clusters, window):
+    with pytest.raises(DataError, match="must be >= 1"):
+        fit_states([("a", "b", "a", "b")], clusters=clusters, window=window, seed=0)
 
 
 def test_kmeans_matches_bruteforce_partition():
@@ -197,9 +205,9 @@ def test_kmeans_matches_bruteforce_partition():
 
 
 def test_fit_is_deterministic_and_persistable(tmp_path):
-    traces = [Trace(f"f{i}", tuple("ab"[j % 2] for j in range(i + 3))) for i in range(8)]
-    p1 = fit_states(traces, ExtractionParams(clusters=2, window=3, seed=9))
-    p2 = fit_states(traces, ExtractionParams(clusters=2, window=3, seed=9))
+    traces = [tuple("ab"[j % 2] for j in range(i + 3)) for i in range(8)]
+    p1 = fit_states(traces, clusters=2, window=3, seed=9)
+    p2 = fit_states(traces, clusters=2, window=3, seed=9)
     assert np.array_equal(p1.centroids, p2.centroids)
     save_params(p1, tmp_path / "params.json")
     save_params(p2, tmp_path / "params2.json")
@@ -210,18 +218,16 @@ def test_fit_is_deterministic_and_persistable(tmp_path):
 
 
 def test_build_logs_retains_empty_states():
-    traces = [Trace("f", ("a", "a", "a"))]
     params = _params_for(("a", "b"), [[3, 0, 0], [0, 3, 0]], window=3)
-    logs = build_logs(traces, params)
+    logs = build_logs([split_by_state("f", ("a", "a", "a"), params)], params)
     assert set(logs) == {0, 1}
-    assert logs[1].fragments == []
+    assert logs[1] == []
 
 
 def test_xes_and_jsonl_exports(tmp_path):
-    traces = [Trace("flow-1", ("a", "b", "a"))]
     params = _params_for(("a", "b"), [[1, 0, 0], [0, 1, 0]], window=1)
-    logs = build_logs(traces, params)
-    export_xes(logs[0], tmp_path / "state_0.xes")
+    logs = build_logs([split_by_state("flow-1", ("a", "b", "a"), params)], params)
+    export_xes(0, logs[0], tmp_path / "state_0.xes")
     root = ET.parse(tmp_path / "state_0.xes").getroot()
     events = [
         el.attrib["value"]

@@ -237,8 +237,21 @@ def _two_field_event(line):
     return json.dumps(row)
 
 
+def _no_events(line):
+    row = json.loads(line)
+    row["events"] = []
+    return json.dumps(row)
+
+
 def _last_feature(value):
     return lambda line: line.rsplit(",", 1)[0] + "," + value
+
+
+def _truth(value):
+    truth_column = 7  # after flow_id, client/server ip and port, first/last ts
+    return lambda line: ",".join(
+        value if i == truth_column else cell for i, cell in enumerate(line.split(","))
+    )
 
 
 @pytest.mark.parametrize("name, index, edit", [
@@ -246,12 +259,15 @@ def _last_feature(value):
     ("events.jsonl", 1, _without("flow_id")),
     ("events.jsonl", 1, _without("events")),
     ("events.jsonl", 1, _two_field_event),
+    ("events.jsonl", 1, _no_events),  # every TCP flow has a packet
     ("flows.csv", 2, lambda line: line.rsplit(",", 1)[0]),  # one column short
     ("flows.csv", 2, _last_feature("n/a")),
     ("flows.csv", 2, _last_feature("nan")),
+    ("flows.csv", 2, _truth("Normal")),
+    ("flows.csv", 2, _truth("")),
 ], ids=[
-    "bad-json", "no-flow-id", "no-events", "two-field-event", "short-row", "non-numeric",
-    "non-finite",
+    "bad-json", "no-flow-id", "no-events", "two-field-event", "empty-events", "short-row",
+    "non-numeric", "non-finite", "capitalized-truth", "empty-truth",
 ])
 def test_read_corpus_rejects_malformed_rows(tmp_path, name, index, edit):
     flows = assemble_flows(ingest_pcap_write(tmp_path, handshake_fin_frames()).packets)

@@ -150,6 +150,28 @@ def test_baseline_fp_pool_is_the_validation_positives(normal_only_dir, tmp_path)
     assert bundle.fp_pool
 
 
+@pytest.mark.parametrize("first_fragment_only", [False, True], ids=["as-mined", "underfit"])
+def test_reference_is_the_mean_fp_rating_profile(
+    normal_only_dir, tmp_path, monkeypatch, first_fragment_only
+):
+    # Nets mined from all of a log replay every fragment in it, so the
+    # reference is the zero profile; nets mined from one fragment per state
+    # misalign the others, so the mean is taken over nonzero profiles too.
+    if first_fragment_only:
+        discover = pipeline.discovery.discover
+        monkeypatch.setattr(pipeline.discovery, "discover", lambda log: discover(log[:1]))
+    cfg = _cfg(normal_only_dir, tmp_path / "out")
+    records = pipeline.load_records(cfg)
+    bundle, _ = pipeline.train_bundle(records, cfg, cfg.seed)
+    by_id = {r.flow_id: r for r in records}
+    alarms, _, _ = pipeline._rate(bundle, [by_id[f] for f in bundle.fp_pool], cfg)
+    labels = sorted({label for a in alarms for label in a.profile})
+    assert bundle.reference == {
+        label: sum(a.profile.get(label, 0.0) for a in alarms) / len(alarms) for label in labels
+    }
+    assert bool(bundle.reference) == first_fragment_only
+
+
 def test_external_skipped_ids_warn_only_when_rating(normal_only_dir, tmp_path, caplog):
     # The scores file covers the whole corpus plus one stray id. Training
     # looks up only its validation flows, so only rating reports the stray.
@@ -466,6 +488,7 @@ def test_config_null_means_default(tmp_path, monkeypatch):
     ("percentile", True), ("flow_timeout", "30"), ("band_boundaries", ["0.2", 0.4, 0.6, 0.8]),
     ("flow_timeout", float("nan")), ("external_threshold", float("nan")),
     ("band_boundaries", [0.2, 0.4, 0.6, float("inf")]),
+    ("captures", [{"path": "a.pcap", "truth": "atack"}]),
 ])
 def test_config_unconvertible_value_names_key(tmp_path, key, value):
     cfg_file = tmp_path / "cfg.json"
@@ -568,6 +591,9 @@ def test_cli_exit_codes(tmp_path):
     rc = main(["train", "--config", str(cfg_file), "--corpus", str(corpus),
                "--output-dir", str(tmp_path / "o3")])
     assert rc == 2
+    # config error: a config path that cannot be read as a file
+    rc = main(["train", "--config", str(tmp_path), "--output-dir", str(tmp_path / "o3")])
+    assert rc == 2
     # config error: a NaN threshold would make every external score negative
     rc = main(["train", "--corpus", str(corpus), "--external-scores", str(tmp_path / "s.csv"),
                "--external-threshold", "nan", "--output-dir", str(tmp_path / "o4")])
@@ -582,6 +608,16 @@ def test_cli_exit_codes(tmp_path):
     cfg_file = tmp_path / "capture.json"
     cfg_file.write_text(json.dumps({"captures": [str(tmp_path / "nope.pcap")]}))
     rc = main(["train", "--config", str(cfg_file), "--output-dir", str(tmp_path / "o7")])
+    assert rc == 3
+    # data error: an output that cannot be written (a file where a directory
+    # must go, a directory that does not exist)
+    not_a_dir = tmp_path / "plain_file"
+    not_a_dir.write_text("")
+    rc = main(["train", "--corpus", str(corpus), "--output-dir", str(not_a_dir)])
+    assert rc == 3
+    assert main(["train", "--corpus", str(corpus), "--output-dir", str(tmp_path / "o8")]) == 0
+    rc = main(["explain", "--corpus", str(corpus), "--bundle", str(tmp_path / "o8" / "bundle"),
+               "--out", str(tmp_path / "nodir" / "x.json")])
     assert rc == 3
 
 
