@@ -1,15 +1,16 @@
 """Optimal trace/net alignments and misalignment profiles.
 
 Alignments are computed with best-first search over the synchronous
-product of a workflow net and a trace. Costs are the standard unit
+product of a trace and a workflow net's reachability graph, whose states
+are (marking id, trace position) pairs. Costs are the standard unit
 scheme: synchronous and silent-model moves are free, log-only and
 model-only moves cost 1. The admissible heuristic is the number of
 remaining trace labels that no net transition can ever match.
 
 Tie-breaking is deterministic: successors are generated preferring
 synchronous moves, then silent model moves, then visible model moves in
-(label, index) order (the order of PetriNet.successors), then the log
-move; equal-cost frontier entries pop in generation order.
+(label, index) order (the graph's edge order), then the log move;
+equal-cost frontier entries pop in generation order.
 
 An Aligner caches alignments per (state, events) for one set of nets, so
 each distinct fragment is searched once; a cached result is the one a
@@ -28,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 from .artifacts import read_csv, write_csv
 from .errors import BudgetError, DataError, SchemaError
 from .events import Fragment
-from .petri import PetriNet
+from .petri import MAX_MARKINGS, PetriNet
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -86,37 +87,40 @@ def _suffix_unmatchable(trace: Sequence[str], net_labels: frozenset[str]) -> lis
 def align(net: PetriNet, trace: Sequence[str], budget: int = DEFAULT_BUDGET) -> Alignment:
     """Minimal-cost alignment between a trace and a workflow net.
 
-    Raises BudgetError (carrying the best known cost lower bound) when the
-    expansion budget is exhausted, and DataError when the final marking is
-    unreachable altogether.
+    Raises DataError up front when the net is unbounded or its final
+    marking is unreachable, and BudgetError (carrying the best known cost
+    lower bound) when the expansion budget is exhausted.
     """
+    graph = net.reachability()
+    if not graph.bounded:
+        raise DataError(f"net exceeds the exploration cap of {MAX_MARKINGS} markings")
+    if graph.final is None:
+        raise DataError("final marking is unreachable from the initial marking")
     trace = tuple(trace)
-    net_labels = net.labels
-    h = _suffix_unmatchable(trace, net_labels)
-    start = (net.initial_tuple, 0)
+    h = _suffix_unmatchable(trace, net.labels)
     goal_pos = len(trace)
-    final = net.final_tuple
+    # State marking_id * width + pos; the start state is 0.
+    width = goal_pos + 1
+    goal = graph.final * width + goal_pos
 
     counter = 0
-    frontier: list[tuple[int, int, int, tuple]] = []
-    heapq.heappush(frontier, (h[0], h[0], counter, start))
-    best_g: dict[tuple, int] = {start: 0}
+    frontier: list[tuple[int, int, int, int]] = [(h[0], h[0], counter, 0)]
+    best_g: dict[int, int] = {0: 0}
     # state -> (previous state, kind, label, tid) of the cheapest move into it;
     # Moves are built only for the returned path.
-    came_from: dict[tuple, tuple[tuple, MoveKind, str | None, str | None]] = {}
+    came_from: dict[int, tuple[int, MoveKind, str | None, str | None]] = {}
     expansions = 0
 
-    while frontier:
+    while True:  # the final marking is reachable, so the goal is too
         f, _, _, state = heapq.heappop(frontier)
-        marking, pos = state
+        marking, pos = divmod(state, width)
         g = best_g[state]
         if f > g + h[pos]:
             continue  # stale entry
-        if pos == goal_pos and marking == final:
+        if state == goal:
             moves: list[Move] = []
-            cur = state
-            while cur != start:
-                cur, kind, label, tid = came_from[cur]
+            while state:
+                state, kind, label, tid = came_from[state]
                 moves.append(Move(kind, label, tid))
             moves.reverse()
             return Alignment(moves=tuple(moves), cost=g)
@@ -127,21 +131,21 @@ def align(net: PetriNet, trace: Sequence[str], budget: int = DEFAULT_BUDGET) -> 
                 cost_lower_bound=f,
             )
 
-        edges = net.successors(marking)
-        succs: list[tuple[tuple, MoveKind, str | None, str | None]] = []
+        edges = graph.edges[marking]
+        succs: list[tuple[int, MoveKind, str | None, str | None]] = []
         if pos < goal_pos:
             label = trace[pos]
             succs = [
-                ((nxt, pos + 1), MoveKind.SYNCHRONOUS, label, t.tid)
-                for t, nxt in edges if t.label == label
+                (k * width + pos + 1, MoveKind.SYNCHRONOUS, label, t.tid)
+                for t, k in edges if t.label == label
             ]
         succs += [
-            ((nxt, pos), MoveKind.MODEL_SILENT if t.silent else MoveKind.MODEL_ONLY,
+            (k * width + pos, MoveKind.MODEL_SILENT if t.silent else MoveKind.MODEL_ONLY,
              t.label, t.tid)
-            for t, nxt in edges
+            for t, k in edges
         ]
         if pos < goal_pos:
-            succs.append(((marking, pos + 1), MoveKind.LOG_ONLY, label, None))
+            succs.append((state + 1, MoveKind.LOG_ONLY, label, None))
 
         for nxt, kind, move_label, tid in succs:
             ng = g + _MOVE_COST[kind]
@@ -149,10 +153,8 @@ def align(net: PetriNet, trace: Sequence[str], budget: int = DEFAULT_BUDGET) -> 
                 best_g[nxt] = ng
                 came_from[nxt] = (state, kind, move_label, tid)
                 counter += 1
-                nh = h[nxt[1]]
+                nh = h[nxt % width]
                 heapq.heappush(frontier, (ng + nh, nh, counter, nxt))
-
-    raise DataError("final marking is unreachable from the initial marking")
 
 
 class Aligner:

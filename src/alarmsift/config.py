@@ -74,7 +74,13 @@ class RunConfig:
 def _capture_spec(item: str | dict) -> CaptureSpec:
     if isinstance(item, str):
         return CaptureSpec(path=Path(item))
-    truth = item.get("truth") or TRUTH_UNKNOWN
+    if not isinstance(item, dict):
+        raise TypeError(f"{item!r} is neither a path nor an object")
+    unknown = set(item) - {"path", "truth"}
+    if unknown:
+        raise ValueError(f"unknown capture keys {sorted(unknown)}")
+    # A null truth keeps the default; an empty one is a typo, not "unknown".
+    truth = TRUTH_UNKNOWN if item.get("truth") is None else item["truth"]
     if truth not in TRUTH_LABELS:
         raise ValueError(f"truth {truth!r} is not one of {TRUTH_LABELS}")
     return CaptureSpec(path=Path(item["path"]), truth=truth)

@@ -236,12 +236,16 @@ def load_params(path: str | Path) -> ExtractionParams:
     for key in ("clusters", "window", "seed"):
         if type(payload.get(key)) is not int:
             raise SchemaError(f"{path}: key {key!r} is missing or not an integer")
+    alphabet = payload.get("alphabet")
+    if not (isinstance(alphabet, list) and all(isinstance(a, str) for a in alphabet)
+            and len(set(alphabet)) == len(alphabet)):
+        raise SchemaError(f"{path}: key 'alphabet' is missing or not a list of distinct strings")
     try:
         params = ExtractionParams(
             clusters=payload["clusters"],
             window=payload["window"],
             seed=payload["seed"],
-            alphabet=tuple(payload["alphabet"]),
+            alphabet=tuple(alphabet),
             centroids=np.array(payload["centroids"], dtype=float),
         )
     except (KeyError, TypeError, ValueError, DataError) as exc:

@@ -1,9 +1,14 @@
-"""Petri net data model: firing semantics, workflow-shape and soundness
-checks, and PNML serialization.
+"""Petri net data model: firing semantics, the reachability graph,
+workflow-shape and soundness checks, and PNML serialization.
 
 Nets here are workflow nets: a unique source place carrying the single
 initial token, a unique sink place carrying the single final token, and
 every node on a path between them. Arcs have unit weight.
+
+Each net's reachable markings are explored once, breadth-first, into a
+ReachabilityGraph that alignment and the soundness check read. A marking's
+edges run silent transitions first by index, then visible ones by (label,
+index): the alignment tie-break.
 """
 from __future__ import annotations
 
@@ -30,6 +35,24 @@ class Transition:
 
 
 Marking = dict[str, int]
+
+#: Reachable markings a net may have; reachability() reports a net with
+#: more as unbounded.
+MAX_MARKINGS = 50_000
+
+
+@dataclass(frozen=True)
+class ReachabilityGraph:
+    """A net's reachable markings as place-count tuples. Marking ids index
+    markings and edges; id 0 is the initial marking. edges[i] holds each
+    (transition, next id) enabled at markings[i], in enabled_indexes
+    order. final is the final marking's id, None when it is unreachable.
+    An unbounded net (more than MAX_MARKINGS markings) has a graph with
+    bounded False and no markings."""
+    markings: tuple[tuple[int, ...], ...]
+    edges: tuple[tuple[tuple[Transition, int], ...], ...]
+    final: int | None
+    bounded: bool
 
 
 class PetriNet:
@@ -85,23 +108,14 @@ class PetriNet:
             range(len(self.transitions)),
             key=lambda j: (not self.transitions[j].silent, self.transitions[j].label or "", j),
         ))
-        self._successors: dict[tuple[int, ...], list[tuple[Transition, tuple[int, ...]]]] = {}
-
-    # --- tuple markings (used by alignment and the soundness check) ------
+        self._graph: ReachabilityGraph | None = None
 
     def marking_tuple(self, marking: Mapping[str, int]) -> tuple[int, ...]:
         return tuple(marking.get(p, 0) for p in self.places)
 
-    @property
-    def initial_tuple(self) -> tuple[int, ...]:
-        return self.marking_tuple(self.initial_marking)
-
-    @property
-    def final_tuple(self) -> tuple[int, ...]:
-        return self.marking_tuple(self.final_marking)
-
     def enabled_indexes(self, m: tuple[int, ...]) -> list[int]:
-        """Enabled transitions, in the successor order (see successors)."""
+        """Enabled transitions: silent ones by index, then visible ones by
+        (label, index)."""
         return [j for j in self._order if all(m[p] >= 1 for p in self._pre[j])]
 
     def fire_index(self, m: tuple[int, ...], j: int) -> tuple[int, ...]:
@@ -112,20 +126,29 @@ class PetriNet:
             out[p] += 1
         return tuple(out)
 
-    def successors(self, m: tuple[int, ...]) -> list[tuple[Transition, tuple[int, ...]]]:
-        """The firing rule: each enabled transition with the marking it
-        leads to. Silent transitions come first in index order, then
-        visible ones by (label, index), which is the alignment tie-break.
-
-        Memoized per marking, so the memo holds at most the net's reachable
-        markings. The returned list is shared between callers and must not
-        be mutated."""
-        edges = self._successors.get(m)
-        if edges is None:
-            fire = self.fire_index
-            edges = [(self.transitions[j], fire(m, j)) for j in self.enabled_indexes(m)]
-            self._successors[m] = edges
-        return edges
+    def reachability(self) -> ReachabilityGraph:
+        """The net's reachability graph, explored on the first call and kept."""
+        if self._graph is None:
+            initial = self.marking_tuple(self.initial_marking)
+            ids = {initial: 0}
+            markings = [initial]
+            edges: list[tuple[tuple[Transition, int], ...]] = []
+            for m in markings:  # appended to while iterated: breadth-first
+                if len(markings) > MAX_MARKINGS:
+                    self._graph = ReachabilityGraph((), (), None, False)
+                    return self._graph
+                out = []
+                for j in self.enabled_indexes(m):
+                    nxt = self.fire_index(m, j)
+                    k = ids.get(nxt)
+                    if k is None:
+                        k = ids[nxt] = len(markings)
+                        markings.append(nxt)
+                    out.append((self.transitions[j], k))
+                edges.append(tuple(out))
+            final = ids.get(self.marking_tuple(self.final_marking))
+            self._graph = ReachabilityGraph(tuple(markings), tuple(edges), final, True)
+        return self._graph
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PetriNet):
@@ -192,71 +215,45 @@ def _graph_reach(net: PetriNet, start: str, forward: bool) -> set[str]:
     return seen
 
 
-#: Reachable markings check_soundness explores before it reports the net
-#: as unbounded.
-MAX_MARKINGS = 50_000
+def check_soundness(net: PetriNet) -> list[str]:
+    """Soundness issues of a net, read off its reachability graph; an empty
+    list means sound.
 
-
-@dataclass
-class SoundnessReport:
-    bounded: bool
-    sound: bool
-    issues: list[str]
-
-
-def check_soundness(net: PetriNet) -> SoundnessReport:
-    """Reachability-based soundness check for desk-scale nets.
-
-    Verifies the option to complete (the final marking is reachable from
-    every reachable marking), proper completion (no reachable marking
-    strictly covers the final marking), and absence of dead transitions.
-    Exploration is capped at MAX_MARKINGS states.
+    Checks that the graph is bounded, that the final marking is reachable,
+    proper completion (no reachable marking strictly covers the final
+    marking), the option to complete (the final marking is reachable from
+    every reachable marking) and the absence of dead transitions.
     """
+    graph = net.reachability()
+    if not graph.bounded:
+        return [f"exploration cap of {MAX_MARKINGS} markings exceeded"]
     issues: list[str] = []
-    initial = net.initial_tuple
-    final = net.final_tuple
-    rev: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    seen = {initial}
-    queue = deque([initial])
-    fired: set[str] = set()
-    bounded = True
-    while queue:
-        if len(seen) > MAX_MARKINGS:
-            bounded = False
-            issues.append(f"exploration cap of {MAX_MARKINGS} markings exceeded")
+    if graph.final is None:
+        issues.append("final marking unreachable from the initial marking")
+    final = net.marking_tuple(net.final_marking)
+    for m in graph.markings:
+        if m != final and all(a >= b for a, b in zip(m, final)):
+            issues.append(f"improper completion: marking {m} covers the final marking")
             break
-        m = queue.popleft()
-        for t, nxt in net.successors(m):
-            fired.add(t.tid)
-            rev.setdefault(nxt, []).append(m)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    if bounded:
-        if final not in seen:
-            issues.append("final marking unreachable from the initial marking")
-        for m in seen:
-            if m != final and all(a >= b for a, b in zip(m, final)) and any(
-                a > b for a, b in zip(m, final)
-            ):
-                issues.append(f"improper completion: marking {m} covers the final marking")
-                break
-        # Option to complete: reverse reachability from the final marking.
-        can_finish = {final} if final in seen else set()
-        queue = deque(can_finish)
-        while queue:
-            m = queue.popleft()
-            for prev in rev.get(m, ()):
-                if prev not in can_finish:
-                    can_finish.add(prev)
-                    queue.append(prev)
-        stuck = [m for m in seen if m not in can_finish]
-        if stuck:
-            issues.append(f"{len(stuck)} reachable marking(s) cannot reach the final marking")
-        dead = sorted(t.tid for t in net.transitions if t.tid not in fired)
-        if dead:
-            issues.append(f"dead transitions: {dead}")
-    return SoundnessReport(bounded=bounded, sound=bounded and not issues, issues=issues)
+    # Option to complete: walk predecessor lists back from the final marking.
+    preds: list[list[int]] = [[] for _ in graph.markings]
+    for i, out in enumerate(graph.edges):
+        for _, k in out:
+            preds[k].append(i)
+    stack = [] if graph.final is None else [graph.final]
+    can_finish = set(stack)
+    while stack:
+        new = set(preds[stack.pop()]) - can_finish
+        can_finish |= new
+        stack.extend(new)
+    stuck = len(graph.markings) - len(can_finish)
+    if stuck:
+        issues.append(f"{stuck} reachable marking(s) cannot reach the final marking")
+    fired = {t.tid for out in graph.edges for t, _ in out}
+    dead = sorted(t.tid for t in net.transitions if t.tid not in fired)
+    if dead:
+        issues.append(f"dead transitions: {dead}")
+    return issues
 
 
 # --- PNML ----------------------------------------------------------------

@@ -235,7 +235,7 @@ def load_bundle(bundle_dir: str | Path, budget: int = al.DEFAULT_BUDGET) -> Trai
     for state in states:
         path = bundle_dir / "nets" / f"state_{state}.pnml"
         nets[state] = import_pnml(path)
-        problems = workflow_shape_errors(nets[state]) or check_soundness(nets[state]).issues
+        problems = workflow_shape_errors(nets[state]) or check_soundness(nets[state])
         if problems:
             raise SchemaError(f"{path}: not a sound workflow net: {problems}")
     reference = al.read_profile_csv(bundle_dir / "reference_profile.csv")

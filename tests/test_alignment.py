@@ -21,7 +21,7 @@ from alarmsift.errors import BudgetError, DataError
 from alarmsift.events import Fragment
 from alarmsift.petri import PetriNet, Transition
 
-from treegen import oracle_align_cost, perturb_trace, random_tree, sample_trace
+from treegen import firing_rule, oracle_align_cost, perturb_trace, random_tree, sample_trace
 
 HANDSHAKE = ("C_to_S_SYN", "S_to_C_SYN", "C_to_S_ACK", "S_to_C_ACK+PSH", "C_to_S_ACK")
 
@@ -56,15 +56,16 @@ def test_foreign_labels_forced_to_log_moves():
 
 
 def _replay_model_projection(net: PetriNet, alignment: Alignment) -> bool:
-    marking = net.initial_tuple
+    fire = firing_rule(net)
+    marking = net.initial_marking
     for move in alignment.moves:
         if move.kind is MoveKind.LOG_ONLY:
             continue
-        step = {t.tid: (t, nxt) for t, nxt in net.successors(marking)}.get(move.tid)
+        step = {t.tid: (t, nxt) for t, nxt in fire(marking)}.get(move.tid)
         if step is None or step[0].label != move.label:
             return False
         marking = step[1]
-    return marking == net.final_tuple
+    return marking == net.final_marking
 
 
 # sha256 of the 40 move sequences below, one JSON line of [kind, label, tid]

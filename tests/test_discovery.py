@@ -83,8 +83,7 @@ def test_tree_to_net_shape_and_soundness_on_random_trees():
         tree = random_tree(rng, list("abcdef"), max_depth=3)
         net = tree_to_net(tree)
         assert workflow_shape_errors(net) == []
-        report = check_soundness(net)
-        assert report.bounded and report.sound, report.issues
+        assert check_soundness(net) == []
 
 
 def _hand_net(transitions, arcs, places=("i", "p", "q", "o")) -> PetriNet:
@@ -107,18 +106,26 @@ def _hand_net(transitions, arcs, places=("i", "p", "q", "o")) -> PetriNet:
      ["1 reachable marking(s) cannot reach the final marking"]),
 ], ids=["dead-transition", "improper-completion", "cannot-finish"])
 def test_unsound_nets_are_reported(net, issues):
-    report = check_soundness(net)
-    assert report.bounded and not report.sound
-    assert report.issues == issues
+    assert net.reachability().bounded
+    assert check_soundness(net) == issues
+
+
+def _generator_net() -> PetriNet:
+    # gen puts one more token on p each time it fires.
+    return _hand_net([Transition("gen", "g"), Transition("a", "a")],
+                     [("i", "gen"), ("gen", "i"), ("gen", "p"), ("i", "a"), ("a", "o")])
 
 
 def test_unbounded_generator_net_stops_at_the_cap():
-    # gen puts one more token on p each time it fires.
-    net = _hand_net([Transition("gen", "g"), Transition("a", "a")],
-                    [("i", "gen"), ("gen", "i"), ("gen", "p"), ("i", "a"), ("a", "o")])
-    report = check_soundness(net)
-    assert not report.bounded and not report.sound
-    assert report.issues == [f"exploration cap of {MAX_MARKINGS} markings exceeded"]
+    net = _generator_net()
+    graph = net.reachability()
+    assert not graph.bounded and graph.markings == () and graph.final is None
+    assert check_soundness(net) == [f"exploration cap of {MAX_MARKINGS} markings exceeded"]
+
+
+def test_align_rejects_an_unbounded_net():
+    with pytest.raises(DataError, match=f"cap of {MAX_MARKINGS} markings"):
+        align(_generator_net(), ("a",))
 
 
 def test_rediscovery_fitness_quick():
@@ -138,69 +145,72 @@ def _sequence_net() -> PetriNet:
 
 def test_enabled_initial_and_final():
     net = _sequence_net()
-    first = net.successors(net.initial_tuple)
-    assert [t.label for t, _ in first] == ["a"]
-    assert net.successors(net.final_tuple) == []
+    graph = net.reachability()
+    assert graph.markings[0] == net.marking_tuple(net.initial_marking)
+    assert [t.label for t, _ in graph.edges[0]] == ["a"]
+    assert graph.markings[graph.final] == net.marking_tuple(net.final_marking)
+    assert graph.edges[graph.final] == ()
 
 
-def test_successors_memo_matches_a_recomputation():
+def test_reachability_edges_match_a_recomputation():
     rng = random.Random(5)
     for _ in range(30):
         net = tree_to_net(random_tree(rng, list("abcd"), max_depth=3))
-        seen, stack = {net.initial_tuple}, [net.initial_tuple]
-        while stack:
-            m = stack.pop()
-            edges = net.successors(m)
-            assert net.successors(m) is edges
-            assert edges == [
+        graph = net.reachability()
+        assert graph.bounded and graph.final is not None
+        assert len(set(graph.markings)) == len(graph.markings) == len(graph.edges)
+        for m, edges in zip(graph.markings, graph.edges):
+            assert [(t, graph.markings[k]) for t, k in edges] == [
                 (net.transitions[j], net.fire_index(m, j)) for j in net.enabled_indexes(m)
             ]
-            for _, nxt in edges:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
 
 
-def test_cold_successors_call_enabled_indexes_and_fire_index(monkeypatch):
-    # A traced run counts these two class attributes; a memo miss must reach both.
+def test_reachability_is_explored_once(monkeypatch):
+    # A traced run counts these two class attributes.
     calls = Counter()
     for name in ("enabled_indexes", "fire_index"):
         def counted(self, *args, _original=getattr(PetriNet, name), _name=name):
             calls[_name] += 1
             return _original(self, *args)
         monkeypatch.setattr(PetriNet, name, counted)
-    net = _sequence_net()
-    net.successors(net.initial_tuple)
-    assert calls == {"enabled_indexes": 1, "fire_index": 1}
-    net.successors(net.initial_tuple)
-    assert calls == {"enabled_indexes": 1, "fire_index": 1}
+    net = discover([("a", "b"), ("b", "a")])
+    graph = net.reachability()
+    expected = {
+        "enabled_indexes": len(graph.markings),
+        "fire_index": sum(len(edges) for edges in graph.edges),
+    }
+    assert calls == expected
+    assert net.reachability() is graph
+    align(net, ("b", "a", "c"))
+    assert calls == expected
 
 
 def test_fire_moves_token_and_rejects_disabled():
     net = _sequence_net()
-    ((t_a, m1),) = net.successors(net.initial_tuple)
+    graph = net.reachability()
+    ((t_a, k),) = graph.edges[0]
     assert t_a.label == "a"
-    assert sum(m1) == 1 and m1 != net.initial_tuple
+    assert sum(graph.markings[k]) == 1 and k != 0
 
 
 def test_flower_marking_enables_all_loop_bodies():
     # Rotations of a cycle defeat all four cuts, forcing the flower model.
     net = discover([("a", "b", "c"), ("c", "a", "b"), ("b", "c", "a")])
-    m = net.initial_tuple
+    graph = net.reachability()
+    m = 0
     # Step through the silent enter/body transitions to the loop's hub place.
     for _ in range(2):
-        silent = [nxt for t, nxt in net.successors(m) if t.silent]
-        m = silent[0]
-    labels = {t.label for t, _ in net.successors(m) if t.label}
+        m = next(k for t, k in graph.edges[m] if t.silent)
+    labels = {t.label for t, _ in graph.edges[m] if t.label}
     assert labels == {"a", "b", "c"}
 
 
 def test_silent_one_in_one_out_preserves_token_count():
     net = discover([("a",), ()])  # xor with a tau branch
-    m = net.initial_tuple
-    silent = [nxt for t, nxt in net.successors(m) if t.silent]
+    graph = net.reachability()
+    silent = [k for t, k in graph.edges[0] if t.silent]
     assert silent
-    assert sum(silent[0]) == sum(m)
+    assert sum(graph.markings[silent[0]]) == sum(graph.markings[0])
 
 
 def test_pnml_round_trip(tmp_path):

@@ -15,7 +15,7 @@ from alarmsift import alignment, detector, pipeline, synthetic
 from alarmsift.cli import main
 from alarmsift.config import CaptureSpec, RunConfig, derive_seed, load_config, semantic_echo
 from alarmsift.errors import ConfigError, DataError, SchemaError
-from alarmsift.petri import PetriNet, Transition, export_pnml
+from alarmsift.petri import PetriNet, Transition, export_pnml, import_pnml
 from capturecraft import handshake_fin_frames, pcap_bytes
 
 
@@ -295,6 +295,20 @@ def trained_bundle(normal_only_dir, tmp_path_factory):
     return pipeline.cmd_train(_cfg(normal_only_dir, tmp_path_factory.mktemp("trained")))
 
 
+def test_rate_explores_each_net_once(corpus_dir, trained_bundle, tmp_path, monkeypatch):
+    # load_bundle's soundness check builds each net's reachability graph,
+    # and every alignment cmd_rate runs reads it.
+    calls = []
+    enabled_indexes = PetriNet.enabled_indexes
+    monkeypatch.setattr(PetriNet, "enabled_indexes",
+                        lambda net, m: calls.append(m) or enabled_indexes(net, m))
+    report = pipeline.cmd_rate(_cfg(corpus_dir, tmp_path / "rate"), trained_bundle)
+    explored = len(calls)
+    assert report.alarms
+    nets = [import_pnml(path) for path in sorted((trained_bundle / "nets").glob("*.pnml"))]
+    assert explored == sum(len(net.reachability().markings) for net in nets)
+
+
 def _edit_json(name, edit):
     def corrupt(bundle: Path) -> None:
         payload = json.loads((bundle / name).read_text())
@@ -358,6 +372,14 @@ _DEADLOCKING_NET = PetriNet(
                 lambda e: _with(e, centroids=[row[:-1] for row in e["centroids"]])),
      "extraction.json"),
     (_edit_json("extraction.json", lambda e: _without(e, "alphabet")), "extraction.json"),
+    (_edit_json("extraction.json", lambda e: _with(e, alphabet=[1, *e["alphabet"][1:]])),
+     "extraction.json"),
+    (_edit_json("extraction.json",
+                lambda e: _with(e, alphabet=[[e["alphabet"][0]], *e["alphabet"][1:]])),
+     "extraction.json"),
+    (_edit_json("extraction.json",
+                lambda e: _with(e, alphabet=[e["alphabet"][1], *e["alphabet"][1:]])),
+     "extraction.json"),
     (_edit_json("extraction.json", lambda e: _with(e, clusters=float(e["clusters"]))),
      "extraction.json"),
     (_edit_json("extraction.json", lambda e: _with(e, window=float(e["window"]))),
@@ -387,7 +409,8 @@ _DEADLOCKING_NET = PetriNet(
     (_append("reference_profile.csv", "C_to_S_ACK,nan\n"), "reference_profile.csv"),
 ], ids=[
     "no-states", "string-threshold", "string-fp-pool", "one-state-of-two", "not-an-object",
-    "truncated-manifest", "short-centroids", "no-alphabet", "float-clusters", "float-window",
+    "truncated-manifest", "short-centroids", "no-alphabet", "int-in-alphabet",
+    "list-in-alphabet", "repeated-alphabet-entry", "float-clusters", "float-window",
     "truncated-detector", "no-basis", "short-mean", "short-std", "short-mask",
     "basis-one-column-short", "nan-std", "inf-basis", "zero-active-std",
     "string-detector-threshold", "inf-detector-threshold", "unknown-detector-kind",
@@ -489,6 +512,9 @@ def test_config_null_means_default(tmp_path, monkeypatch):
     ("flow_timeout", float("nan")), ("external_threshold", float("nan")),
     ("band_boundaries", [0.2, 0.4, 0.6, float("inf")]),
     ("captures", [{"path": "a.pcap", "truth": "atack"}]),
+    ("captures", [7]), ("captures", ["a.pcap", 1]),
+    ("captures", [{"path": "a.pcap", "truht": "attack"}]),
+    ("captures", [{"path": "a.pcap", "truth": ""}]),
 ])
 def test_config_unconvertible_value_names_key(tmp_path, key, value):
     cfg_file = tmp_path / "cfg.json"

@@ -2,12 +2,13 @@
 oracle (uniform-cost search over the synchronous product, no heuristic).
 
 The oracle deliberately shares only the net data model with the package;
-the search itself is an independent implementation.
+the firing rule and the search are independent implementations.
 """
 from __future__ import annotations
 
 import heapq
 import random
+from collections import Counter
 
 from alarmsift.discovery import (
     EXCLUSIVE, LOOP, PARALLEL, SEQUENCE, ProcessTree, leaf, tau,
@@ -55,12 +56,37 @@ def sample_trace(tree: ProcessTree, rng: random.Random, loop_cap: int = 3) -> tu
     raise AssertionError(f"unknown operator {tree.op}")
 
 
+def firing_rule(net: PetriNet):
+    """The firing rule recomputed from net.arcs: a function from a dict
+    marking to each enabled transition with the dict marking it leads to."""
+    pre = {t.tid: Counter() for t in net.transitions}
+    post = {t.tid: Counter() for t in net.transitions}
+    for src, dst in net.arcs:
+        if src in post:
+            post[src][dst] += 1
+        else:
+            pre[dst][src] += 1
+
+    def fire(marking: dict[str, int]):
+        out = []
+        for t in net.transitions:
+            if all(marking.get(p, 0) >= n for p, n in pre[t.tid].items()):
+                nxt = Counter(marking)
+                nxt.subtract(pre[t.tid])
+                nxt.update(post[t.tid])
+                out.append((t, {p: n for p, n in nxt.items() if n}))
+        return out
+    return fire
+
+
 def oracle_align_cost(net: PetriNet, trace, cap: int = 500_000) -> int | None:
     """Uniform-cost search over (marking, position); returns the optimal
     alignment cost, or None when the goal is unreachable."""
     trace = tuple(trace)
-    start = (net.initial_tuple, 0)
-    goal = (net.final_tuple, len(trace))
+    fire = firing_rule(net)
+    # Markings as frozensets of (place, tokens) items, so states hash.
+    start = (frozenset(net.initial_marking.items()), 0)
+    goal = (frozenset(net.final_marking.items()), len(trace))
     dist = {start: 0}
     heap: list[tuple[int, int, tuple]] = [(0, 0, start)]
     counter = 0
@@ -76,7 +102,8 @@ def oracle_align_cost(net: PetriNet, trace, cap: int = 500_000) -> int | None:
             raise RuntimeError("oracle cap exceeded")
         marking, pos = state
         succs: list[tuple[tuple, int]] = []
-        for t, fired in net.successors(marking):
+        for t, fired in fire(dict(marking)):
+            fired = frozenset(fired.items())
             succs.append(((fired, pos), 0 if t.silent else 1))
             if pos < len(trace) and t.label == trace[pos]:
                 succs.append(((fired, pos + 1), 0))
