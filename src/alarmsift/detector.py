@@ -254,7 +254,8 @@ def load_model(path: str | Path) -> DetectorModel:
     missing or mistyped key, for mean, std, mask or basis shapes that do not
     fit the feature list and the active mask, for a non-finite value, for a
     std that is not positive on an active column, for a threshold that is
-    not a finite number, and for a kind other than KIND_BASELINE."""
+    not a finite number, for a seed that is not an integer, for a percentile
+    outside (0, 1], and for a kind other than KIND_BASELINE."""
     payload = read_schema_json(path, MODEL_SCHEMA)
     try:
         model = DetectorModel(
@@ -282,6 +283,10 @@ def load_model(path: str | Path) -> DetectorModel:
         problem = "std must be positive on every active feature"
     elif type(model.threshold) not in (int, float) or not math.isfinite(model.threshold):
         problem = f"threshold {model.threshold!r} is not a finite number"
+    elif type(model.seed) is not int:
+        problem = f"seed {model.seed!r} is not an integer"
+    elif type(model.percentile) not in (int, float) or not 0.0 < model.percentile <= 1.0:
+        problem = f"percentile {model.percentile!r} is not a number in (0, 1]"
     elif model.kind != KIND_BASELINE:
         problem = f"kind {model.kind!r} is not {KIND_BASELINE!r}"
     else:

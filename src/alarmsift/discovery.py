@@ -5,15 +5,18 @@ conversion with canonical node naming.
 Cut search order is exclusive -> sequence -> parallel -> loop; the first
 maximal cut wins. Every split preserves replayability of the generating
 log, so each discovered net replays its own log at zero alignment cost.
+Connected components and directly-follows reachability both come from
+petri.reachable.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import DataError
-from .petri import PetriNet, Transition
+from .petri import PetriNet, Transition, reachable
 
 SEQUENCE = "seq"
 EXCLUSIVE = "xor"
@@ -67,101 +70,58 @@ def _components(nodes: Sequence[str], adjacency: dict[str, set[str]]) -> list[tu
     seen: set[str] = set()
     comps: list[tuple[str, ...]] = []
     for start in nodes:
-        if start in seen:
-            continue
-        stack = [start]
-        comp = []
-        seen.add(start)
-        while stack:
-            cur = stack.pop()
-            comp.append(cur)
-            for nxt in sorted(adjacency.get(cur, ())):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        comps.append(tuple(sorted(comp)))
+        if start not in seen:
+            comp = reachable([start], adjacency.__getitem__)
+            seen |= comp
+            comps.append(tuple(sorted(comp)))
     return sorted(comps)
 
 
+def _undirected(nodes: Sequence[str], dfg: dict[str, set[str]]) -> dict[str, set[str]]:
+    """The directly-follows graph restricted to nodes, without directions."""
+    adjacency: dict[str, set[str]] = {a: set() for a in nodes}
+    for a in nodes:
+        for b in dfg.get(a, ()):
+            if b in adjacency:
+                adjacency[a].add(b)
+                adjacency[b].add(a)
+    return adjacency
+
+
 def _xor_cut(alphabet, dfg, starts, ends):
-    undirected: dict[str, set[str]] = {a: set() for a in alphabet}
-    for a, succs in dfg.items():
-        for b in succs:
-            undirected[a].add(b)
-            undirected[b].add(a)
-    comps = _components(alphabet, undirected)
+    comps = _components(alphabet, _undirected(alphabet, dfg))
     return comps if len(comps) >= 2 else None
 
 
-def _reachability(alphabet, dfg) -> dict[str, set[str]]:
-    reach = {a: set(dfg.get(a, ())) for a in alphabet}
-    changed = True
-    while changed:
-        changed = False
-        for a in alphabet:
-            extra = set()
-            for b in reach[a]:
-                extra |= reach.get(b, set())
-            if not extra <= reach[a]:
-                reach[a] |= extra
-                changed = True
-    return reach
-
-
 def _seq_cut(alphabet, dfg, starts, ends):
-    reach = _reachability(alphabet, dfg)
-    parent = {a: a for a in alphabet}
+    reach = {a: reachable(dfg.get(a, ()), lambda b: dfg.get(b, ())) for a in alphabet}
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def reaches(x: set[str], y: set[str]) -> bool:
+        return any(reach[a] & y for a in x)
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    # Merge strongly connected pairs, then keep merging groups that are
-    # pairwise unreachable or mutually reachable until a strict chain of
-    # groups remains.
+    # Groups stay ordered by least member. Start from the strongly connected
+    # components, then merge the first pair of groups that are pairwise
+    # unreachable or mutually reachable, and start again, until a strict
+    # chain of groups remains.
+    groups: list[set[str]] = []
     for a in alphabet:
-        for b in alphabet:
-            if a < b and b in reach[a] and a in reach[b]:
-                union(a, b)
+        if not any(a in g for g in groups):
+            groups.append({a} | {b for b in reach[a] if a in reach[b]})
     while True:
-        groups: dict[str, list[str]] = {}
-        for a in alphabet:
-            groups.setdefault(find(a), []).append(a)
-        reps = sorted(groups)
-
-        def group_reaches(x, y):
-            return any(b in reach[a] for a in groups[x] for b in groups[y])
-
-        merged = False
-        for i, x in enumerate(reps):
-            for y in reps[i + 1:]:
-                fwd, bwd = group_reaches(x, y), group_reaches(y, x)
-                if fwd == bwd:  # incomparable or mutually reachable
-                    union(x, y)
-                    merged = True
-                    break
-            if merged:
+        for i, j in combinations(range(len(groups)), 2):
+            if reaches(groups[i], groups[j]) == reaches(groups[j], groups[i]):
+                groups[i] |= groups.pop(j)
                 break
-        if not merged:
+        else:
             break
     if len(groups) < 2:
         return None
-    ordered = sorted(
-        reps,
-        key=lambda x: -sum(1 for y in reps if y != x and group_reaches(x, y)),
-    )
+    ordered = sorted(groups, key=lambda x: -sum(1 for y in groups if y is not x and reaches(x, y)))
     for i, x in enumerate(ordered):  # defensive: require a strict chain
         for y in ordered[i + 1:]:
-            if not group_reaches(x, y) or group_reaches(y, x):
+            if not reaches(x, y) or reaches(y, x):
                 return None
-    return [tuple(sorted(groups[x])) for x in ordered]
+    return [tuple(sorted(g)) for g in ordered]
 
 
 def _par_cut(alphabet, dfg, starts, ends):
@@ -190,13 +150,7 @@ def _loop_cut(alphabet, dfg, starts, ends):
         rest = [a for a in alphabet if a not in body]
         if not rest:
             return None
-        undirected: dict[str, set[str]] = {a: set() for a in rest}
-        for a in rest:
-            for b in dfg.get(a, ()):
-                if b in undirected:
-                    undirected[a].add(b)
-                    undirected[b].add(a)
-        comps = _components(rest, undirected)
+        comps = _components(rest, _undirected(rest, dfg))
         grew = False
         for comp in comps:
             comp_set = set(comp)

@@ -24,6 +24,7 @@ from .flowmeter import Flow, FlowRecord, event_label, featurize
 
 PARAMS_SCHEMA = "alarmsift-extraction/1"
 STATE_LOGS_SCHEMA = "alarmsift-state-logs/1"
+_KMEANS_MAX_ITER = 300
 
 
 def flow_to_record(flow: Flow) -> FlowRecord:
@@ -96,7 +97,7 @@ def _count_vectors(windows: list[Sequence[str]], index: dict[str, int]) -> np.nd
     return out
 
 
-def _kmeans(vectors: np.ndarray, k: int, seed: int, max_iter: int = 300) -> np.ndarray:
+def _kmeans(vectors: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Seeded k-means++ initialization plus Lloyd iterations."""
     rng = np.random.default_rng(seed)
     n = len(vectors)
@@ -112,7 +113,7 @@ def _kmeans(vectors: np.ndarray, k: int, seed: int, max_iter: int = 300) -> np.n
         centroids.append(vectors[pick])
         d2 = np.minimum(d2, ((vectors - centroids[-1]) ** 2).sum(axis=1))
     cents = np.array(centroids)
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         dist = ((vectors[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
         assign = dist.argmin(axis=1)
         new = cents.copy()

@@ -122,6 +122,9 @@ def _parse_ipv6(data: bytes) -> tuple[str, str, int, bytes] | None:
         if len(data) < offset + 8:
             return None
         if nxt == 44:
+            if struct.unpack(">H", data[offset + 2:offset + 4])[0] & 0xFFF8:
+                # Non-first fragment: no TCP header present.
+                return None
             ext_len = 8
         else:
             ext_len = (data[offset + 1] + 1) * 8

@@ -9,14 +9,17 @@ Each net's reachable markings are explored once, breadth-first, into a
 ReachabilityGraph that alignment and the soundness check read. A marking's
 edges run silent transitions first by index, then visible ones by (label,
 index): the alignment tie-break.
+
+reachable(start, successors) is the one walk of an explicit graph: the
+workflow-shape check, the soundness check's option to complete and the
+inductive miner's cuts all call it.
 """
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping, TypeVar
 
 from .artifacts import write_xml
 from .errors import DataError, SchemaError
@@ -35,6 +38,8 @@ class Transition:
 
 
 Marking = dict[str, int]
+
+Node = TypeVar("Node", bound=Hashable)
 
 #: Reachable markings a net may have; reachability() reports a net with
 #: more as unbounded.
@@ -169,18 +174,28 @@ class PetriNet:
         )
 
 
+def reachable(start: Iterable[Node], successors: Callable[[Node], Iterable[Node]]) -> set[Node]:
+    """Every node reachable from start along successors, start included."""
+    seen = set(start)
+    stack = list(seen)
+    while stack:
+        for nxt in successors(stack.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
 def workflow_shape_errors(net: PetriNet) -> list[str]:
     """Checks the workflow-net shape; returns human-readable violations."""
     errors: list[str] = []
-    incoming: dict[str, int] = {p: 0 for p in net.places}
-    outgoing: dict[str, int] = {p: 0 for p in net.places}
+    succ: dict[str, list[str]] = {}
+    pred: dict[str, list[str]] = {}
     for src, dst in net.arcs:
-        if dst in incoming:
-            incoming[dst] += 1
-        if src in outgoing:
-            outgoing[src] += 1
-    sources = [p for p in net.places if incoming[p] == 0]
-    sinks = [p for p in net.places if outgoing[p] == 0]
+        succ.setdefault(src, []).append(dst)
+        pred.setdefault(dst, []).append(src)
+    sources = [p for p in net.places if p not in pred]
+    sinks = [p for p in net.places if p not in succ]
     if len(sources) != 1:
         errors.append(f"expected one source place, found {sources}")
     if len(sinks) != 1:
@@ -190,29 +205,13 @@ def workflow_shape_errors(net: PetriNet) -> list[str]:
     if sinks and net.final_marking != {sinks[0]: 1}:
         errors.append("final marking is not one token on the sink place")
     if sources and sinks:
-        fwd = _graph_reach(net, sources[0], forward=True)
-        bwd = _graph_reach(net, sinks[0], forward=False)
+        fwd = reachable([sources[0]], lambda n: succ.get(n, ()))
+        bwd = reachable([sinks[0]], lambda n: pred.get(n, ()))
         nodes = set(net.places) | {t.tid for t in net.transitions}
         off_path = sorted(nodes - (fwd & bwd))
         if off_path:
             errors.append(f"nodes not on a source-to-sink path: {off_path}")
     return errors
-
-
-def _graph_reach(net: PetriNet, start: str, forward: bool) -> set[str]:
-    adj: dict[str, list[str]] = {}
-    for src, dst in net.arcs:
-        a, b = (src, dst) if forward else (dst, src)
-        adj.setdefault(a, []).append(b)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        for nxt in adj.get(node, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
 
 
 def check_soundness(net: PetriNet) -> list[str]:
@@ -240,12 +239,7 @@ def check_soundness(net: PetriNet) -> list[str]:
     for i, out in enumerate(graph.edges):
         for _, k in out:
             preds[k].append(i)
-    stack = [] if graph.final is None else [graph.final]
-    can_finish = set(stack)
-    while stack:
-        new = set(preds[stack.pop()]) - can_finish
-        can_finish |= new
-        stack.extend(new)
+    can_finish = reachable([] if graph.final is None else [graph.final], preds.__getitem__)
     stuck = len(graph.markings) - len(can_finish)
     if stuck:
         issues.append(f"{stuck} reachable marking(s) cannot reach the final marking")

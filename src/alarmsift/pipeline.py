@@ -45,17 +45,23 @@ KIND_EXTERNAL = "external-scores"
 def load_records(config: RunConfig) -> list[FlowRecord]:
     """Loads flow records from the configured corpus or PCAP captures. Flow
     ids must be distinct: a capture's ids are prefixed with its file stem,
-    and two captures that yield the same id raise DataError naming both."""
+    and two captures that yield the same id raise DataError naming both.
+    A capture malformed mid-file is refused with a warning naming it, and
+    the rest still load; DataError is raised only when every capture was
+    refused."""
     if config.corpus is not None:
         return read_corpus(config.corpus / "flows.csv", config.corpus / "events.jsonl")
     if not config.captures:
         raise ConfigError("no input configured: set either corpus or captures")
     records: list[FlowRecord] = []
     origin: dict[str, Path] = {}  # flow id -> the capture it came from
+    refused = 0
     for spec in config.captures:
         result = ingest_pcap(spec.path, config.server_ports)
         if result.partial:
-            raise DataError(f"{spec.path}: capture is malformed mid-file; refusing partial input")
+            logger.warning("%s: capture is malformed mid-file; refusing it", spec.path)
+            refused += 1
+            continue
         flows = assemble_flows(
             result.packets,
             timeout=config.flow_timeout,
@@ -70,6 +76,10 @@ def load_records(config: RunConfig) -> list[FlowRecord]:
                 )
             origin[flow.flow_id] = spec.path
             records.append(events.flow_to_record(flow))
+    if refused == len(config.captures):
+        raise DataError(f"all {refused} capture(s) are malformed mid-file; no input left")
+    if refused:
+        logger.warning("refused %d of %d capture(s)", refused, len(config.captures))
     return records
 
 

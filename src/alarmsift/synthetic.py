@@ -32,6 +32,7 @@ _FIN_LEN = 66
 _RST_LEN = 60
 _DATA_LEN = 1514
 _DATA_PAYLOAD = 1448
+_START_TIME = 1_700_000_000.0
 
 
 def _pkt(direction: Direction, flags: set[str], ts: float, payload: int, total: int) -> FlowPacket:
@@ -111,13 +112,7 @@ _BUILDERS = {
 }
 
 
-def generate_flows(
-    profile: str,
-    count: int,
-    seed: int,
-    id_prefix: str | None = None,
-    start_time: float = 1_700_000_000.0,
-) -> list[Flow]:
+def generate_flows(profile: str, count: int, seed: int) -> list[Flow]:
     """Generates count flows of one profile; fully determined by the seed."""
     if count < 1:
         raise DataError(f"flow count must be >= 1, got {count}")
@@ -125,13 +120,13 @@ def generate_flows(
         raise DataError(f"unknown traffic profile {profile!r}")
     builder, spacing = _BUILDERS[profile]
     truth = "normal" if profile == PROFILE_NORMAL else "attack"
-    prefix = id_prefix if id_prefix is not None else ("nor" if truth == "normal" else "atk")
+    prefix = "nor" if truth == "normal" else "atk"
     rng = np.random.default_rng(seed)
     flows = []
     for i in range(count):
         client = (f"10.0.{int(rng.integers(0, 8))}.{int(rng.integers(2, 250))}",
                   int(rng.integers(20000, 60000)))
-        start = start_time + i * spacing + float(rng.uniform(0, spacing / 2))
+        start = _START_TIME + i * spacing + float(rng.uniform(0, spacing / 2))
         flows.append(
             Flow(
                 flow_id=f"{prefix}-{i:05d}",

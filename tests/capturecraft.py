@@ -56,15 +56,26 @@ def ipv4_udp_frame(src_ip: str, dst_ip: str, sport: int, dport: int) -> bytes:
     return b"\x02" * 6 + b"\x04" * 6 + struct.pack(">H", 0x0800) + ip
 
 
-def ipv6_tcp_frame(sport: int, dport: int, flags: tuple[str, ...] = ()) -> bytes:
+def ipv6_tcp_frame(
+    sport: int,
+    dport: int,
+    flags: tuple[str, ...] = (),
+    fragment_offset: int | None = None,
+) -> bytes:
+    """An IPv6 TCP segment; with fragment_offset (in 8-byte units) it sits
+    behind a fragment header with the more-fragments bit set."""
     tcp = struct.pack(
         ">HHIIBBHHH",
         sport, dport, 0, 0, 5 << 4,
         sum(_FLAG_BITS[f] for f in flags), 8192, 0, 0,
     )
+    next_header = 6
+    if fragment_offset is not None:
+        tcp = struct.pack(">BBHI", 6, 0, fragment_offset << 3 | 1, 0x1234) + tcp
+        next_header = 44
     ip6 = struct.pack(
         ">IHBB16s16s",
-        0x60000000, len(tcp), 6, 64,
+        0x60000000, len(tcp), next_header, 64,
         socket.inet_pton(socket.AF_INET6, "2001:db8::1"),
         socket.inet_pton(socket.AF_INET6, "2001:db8::2"),
     ) + tcp

@@ -14,6 +14,7 @@ from alarmsift.petri import (
     check_soundness,
     export_pnml,
     import_pnml,
+    reachable,
     workflow_shape_errors,
 )
 
@@ -84,6 +85,38 @@ def test_tree_to_net_shape_and_soundness_on_random_trees():
         net = tree_to_net(tree)
         assert workflow_shape_errors(net) == []
         assert check_soundness(net) == []
+
+
+def test_mined_nets_are_sound_and_replay_random_logs():
+    # Random logs, unlike traces sampled from a tree, drive the miner through
+    # every cut and the flower fall-through.
+    rng = random.Random(14)
+    for _ in range(150):
+        labels = "abcdef"[:rng.randint(1, 6)]
+        log = [tuple(rng.choice(labels) for _ in range(rng.randint(0, 8)))
+               for _ in range(rng.randint(1, 8))]
+        net = discover(log)
+        assert workflow_shape_errors(net) == []
+        assert check_soundness(net) == []
+        for trace in set(log):
+            assert align(net, trace).cost == 0, (log, trace)
+
+
+def test_reachable_equals_a_warshall_closure():
+    rng = random.Random(3)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        # Random arcs, so cycles and self-loops occur.
+        succ = {a: [b for b in range(n) if rng.random() < 0.25] for a in range(n)}
+        closure = [[b in succ[a] for b in range(n)] for a in range(n)]
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    closure[i][j] = closure[i][j] or (closure[i][k] and closure[k][j])
+        start = rng.sample(range(n), rng.randint(0, n))
+        expected = set(start) | {b for a in start for b in range(n) if closure[a][b]}
+        assert reachable(start, succ.__getitem__) == expected
+        assert reachable([], succ.__getitem__) == set()
 
 
 def _hand_net(transitions, arcs, places=("i", "p", "q", "o")) -> PetriNet:

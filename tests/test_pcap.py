@@ -132,6 +132,17 @@ def test_ipv6_frame(tmp_path):
     assert pkt.src_ip == "2001:db8::1" and pkt.dst_port == 443
 
 
+@pytest.mark.parametrize("offset, admitted", [(0, 1), (1, 0), (8191, 0)],
+                         ids=["first", "second", "last-offset"])
+def test_ipv6_only_first_fragment_carries_tcp(tmp_path, offset, admitted):
+    # A non-first fragment holds payload bytes, not a TCP header, however
+    # much they look like one.
+    frames = [(1.0, ipv6_tcp_frame(8080, 443, ("SYN",), fragment_offset=offset))]
+    result = ingest_pcap(_write(tmp_path, pcap_bytes(frames)))
+    assert len(result.packets) == admitted
+    assert result.non_tcp == 1 - admitted
+
+
 def test_payload_and_total_lengths(tmp_path):
     frame = ipv4_tcp_frame("10.0.0.1", "10.0.0.2", 1111, 80, ("ACK", "PSH"), payload=b"x" * 100)
     result = ingest_pcap(_write(tmp_path, pcap_bytes([(1.0, frame)])))

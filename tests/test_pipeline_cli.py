@@ -6,6 +6,7 @@ import logging
 import math
 import re
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -401,6 +402,10 @@ _DEADLOCKING_NET = PetriNet(
      "detector.json"),
     (_edit_json("detector.json", lambda d: _with(d, threshold=math.inf)), "detector.json"),
     (_edit_json("detector.json", lambda d: _with(d, kind="other-detector")), "detector.json"),
+    (_edit_json("detector.json", lambda d: _with(d, seed=str(d["seed"]))), "detector.json"),
+    (_edit_json("detector.json", lambda d: _with(d, percentile=True)), "detector.json"),
+    (_edit_json("detector.json", lambda d: _with(d, percentile=[d["percentile"]])),
+     "detector.json"),
     (_edit_json("manifest.json", lambda m: _with(m, threshold=1e9)), "manifest.json"),
     (_net_file(PetriNet(["i", "o"], [Transition("a", "a")], [("i", "a")], {"i": 1}, {"o": 1})),
      "state_1.pnml"),
@@ -414,6 +419,7 @@ _DEADLOCKING_NET = PetriNet(
     "truncated-detector", "no-basis", "short-mean", "short-std", "short-mask",
     "basis-one-column-short", "nan-std", "inf-basis", "zero-active-std",
     "string-detector-threshold", "inf-detector-threshold", "unknown-detector-kind",
+    "string-detector-seed", "bool-detector-percentile", "list-detector-percentile",
     "manifest-threshold-differs", "not-a-workflow-net", "unsound-net", "profile-row-without-comma",
     "nan-profile-count",
 ])
@@ -533,6 +539,28 @@ def _captures_sharing_a_stem(tmp_path, corpus):
     cfg = RunConfig(output_dir=tmp_path / "out", captures=tuple(specs)).validate()
     pattern = re.escape(f"cap-000000 occurs in captures {specs[0].path} and {specs[1].path}")
     return (lambda: pipeline.load_records(cfg)), DataError, pattern
+
+
+def test_a_capture_corrupt_mid_file_is_refused_alone(tmp_path, caplog):
+    good, bad, worse = (tmp_path / f"{name}.pcap" for name in ("good", "bad", "worse"))
+    good.write_bytes(pcap_bytes(handshake_fin_frames()))
+    absurd_record_header = struct.pack("<IIII", 1, 0, 1 << 30, 64)
+    for path in (bad, worse):
+        path.write_bytes(pcap_bytes(handshake_fin_frames()) + absurd_record_header)
+
+    def load(*paths):
+        specs = tuple(CaptureSpec(p, "normal") for p in paths)
+        cfg = RunConfig(output_dir=tmp_path / "out", captures=specs).validate()
+        return pipeline.load_records(cfg)
+
+    with caplog.at_level(logging.WARNING, logger="alarmsift.pipeline"):
+        assert [r.flow_id for r in load(good, bad)] == ["good-000000"]
+    assert [r.getMessage() for r in caplog.records if r.name == "alarmsift.pipeline"] == [
+        f"{bad}: capture is malformed mid-file; refusing it",
+        "refused 1 of 2 capture(s)",
+    ]
+    with pytest.raises(DataError, match=re.escape("all 2 capture(s) are malformed mid-file")):
+        load(bad, worse)
 
 
 def _corpus_repeating_a_row(name, index):
