@@ -10,26 +10,30 @@ remaining trace labels that no net transition can ever match.
 Tie-breaking is deterministic: successors are generated preferring
 synchronous moves, then silent model moves, then visible model moves in
 (label, index) order (the graph's edge order), then the log move;
-equal-cost frontier entries pop in generation order.
+equal-cost frontier entries pop in generation order. Synchronous
+successors come from the graph's by_label table, model moves from its
+edges; Moves are built only along the returned path.
 
-An Aligner caches alignments per (state, events) for one set of nets, so
-each distinct fragment is searched once; a cached result is the one a
-fresh search returns, so tie-breaks and outputs are unchanged. A search
-that exceeds its budget is not cached.
+Aligners keep alignments in a memo keyed by the net as declared, the
+budget and the events, so each distinct (net, trace) is searched once per
+memo. Each Aligner has a memo of its own, except that the Aligners of one
+evaluate call's runs share one; nothing is kept at module level. A cached
+result is the one a fresh search returns, so tie-breaks and outputs are
+unchanged. A search that exceeds its budget is not cached.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .artifacts import read_csv, write_csv
 from .errors import BudgetError, DataError, SchemaError
 from .events import Fragment
-from .petri import MAX_MARKINGS, PetriNet
+from .petri import MAX_MARKINGS, PetriNet, Transition
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -39,14 +43,6 @@ class MoveKind(str, Enum):
     LOG_ONLY = "log"
     MODEL_ONLY = "model"
     MODEL_SILENT = "model-silent"
-
-
-_MOVE_COST = {
-    MoveKind.SYNCHRONOUS: 0,
-    MoveKind.LOG_ONLY: 1,
-    MoveKind.MODEL_ONLY: 1,
-    MoveKind.MODEL_SILENT: 0,
-}
 
 
 @dataclass(frozen=True)
@@ -102,17 +98,18 @@ def align(net: PetriNet, trace: Sequence[str], budget: int = DEFAULT_BUDGET) -> 
     # State marking_id * width + pos; the start state is 0.
     width = goal_pos + 1
     goal = graph.final * width + goal_pos
+    edges, by_label = graph.edges, graph.by_label
 
     counter = 0
     frontier: list[tuple[int, int, int, int]] = [(h[0], h[0], counter, 0)]
     best_g: dict[int, int] = {0: 0}
-    # state -> (previous state, kind, label, tid) of the cheapest move into it;
-    # Moves are built only for the returned path.
-    came_from: dict[int, tuple[int, MoveKind, str | None, str | None]] = {}
+    # state -> (previous state, fired transition or None for a log move) of
+    # the cheapest move into it; Moves are built only for the returned path.
+    came_from: dict[int, tuple[int, Transition | None]] = {}
     expansions = 0
 
     while True:  # the final marking is reachable, so the goal is too
-        f, _, _, state = heapq.heappop(frontier)
+        f, _, _, state = heappop(frontier)
         marking, pos = divmod(state, width)
         g = best_g[state]
         if f > g + h[pos]:
@@ -120,8 +117,14 @@ def align(net: PetriNet, trace: Sequence[str], budget: int = DEFAULT_BUDGET) -> 
         if state == goal:
             moves: list[Move] = []
             while state:
-                state, kind, label, tid = came_from[state]
-                moves.append(Move(kind, label, tid))
+                prev, t = came_from[state]
+                if t is None:
+                    moves.append(Move(MoveKind.LOG_ONLY, trace[prev % width]))
+                else:  # synchronous when it advanced the trace position
+                    kind = (MoveKind.SYNCHRONOUS if state % width != prev % width
+                            else MoveKind.MODEL_SILENT if t.silent else MoveKind.MODEL_ONLY)
+                    moves.append(Move(kind, t.label, t.tid))
+                state = prev
             moves.reverse()
             return Alignment(moves=tuple(moves), cost=g)
         expansions += 1
@@ -131,57 +134,88 @@ def align(net: PetriNet, trace: Sequence[str], budget: int = DEFAULT_BUDGET) -> 
                 cost_lower_bound=f,
             )
 
-        edges = graph.edges[marking]
-        succs: list[tuple[int, MoveKind, str | None, str | None]] = []
+        # Successors in tie-break order, each kept only when it strictly
+        # improves the best cost known for its state: synchronous moves
+        # (cost 0), model moves (0 if silent, else 1), the log move (1).
         if pos < goal_pos:
-            label = trace[pos]
-            succs = [
-                (k * width + pos + 1, MoveKind.SYNCHRONOUS, label, t.tid)
-                for t, k in edges if t.label == label
-            ]
-        succs += [
-            (k * width + pos, MoveKind.MODEL_SILENT if t.silent else MoveKind.MODEL_ONLY,
-             t.label, t.tid)
-            for t, k in edges
-        ]
-        if pos < goal_pos:
-            succs.append((state + 1, MoveKind.LOG_ONLY, label, None))
-
-        for nxt, kind, move_label, tid in succs:
-            ng = g + _MOVE_COST[kind]
+            nh = h[pos + 1]
+            for t, k in by_label[marking].get(trace[pos], ()):
+                nxt = k * width + pos + 1
+                if g < best_g.get(nxt, g + 1):
+                    best_g[nxt] = g
+                    came_from[nxt] = (state, t)
+                    counter += 1
+                    heappush(frontier, (g + nh, nh, counter, nxt))
+        nh = h[pos]
+        for t, k in edges[marking]:
+            nxt = k * width + pos
+            ng = g if t.label is None else g + 1
             if ng < best_g.get(nxt, ng + 1):
                 best_g[nxt] = ng
-                came_from[nxt] = (state, kind, move_label, tid)
+                came_from[nxt] = (state, t)
                 counter += 1
-                nh = h[nxt % width]
-                heapq.heappush(frontier, (ng + nh, nh, counter, nxt))
+                heappush(frontier, (ng + nh, nh, counter, nxt))
+        if pos < goal_pos:
+            nxt, ng, nh = state + 1, g + 1, h[pos + 1]
+            if ng < best_g.get(nxt, ng + 1):
+                best_g[nxt] = ng
+                came_from[nxt] = (state, None)
+                counter += 1
+                heappush(frontier, (ng + nh, nh, counter, nxt))
+
+
+#: Alignments shared by Aligners: (net key, budget) -> events -> Alignment.
+AlignmentMemo = dict[tuple[tuple, int], dict[tuple[str, ...], Alignment]]
+
+
+def _net_key(net: PetriNet) -> tuple:
+    # Declaration order: tie-breaks follow transition and place indexes,
+    # so two nets equal under PetriNet.__eq__, which sorts, can align the
+    # same trace differently.
+    return (
+        net.places, net.transitions, net.arcs,
+        tuple(sorted(net.initial_marking.items())), tuple(sorted(net.final_marking.items())),
+    )
 
 
 class Aligner:
     """The one owner of alignment results for one set of nets.
 
     Calling it on a fragment returns the alignment of the fragment's events
-    against its state's net, searched once per distinct (state, events) and
-    cached. Each search gets the full budget; a BudgetError propagates and
-    is never cached, so the same fragment searches again on the next call.
-    Raises DataError for a state without a net.
+    against its state's net. Results are kept in memo, a memo of its own
+    unless one is given, under the net as declared (places, transitions
+    and arcs in order, and the markings), the budget and the events. So
+    Aligners sharing a memo search each distinct (net, trace) once: the
+    runs of one evaluate call share one, and a net that a later run mines
+    again reuses the earlier run's results. Each search gets the full
+    budget; a BudgetError propagates and is never cached, so the same
+    fragment searches again on the next call. Raises DataError for a state
+    without a net.
     """
 
-    def __init__(self, nets: Mapping[int, PetriNet], budget: int = DEFAULT_BUDGET):
+    def __init__(
+        self,
+        nets: Mapping[int, PetriNet],
+        budget: int = DEFAULT_BUDGET,
+        memo: AlignmentMemo | None = None,
+    ):
         self.nets = nets
         self.budget = budget
-        self._cache: dict[tuple[int, tuple[str, ...]], Alignment] = {}
+        memo = {} if memo is None else memo
+        self._results = {
+            state: memo.setdefault((_net_key(net), budget), {}) for state, net in nets.items()
+        }
 
     def __call__(self, frag: Fragment) -> Alignment:
-        key = (frag.state, frag.events)
-        alignment = self._cache.get(key)
+        results = self._results.get(frag.state)
+        if results is None:
+            raise DataError(f"no net for state {frag.state}")
+        alignment = results.get(frag.events)
         if alignment is None:
-            if frag.state not in self.nets:
-                raise DataError(f"no net for state {frag.state}")
             # The module global, looked up at call time, so that a wrapped
             # align sees every search.
             alignment = align(self.nets[frag.state], frag.events, self.budget)
-            self._cache[key] = alignment
+            results[frag.events] = alignment
         return alignment
 
 

@@ -41,8 +41,9 @@ _ETHERTYPE_IPV6 = 0x86DD
 _ETHERTYPE_VLAN = (0x8100, 0x88A8)
 
 _IP_PROTO_TCP = 6
-# IPv6 extension headers we chase: hop-by-hop, routing, fragment, dest opts.
-_IPV6_EXT = {0, 43, 44, 60}
+# IPv6 extension headers we chase: hop-by-hop, routing, fragment,
+# authentication, dest opts.
+_IPV6_EXT = {0, 43, 44, 51, 60}
 
 # TCP flag bits in the low byte of the offset/flags word, in wire order.
 _FLAG_BITS = (
@@ -126,6 +127,9 @@ def _parse_ipv6(data: bytes) -> tuple[str, str, int, bytes] | None:
                 # Non-first fragment: no TCP header present.
                 return None
             ext_len = 8
+        elif nxt == 51:
+            # Authentication header (RFC 4302): 4-byte units, minus 2.
+            ext_len = (data[offset + 1] + 2) * 4
         else:
             ext_len = (data[offset + 1] + 1) * 8
         nxt = data[offset]

@@ -51,11 +51,13 @@ class ReachabilityGraph:
     """A net's reachable markings as place-count tuples. Marking ids index
     markings and edges; id 0 is the initial marking. edges[i] holds each
     (transition, next id) enabled at markings[i], in enabled_indexes
-    order. final is the final marking's id, None when it is unreachable.
-    An unbounded net (more than MAX_MARKINGS markings) has a graph with
-    bounded False and no markings."""
+    order; by_label[i] maps each visible label to its edges of edges[i],
+    in that order. final is the final marking's id, None when it is
+    unreachable. An unbounded net (more than MAX_MARKINGS markings) has a
+    graph with bounded False and no markings."""
     markings: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[tuple[Transition, int], ...], ...]
+    by_label: tuple[Mapping[str, tuple[tuple[Transition, int], ...]], ...]
     final: int | None
     bounded: bool
 
@@ -138,21 +140,29 @@ class PetriNet:
             ids = {initial: 0}
             markings = [initial]
             edges: list[tuple[tuple[Transition, int], ...]] = []
+            by_label: list[dict[str, tuple[tuple[Transition, int], ...]]] = []
             for m in markings:  # appended to while iterated: breadth-first
                 if len(markings) > MAX_MARKINGS:
-                    self._graph = ReachabilityGraph((), (), None, False)
+                    self._graph = ReachabilityGraph((), (), (), None, False)
                     return self._graph
                 out = []
+                grouped: dict[str, tuple[tuple[Transition, int], ...]] = {}
                 for j in self.enabled_indexes(m):
                     nxt = self.fire_index(m, j)
                     k = ids.get(nxt)
                     if k is None:
                         k = ids[nxt] = len(markings)
                         markings.append(nxt)
-                    out.append((self.transitions[j], k))
+                    t = self.transitions[j]
+                    out.append((t, k))
+                    if t.label is not None:
+                        grouped[t.label] = grouped.get(t.label, ()) + ((t, k),)
                 edges.append(tuple(out))
+                by_label.append(grouped)
             final = ids.get(self.marking_tuple(self.final_marking))
-            self._graph = ReachabilityGraph(tuple(markings), tuple(edges), final, True)
+            self._graph = ReachabilityGraph(
+                tuple(markings), tuple(edges), tuple(by_label), final, True
+            )
         return self._graph
 
     def __eq__(self, other) -> bool:

@@ -138,7 +138,10 @@ def _train_from_split(
     val_recs: list[FlowRecord],
     config: RunConfig,
     seed: int,
+    memo: al.AlignmentMemo | None = None,
 ) -> tuple[TrainedBundle, dict[int, list[events.Fragment]]]:
+    """Training on a given split; the bundle's Aligner keeps its results in
+    memo, or in a memo of its own when none is given."""
     if config.external_scores is not None:
         kind, model, threshold = KIND_EXTERNAL, None, config.external_threshold
     else:
@@ -164,7 +167,7 @@ def _train_from_split(
     per_flow = [events.split_by_state(r.flow_id, r.events, params) for r in fp_records]
     logs = events.build_logs(per_flow, params)
     nets = {state: discovery.discover([f.events for f in logs[state]]) for state in sorted(logs)}
-    aligner = al.Aligner(nets, config.alignment_budget)
+    aligner = al.Aligner(nets, config.alignment_budget, memo)
     reference = al.profile_reference(per_flow, aligner)
     return TrainedBundle(
         kind=kind,
@@ -414,10 +417,12 @@ def evaluate(config: RunConfig) -> ExperimentReport:
     # when it names no corpus flow at all.
     corpus_ids = {r.flow_id for r in records}
     stray_score_ids: set[str] = set()
+    # Runs often mine the same net, so their Aligners share one memo.
+    memo: al.AlignmentMemo = {}
     for run in range(config.runs):
         run_seed = derive_seed(config.seed, f"run-{run}")
         train_recs, val_recs, test_normals = split_normals(normals, config, run_seed)
-        bundle, logs = _train_from_split(train_recs, val_recs, config, run_seed)
+        bundle, logs = _train_from_split(train_recs, val_recs, config, run_seed, memo)
         run_dir = out_root / "runs" / f"run_{run}"
         save_bundle(bundle, logs, run_dir / "bundle", config)
         report, skipped = rate_records(bundle, test_normals + attacks, config)

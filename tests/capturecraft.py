@@ -61,9 +61,12 @@ def ipv6_tcp_frame(
     dport: int,
     flags: tuple[str, ...] = (),
     fragment_offset: int | None = None,
+    authentication: bool = False,
 ) -> bytes:
     """An IPv6 TCP segment; with fragment_offset (in 8-byte units) it sits
-    behind a fragment header with the more-fragments bit set."""
+    behind a fragment header with the more-fragments bit set. With
+    authentication, an Authentication Header with a 12-byte ICV (24 bytes
+    in all) comes first."""
     tcp = struct.pack(
         ">HHIIBBHHH",
         sport, dport, 0, 0, 5 << 4,
@@ -73,6 +76,10 @@ def ipv6_tcp_frame(
     if fragment_offset is not None:
         tcp = struct.pack(">BBHI", 6, 0, fragment_offset << 3 | 1, 0x1234) + tcp
         next_header = 44
+    if authentication:
+        # Length field: the header's 4-byte units minus 2; SPI, sequence, ICV.
+        tcp = struct.pack(">BBHII", next_header, 24 // 4 - 2, 0, 0x100, 1) + b"\xaa" * 12 + tcp
+        next_header = 51
     ip6 = struct.pack(
         ">IHBB16s16s",
         0x60000000, len(tcp), next_header, 64,

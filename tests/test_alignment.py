@@ -21,6 +21,7 @@ from alarmsift.errors import BudgetError, DataError
 from alarmsift.events import Fragment
 from alarmsift.petri import PetriNet, Transition
 
+from reference_astar import reference_align
 from treegen import firing_rule, oracle_align_cost, perturb_trace, random_tree, sample_trace
 
 HANDSHAKE = ("C_to_S_SYN", "S_to_C_SYN", "C_to_S_ACK", "S_to_C_ACK+PSH", "C_to_S_ACK")
@@ -318,6 +319,86 @@ def test_aligner_results_equal_fresh_searches_in_any_order():
         aligner = Aligner(nets)
         for frag in frags + frags:
             assert aligner(frag) == expected[frag.state, frag.events]
+
+
+def _duplicate_label_net() -> PetriNet:
+    """Two a-transitions open a c branch and a b branch; a silent skip and
+    a silent redo around the b branch, and a second b on the c branch."""
+    return PetriNet(
+        ["i", "p1", "p2", "p3", "o"],
+        [Transition("t_a2", "a"), Transition("t_a1", "a"), Transition("t_b", "b"),
+         Transition("t_c", "c"), Transition("t_b2", "b"), Transition("skip"),
+         Transition("redo")],
+        [("i", "t_a1"), ("t_a1", "p1"), ("p1", "t_b"), ("t_b", "o"),
+         ("p1", "skip"), ("skip", "o"), ("o", "redo"), ("redo", "p1"),
+         ("i", "t_a2"), ("t_a2", "p2"), ("p2", "t_c"), ("t_c", "p3"),
+         ("p3", "t_b2"), ("t_b2", "o")],
+        {"i": 1}, {"o": 1},
+    )
+
+
+def _oracle_instances():
+    rng = random.Random(29)
+    for _ in range(120):
+        tree = random_tree(rng, list("abc"), max_depth=3)
+        trace = sample_trace(tree, rng)
+        if rng.random() < 0.7:
+            trace = perturb_trace(trace, rng, list("abc"))
+        yield tree_to_net(tree), trace
+    hand_built = [
+        _duplicate_label_net(), _sync_or_skip_net(),
+        _parallel_net(Transition("t_a", "a"), Transition("tau")),
+        _parallel_net(Transition("t_a", "a"), Transition("t_a2", "a")),
+    ]
+    traces = [(), ("a",), ("b",), ("a", "b"), ("b", "a"), ("a", "c", "b"),
+              ("a", "b", "b", "zz1"), ("c", "a", "a", "d")]
+    for net in hand_built:
+        for trace in traces:
+            yield net, trace
+
+
+def _outcome(search, net, trace, budget):
+    try:
+        return search(net, trace, budget)
+    except BudgetError as err:
+        return ("budget", err.cost_lower_bound)
+
+
+def test_align_breaks_ties_and_budgets_as_the_reference_search():
+    # reference_astar keeps the search that built each successor tuple and
+    # looked its cost up by kind; the move tables must change neither the
+    # pop order nor the expansion count.
+    budget_errors = 0
+    for net, trace in _oracle_instances():
+        assert align(net, trace) == reference_align(net, trace)
+        for budget in (0, 1, 2, 3, 5, 8, 13, 21):
+            expected = _outcome(reference_align, net, trace, budget)
+            assert _outcome(align, net, trace, budget) == expected
+            budget_errors += isinstance(expected, tuple)
+    assert budget_errors > 100
+
+
+def test_shared_memo_keeps_nets_apart_by_declaration_order(monkeypatch):
+    # Equal under PetriNet.__eq__, which sorts; the first-declared a wins a tie.
+    def choice(order):
+        return PetriNet(
+            ["i", "o"], [Transition(tid, "a") for tid in order],
+            [("i", "t1"), ("t1", "o"), ("i", "t2"), ("t2", "o")], {"i": 1}, {"o": 1},
+        )
+
+    first, second = choice(("t1", "t2")), choice(("t2", "t1"))
+    assert first == second
+    frag = _frag("f", 0, 0, ("a",))
+    fresh = [align(net, frag.events) for net in (first, second)]
+    assert [r.moves[0].tid for r in fresh] == ["t1", "t2"]
+    calls = _counting_align(monkeypatch)
+    memo = {}
+    for net, expected in zip((first, second, choice(("t1", "t2")), second), fresh + fresh):
+        assert Aligner({0: net}, memo=memo)(frag) == expected
+    # A net declared like an earlier one reuses its result.
+    assert [id(net) for net, _ in calls] == [id(first), id(second)]
+    assert Aligner({0: first}, budget=5, memo=memo)(frag) == fresh[0]
+    assert len(calls) == 3  # another budget is another key
 
 
 def test_profile_csv_round_trip(tmp_path):

@@ -143,6 +143,17 @@ def test_ipv6_only_first_fragment_carries_tcp(tmp_path, offset, admitted):
     assert result.non_tcp == 1 - admitted
 
 
+def test_ipv6_tcp_behind_authentication_header(tmp_path):
+    # AH counts its length in 4-byte units (plus 2), unlike the other
+    # extension headers' 8-byte units.
+    frames = [(1.0, ipv6_tcp_frame(4242, 443, ("SYN",), authentication=True))]
+    result = ingest_pcap(_write(tmp_path, pcap_bytes(frames)))
+    assert len(result.packets) == 1
+    assert result.non_tcp == 0
+    pkt = result.packets[0]
+    assert (pkt.dst_port, pkt.flags, pkt.payload_len) == (443, frozenset({"SYN"}), 0)
+
+
 def test_payload_and_total_lengths(tmp_path):
     frame = ipv4_tcp_frame("10.0.0.1", "10.0.0.2", 1111, 80, ("ACK", "PSH"), payload=b"x" * 100)
     result = ingest_pcap(_write(tmp_path, pcap_bytes([(1.0, frame)])))

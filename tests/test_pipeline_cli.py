@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alarmsift import alignment, detector, pipeline, synthetic
+from alarmsift import alignment, detector, discovery, pipeline, synthetic
 from alarmsift.cli import main
 from alarmsift.config import CaptureSpec, RunConfig, derive_seed, load_config, semantic_echo
 from alarmsift.errors import ConfigError, DataError, SchemaError
@@ -227,20 +227,35 @@ def test_evaluate_report_shape_and_determinism(corpus_dir, tmp_path):
     ).read_bytes()
 
 
+def _declared(net) -> tuple:
+    """A net as declared: tie-breaks follow declaration order."""
+    return (net.places, net.transitions, net.arcs,
+            tuple(sorted(net.initial_marking.items())), tuple(sorted(net.final_marking.items())))
+
+
 def test_evaluate_searches_each_distinct_fragment_once(corpus_dir, tmp_path, monkeypatch):
-    # Rating reuses the Aligner that profiled the reference, so a rated
-    # fragment the reference profile already searched is not searched again.
-    searches = []  # holds the nets, so their ids stay distinct
-    search = alignment.align
+    # Rating reuses the Aligner that profiled the reference, and the runs'
+    # Aligners share one memo, so no (net, trace) is searched twice in one
+    # evaluate, even when a later run mines a net an earlier run mined.
+    searches = []
+    mined = []
+    search, mine = alignment.align, discovery.discover
 
     def counting(net, trace, *args):
-        searches.append((net, tuple(trace)))
+        searches.append((_declared(net), tuple(trace)))
         return search(net, trace, *args)
 
+    def recording(*args):
+        net = mine(*args)
+        mined.append(_declared(net))
+        return net
+
     monkeypatch.setattr(alignment, "align", counting)
-    pipeline.evaluate(_cfg(corpus_dir, tmp_path / "eval", runs=1, clusters=2))
+    monkeypatch.setattr(discovery, "discover", recording)
+    pipeline.evaluate(_cfg(corpus_dir, tmp_path / "eval", runs=2, clusters=1))
+    assert len(mined) == 2 and len(set(mined)) == 1  # both runs mine one net
     assert searches
-    assert len(searches) == len({(id(net), trace) for net, trace in searches})
+    assert len(searches) == len(set(searches))
 
 
 def test_evaluate_single_run_has_zero_std(corpus_dir, tmp_path):
