@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from itertools import combinations
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -20,21 +22,34 @@ import numpy as np
 
 from .artifacts import read_schema_json, write_jsonl, write_schema_json, write_xml
 from .errors import DataError, SchemaError
-from .flowmeter import Flow, FlowRecord, event_label, featurize
+from .flowmeter import FLAG_ORDER, Direction, Flow, FlowRecord, event_label, featurize
 
 PARAMS_SCHEMA = "alarmsift-extraction/1"
 STATE_LOGS_SCHEMA = "alarmsift-state-logs/1"
 _KMEANS_MAX_ITER = 300
 
 
+# The label of each direction and tracked flag set, so labelling a packet
+# is one lookup; anything else goes through event_label.
+_LABELS = {
+    (direction, frozenset(flags)): event_label(direction, flags)
+    for direction in Direction
+    for size in range(len(FLAG_ORDER) + 1)
+    for flags in combinations(FLAG_ORDER, size)
+}
+_LABEL_KEY = attrgetter("direction", "flags")
+
+
 def flow_to_record(flow: Flow) -> FlowRecord:
     """Features + trace for one assembled flow; featurize raises DataError
-    for a flow without packets."""
+    for a flow without packets, and event_label for untracked flags."""
     return FlowRecord(
         flow_id=flow.flow_id,
         truth=flow.truth,
         features=featurize(flow),
-        events=tuple(event_label(p.direction, p.flags) for p in flow.packets),
+        events=tuple([
+            _LABELS.get(key) or event_label(*key) for key in map(_LABEL_KEY, flow.packets)
+        ]),
         client=flow.client,
         server=flow.server,
         first_ts=flow.first_ts,

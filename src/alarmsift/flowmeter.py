@@ -11,8 +11,11 @@ with the same key starts a new flow).
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
+from operator import attrgetter, not_
 from pathlib import Path
 from typing import Iterable
 
@@ -80,7 +83,7 @@ def pair_key(a: Endpoint, b: Endpoint) -> tuple[Endpoint, Endpoint]:
     return (a, b) if a <= b else (b, a)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class FlowPacket:
     """A packet inside a flow, tagged with its direction."""
 
@@ -134,43 +137,36 @@ class _FlowBuilder:
     def add(self, pkt: PacketRecord) -> None:
         both_fins_before = len(self.fin_sides) >= 2
         self.packets.append(pkt)
-        if "RST" in pkt.flags:
+        flags = pkt.flags
+        if "RST" in flags:
             self.closed = True
             return
-        if "FIN" in pkt.flags:
+        if "FIN" in flags:
             self.fin_sides.add((pkt.src_ip, pkt.src_port))
-        if both_fins_before and "ACK" in pkt.flags:
+        if both_fins_before and "ACK" in flags:
             # Final ACK of the close handshake.
             self.closed = True
 
     def finalize(self, flow_id: str, truth: str) -> Flow:
-        client: Endpoint | None = None
+        first = self.packets[0]
+        client = first_src = (first.src_ip, first.src_port)
         for pkt in self.packets:
             if "SYN" in pkt.flags:
                 client = (pkt.src_ip, pkt.src_port)
                 break
-        if client is None:
-            first = self.packets[0]
-            client = (first.src_ip, first.src_port)
-        first = self.packets[0]
-        endpoints = {(first.src_ip, first.src_port), (first.dst_ip, first.dst_port)}
-        endpoints.discard(client)
-        server = endpoints.pop() if endpoints else client
-        packets = tuple(
+        # The first packet's endpoint that is not the client (on a flow to
+        # itself, the client).
+        server = first_src if first_src != client else (first.dst_ip, first.dst_port)
+        client_ip, client_port = client
+        c2s, s2c = Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT
+        packets = tuple([
             FlowPacket(
-                direction=(
-                    Direction.CLIENT_TO_SERVER
-                    if (pkt.src_ip, pkt.src_port) == client
-                    else Direction.SERVER_TO_CLIENT
-                ),
-                flags=pkt.flags,
-                timestamp=pkt.timestamp,
-                payload_len=pkt.payload_len,
-                total_len=pkt.total_len,
+                c2s if pkt.src_port == client_port and pkt.src_ip == client_ip else s2c,
+                pkt.flags, pkt.timestamp, pkt.payload_len, pkt.total_len,
             )
             for pkt in self.packets
-        )
-        return Flow(flow_id=flow_id, client=client, server=server, packets=packets, truth=truth)
+        ])
+        return Flow(flow_id, client, server, packets, truth)
 
 
 def assemble_flows(
@@ -190,7 +186,9 @@ def assemble_flows(
     done: list[_FlowBuilder] = []
     arrival = 0
     for pkt in packets:
-        key = pair_key((pkt.src_ip, pkt.src_port), (pkt.dst_ip, pkt.dst_port))
+        # pair_key, inlined: this loop runs once per packet.
+        src, dst = (pkt.src_ip, pkt.src_port), (pkt.dst_ip, pkt.dst_port)
+        key = (src, dst) if src <= dst else (dst, src)
         builder = active.get(key)
         if builder is not None and pkt.timestamp - builder.packets[-1].timestamp > timeout:
             done.append(builder)
@@ -249,32 +247,38 @@ def _iat_stats(times: np.ndarray) -> tuple[float, float]:
     return float(gaps.mean()), float(gaps.std())
 
 
+_PACKET_COLUMNS = attrgetter("direction", "flags", "timestamp", "payload_len", "total_len")
+
+
 def featurize(flow: Flow) -> np.ndarray:
     """Computes the FEATURE_NAMES vector for one flow. Deterministic; the
     std of a single observation is 0."""
     if not flow.packets:
         raise DataError("cannot featurize an empty flow")
-    c2s = [p for p in flow.packets if p.direction is Direction.CLIENT_TO_SERVER]
-    s2c = [p for p in flow.packets if p.direction is Direction.SERVER_TO_CLIENT]
-    lens = np.array([p.total_len for p in flow.packets], dtype=float)
-    lens_c = np.array([p.total_len for p in c2s], dtype=float)
-    lens_s = np.array([p.total_len for p in s2c], dtype=float)
-    times = np.array([p.timestamp for p in flow.packets], dtype=float)
-    times_c = np.array([p.timestamp for p in c2s], dtype=float)
-    times_s = np.array([p.timestamp for p in s2c], dtype=float)
+    directions, flag_sets, stamps, payloads, totals = zip(*map(_PACKET_COLUMNS, flow.packets))
+    client_side = [d is Direction.CLIENT_TO_SERVER for d in directions]
+    is_c2s = np.array(client_side, dtype=bool)
+    lens = np.array(totals, dtype=float)
+    times = np.array(stamps, dtype=float)
+    lens_c, lens_s = lens[is_c2s], lens[~is_c2s]
+    times_c, times_s = times[is_c2s], times[~is_c2s]
+    packets_c = sum(client_side)
+    packets_s = len(flow.packets) - packets_c
+    payload_c = float(sum(compress(payloads, client_side)))
+    payload_s = float(sum(compress(payloads, map(not_, client_side))))
+    bytes_total, bytes_c, bytes_s = float(lens.sum()), float(lens_c.sum()), float(lens_s.sum())
     duration = flow.duration
-    payload_c = float(sum(p.payload_len for p in c2s))
-    payload_s = float(sum(p.payload_len for p in s2c))
-    flag_count = lambda f: float(sum(1 for p in flow.packets if f in p.flags))
+    per_flag_set = Counter(flag_sets)
+    flag_count = lambda f: float(sum(n for fs, n in per_flag_set.items() if f in fs))
 
     values = {
         "duration": duration,
         "packets_total": float(len(flow.packets)),
-        "packets_c2s": float(len(c2s)),
-        "packets_s2c": float(len(s2c)),
-        "bytes_total": float(lens.sum()),
-        "bytes_c2s": float(lens_c.sum()) if lens_c.size else 0.0,
-        "bytes_s2c": float(lens_s.sum()) if lens_s.size else 0.0,
+        "packets_c2s": float(packets_c),
+        "packets_s2c": float(packets_s),
+        "bytes_total": bytes_total,
+        "bytes_c2s": bytes_c,
+        "bytes_s2c": bytes_s,
         "payload_total": payload_c + payload_s,
         "payload_c2s": payload_c,
         "payload_s2c": payload_s,
@@ -296,13 +300,11 @@ def featurize(flow: Flow) -> np.ndarray:
         values[f"{prefix}_mean"] = mean
         values[f"{prefix}_std"] = std
     values["packets_per_s"] = len(flow.packets) / duration if duration > 0 else 0.0
-    values["bytes_per_s"] = float(lens.sum()) / duration if duration > 0 else 0.0
-    values["packet_ratio_s2c_c2s"] = len(s2c) / max(len(c2s), 1)
-    values["byte_ratio_s2c_c2s"] = float(lens_s.sum() if lens_s.size else 0.0) / max(
-        float(lens_c.sum()) if lens_c.size else 0.0, 1.0
-    )
-    values["payload_mean_c2s"] = payload_c / max(len(c2s), 1)
-    values["payload_mean_s2c"] = payload_s / max(len(s2c), 1)
+    values["bytes_per_s"] = bytes_total / duration if duration > 0 else 0.0
+    values["packet_ratio_s2c_c2s"] = packets_s / max(packets_c, 1)
+    values["byte_ratio_s2c_c2s"] = bytes_s / max(bytes_c, 1.0)
+    values["payload_mean_c2s"] = payload_c / max(packets_c, 1)
+    values["payload_mean_s2c"] = payload_s / max(packets_s, 1)
     return np.array([values[name] for name in FEATURE_NAMES], dtype=float)
 
 

@@ -2,8 +2,18 @@
 
 Reads the legacy libpcap container (not pcapng): a 24-byte global header
 followed by 16-byte per-record headers. Micro- and nanosecond timestamp
-variants are supported in both byte orders. Only TCP segments survive
-ingestion; everything else is counted and dropped.
+variants are supported in both byte orders. The accepted link types are
+0 (BSD loopback), 1 (Ethernet, with any number of 802.1Q/802.1ad tags)
+and 101 (raw IP); any other raises PcapFormatError.
+
+The capture is read into one buffer, and one parser per header
+(_strip_link_layer, _parse_ipv4, _parse_ipv6, _parse_tcp) reads its
+fields from that buffer by offset, never past the end of its frame. Only
+TCP segments survive ingestion. A frame is counted as ``non_tcp`` when
+it carries no IP (another ethertype, or too short for its link header),
+when its IP header is short or malformed, when it is a non-first IPv4 or
+IPv6 fragment, when its transport is not TCP, or when its TCP header is
+short or has a data offset below 20 bytes.
 """
 from __future__ import annotations
 
@@ -35,6 +45,7 @@ _SANE_CAPLEN = 1 << 18
 LINKTYPE_NULL = 0
 LINKTYPE_ETHERNET = 1
 LINKTYPE_RAW = 101
+_LINKTYPES = (LINKTYPE_NULL, LINKTYPE_ETHERNET, LINKTYPE_RAW)
 
 _ETHERTYPE_IPV4 = 0x0800
 _ETHERTYPE_IPV6 = 0x86DD
@@ -45,6 +56,15 @@ _IP_PROTO_TCP = 6
 # authentication, dest opts.
 _IPV6_EXT = {0, 43, 44, 51, 60}
 
+# Each header's fields, read in place from the capture buffer.
+_U16 = struct.Struct(">H").unpack_from
+# version/IHL, total length, flags/fragment offset, protocol, addresses
+_IPV4 = struct.Struct(">BxHxxHxBxx4s4s").unpack_from
+# payload length, next header, addresses
+_IPV6 = struct.Struct(">4xHBx16s16s").unpack_from
+# ports, data offset, flag byte
+_TCP = struct.Struct(">HH8xBB").unpack_from
+
 # TCP flag bits in the low byte of the offset/flags word, in wire order.
 _FLAG_BITS = (
     ("FIN", 0x01),
@@ -54,8 +74,13 @@ _FLAG_BITS = (
     ("ACK", 0x10),
     ("URG", 0x20),
 )
+# The flag set of every flag byte, shared by all packets that carry it.
+_FLAG_SETS = tuple(
+    frozenset(name for name, bit in _FLAG_BITS if byte & bit) for byte in range(256)
+)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(slots=True)
 class PacketRecord:
     """One captured TCP segment, reduced to what the pipeline needs."""
 
@@ -85,97 +110,97 @@ class IngestResult:
     partial: bool = False
 
 
-def _parse_ipv4(data: bytes) -> tuple[str, str, int, bytes] | None:
-    if len(data) < 20:
+class _AddressNames(dict):
+    """Printable form of each raw 4- or 16-byte address, made once."""
+
+    def __missing__(self, raw: bytes) -> str:
+        name = self[raw] = socket.inet_ntop(
+            socket.AF_INET if len(raw) == 4 else socket.AF_INET6, raw
+        )
+        return name
+
+
+def _strip_link_layer(linktype: int, buf: bytes, start: int, end: int) -> int | None:
+    """Offset of the IP datagram in the frame buf[start:end], or None when
+    the frame carries no IP."""
+    if linktype == LINKTYPE_ETHERNET:
+        if end - start < 14:
+            return None
+        ethertype = _U16(buf, start + 12)[0]
+        offset = start + 14
+        while ethertype in _ETHERTYPE_VLAN:
+            if end - offset < 4:
+                return None
+            ethertype = _U16(buf, offset + 2)[0]
+            offset += 4
+        if ethertype not in (_ETHERTYPE_IPV4, _ETHERTYPE_IPV6):
+            return None
+        return offset
+    if linktype == LINKTYPE_RAW:
+        return start
+    # LINKTYPE_NULL: a 4-byte address family, then the datagram.
+    if end - start < 4:
         return None
-    ver_ihl = data[0]
+    return start + 4
+
+
+def _parse_ipv4(buf: bytes, ip: int, end: int) -> tuple[bytes, bytes, int, int] | None:
+    """(raw source, raw destination, IP payload length, TCP offset)."""
+    if end - ip < 20:
+        return None
+    ver_ihl, total_length, frag, proto, src, dst = _IPV4(buf, ip)
     if ver_ihl >> 4 != 4:
         return None
     ihl = (ver_ihl & 0x0F) * 4
-    if ihl < 20 or len(data) < ihl:
+    if ihl < 20 or end - ip < ihl:
         return None
-    total_length = struct.unpack(">H", data[2:4])[0]
-    frag = struct.unpack(">H", data[6:8])[0]
     if frag & 0x1FFF:
         # Non-first fragment: no TCP header present.
         return None
-    proto = data[9]
-    src = socket.inet_ntop(socket.AF_INET, data[12:16])
-    dst = socket.inet_ntop(socket.AF_INET, data[16:20])
-    ip_payload_len = max(total_length - ihl, 0)
     if proto != _IP_PROTO_TCP:
         return None
-    return src, dst, ip_payload_len, data[ihl:]
+    return src, dst, max(total_length - ihl, 0), ip + ihl
 
 
-def _parse_ipv6(data: bytes) -> tuple[str, str, int, bytes] | None:
-    if len(data) < 40:
+def _parse_ipv6(buf: bytes, ip: int, end: int) -> tuple[bytes, bytes, int, int] | None:
+    """(raw source, raw destination, IP payload length, TCP offset)."""
+    if end - ip < 40:
         return None
-    if data[0] >> 4 != 6:
+    if buf[ip] >> 4 != 6:
         return None
-    payload_len = struct.unpack(">H", data[4:6])[0]
-    nxt = data[6]
-    src = socket.inet_ntop(socket.AF_INET6, data[8:24])
-    dst = socket.inet_ntop(socket.AF_INET6, data[24:40])
-    offset = 40
-    consumed = 0
+    payload_len, nxt, src, dst = _IPV6(buf, ip)
+    offset = ip + 40
     while nxt in _IPV6_EXT:
-        if len(data) < offset + 8:
+        if end - offset < 8:
             return None
         if nxt == 44:
-            if struct.unpack(">H", data[offset + 2:offset + 4])[0] & 0xFFF8:
+            if _U16(buf, offset + 2)[0] & 0xFFF8:
                 # Non-first fragment: no TCP header present.
                 return None
             ext_len = 8
         elif nxt == 51:
             # Authentication header (RFC 4302): 4-byte units, minus 2.
-            ext_len = (data[offset + 1] + 2) * 4
+            ext_len = (buf[offset + 1] + 2) * 4
         else:
-            ext_len = (data[offset + 1] + 1) * 8
-        nxt = data[offset]
+            ext_len = (buf[offset + 1] + 1) * 8
+        nxt = buf[offset]
         offset += ext_len
-        consumed += ext_len
     if nxt != _IP_PROTO_TCP:
         return None
-    return src, dst, max(payload_len - consumed, 0), data[offset:]
+    return src, dst, max(payload_len - (offset - ip - 40), 0), offset
 
 
-def _strip_link_layer(linktype: int, data: bytes) -> bytes | None:
-    """Returns the IP datagram, or None when the frame carries no IP."""
-    if linktype == LINKTYPE_ETHERNET:
-        if len(data) < 14:
-            return None
-        ethertype = struct.unpack(">H", data[12:14])[0]
-        offset = 14
-        while ethertype in _ETHERTYPE_VLAN:
-            if len(data) < offset + 4:
-                return None
-            ethertype = struct.unpack(">H", data[offset + 2:offset + 4])[0]
-            offset += 4
-        if ethertype not in (_ETHERTYPE_IPV4, _ETHERTYPE_IPV6):
-            return None
-        return data[offset:]
-    if linktype == LINKTYPE_RAW:
-        return data
-    if linktype == LINKTYPE_NULL:
-        if len(data) < 4:
-            return None
-        return data[4:]
-    return None
-
-
-def _parse_tcp(ip_fields: tuple[str, str, int, bytes]) -> tuple | None:
-    src, dst, ip_payload_len, seg = ip_fields
-    if len(seg) < 20:
+def _parse_tcp(
+    buf: bytes, seg: int, end: int, ip_payload_len: int
+) -> tuple[int, int, frozenset[str], int] | None:
+    """(source port, destination port, flags, TCP payload length)."""
+    if end - seg < 20:
         return None
-    sport, dport = struct.unpack(">HH", seg[0:4])
-    data_offset = (seg[12] >> 4) * 4
+    sport, dport, offset_byte, flag_byte = _TCP(buf, seg)
+    data_offset = (offset_byte >> 4) * 4
     if data_offset < 20:
         return None
-    flag_byte = seg[13]
-    flags = frozenset(name for name, bit in _FLAG_BITS if flag_byte & bit)
-    payload_len = max(ip_payload_len - data_offset, 0)
-    return src, dst, sport, dport, flags, payload_len
+    return sport, dport, _FLAG_SETS[flag_byte], max(ip_payload_len - data_offset, 0)
 
 
 def ingest_pcap(path: str | Path, ports: frozenset[int] = frozenset()) -> IngestResult:
@@ -183,9 +208,10 @@ def ingest_pcap(path: str | Path, ports: frozenset[int] = frozenset()) -> Ingest
 
     A packet is admitted when either endpoint port is in ports; an empty
     set admits all TCP traffic. Raises PcapFormatError when the global
-    header is malformed or the file cannot be read. A malformed record
-    header mid-file stops the scan and flags the result as partial; a
-    record truncated at end-of-file is dropped and counted.
+    header is malformed, its link type is not one of 0, 1 or 101, or the
+    file cannot be read. A malformed record header mid-file stops the
+    scan and flags the result as partial; a record truncated at
+    end-of-file is dropped and counted.
     """
     try:
         raw = Path(path).read_bytes()
@@ -197,60 +223,56 @@ def ingest_pcap(path: str | Path, ports: frozenset[int] = frozenset()) -> Ingest
     if magic not in _MAGICS:
         raise PcapFormatError(f"{path}: unknown PCAP magic {magic.hex()}")
     order, frac_unit = _MAGICS[magic]
-    try:
-        _, _, _, _, snaplen, network = struct.unpack(order + "HHiIII", raw[4:_GLOBAL_HEADER_LEN])
-    except struct.error as exc:  # pragma: no cover - length checked above
-        raise PcapFormatError(f"{path}: bad global header: {exc}") from exc
+    network = struct.unpack_from(order + "I", raw, 20)[0]
+    if network not in _LINKTYPES:
+        raise PcapFormatError(
+            f"{path}: unsupported link type {network}; "
+            "expected 0 (BSD loopback), 1 (Ethernet) or 101 (raw IP)"
+        )
+    record_header = struct.Struct(order + "IIII").unpack_from
 
     result = IngestResult()
+    packets = result.packets
+    names = _AddressNames()
     offset = _GLOBAL_HEADER_LEN
     size = len(raw)
     while offset < size:
         if size - offset < _RECORD_HEADER_LEN:
             result.truncated += 1
             break
-        ts_sec, ts_frac, incl_len, orig_len = struct.unpack(
-            order + "IIII", raw[offset:offset + _RECORD_HEADER_LEN]
-        )
+        ts_sec, ts_frac, incl_len, orig_len = record_header(raw, offset)
         if incl_len > _SANE_CAPLEN:
             logger.warning("%s: corrupt record header at byte %d, stopping", path, offset)
             result.partial = True
             break
-        offset += _RECORD_HEADER_LEN
-        if size - offset < incl_len:
+        start = offset + _RECORD_HEADER_LEN
+        offset = start + incl_len
+        if offset > size:
             result.truncated += 1
             break
-        data = raw[offset:offset + incl_len]
-        offset += incl_len
 
-        ip = _strip_link_layer(network, data)
-        fields = None
-        if ip is not None:
-            version = ip[0] >> 4 if ip else 0
+        ip = _strip_link_layer(network, raw, start, offset)
+        fields = tcp = None
+        if ip is not None and ip < offset:
+            version = raw[ip] >> 4
             if version == 4:
-                fields = _parse_ipv4(ip)
+                fields = _parse_ipv4(raw, ip, offset)
             elif version == 6:
-                fields = _parse_ipv6(ip)
-        tcp = _parse_tcp(fields) if fields else None
+                fields = _parse_ipv6(raw, ip, offset)
+        if fields is not None:
+            src, dst, ip_payload_len, seg = fields
+            tcp = _parse_tcp(raw, seg, offset, ip_payload_len)
         if tcp is None:
             result.non_tcp += 1
             continue
-        src, dst, sport, dport, flags, payload_len = tcp
+        sport, dport, flags, payload_len = tcp
         if ports and sport not in ports and dport not in ports:
             result.filtered += 1
             continue
-        result.packets.append(
-            PacketRecord(
-                timestamp=ts_sec + ts_frac * frac_unit,
-                src_ip=src,
-                dst_ip=dst,
-                src_port=sport,
-                dst_port=dport,
-                flags=flags,
-                payload_len=payload_len,
-                total_len=orig_len,
-            )
-        )
+        packets.append(PacketRecord(
+            ts_sec + ts_frac * frac_unit, names[src], names[dst],
+            sport, dport, flags, payload_len, orig_len,
+        ))
     if result.truncated:
         logger.warning("%s: dropped %d truncated trailing record(s)", path, result.truncated)
     return result

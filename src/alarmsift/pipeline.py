@@ -19,7 +19,7 @@ from . import detector as det
 from . import discovery, events
 from .artifacts import read_schema_json, write_csv, write_jsonl, write_schema_json
 from .config import RunConfig, derive_seed, semantic_echo
-from .errors import ConfigError, DataError, SchemaError
+from .errors import ConfigError, DataError, PcapFormatError, SchemaError
 from .flowmeter import FEATURE_NAMES, FlowRecord, assemble_flows, read_corpus
 from .pcap import ingest_pcap
 from .petri import check_soundness, export_pnml, import_pnml, workflow_shape_errors
@@ -46,9 +46,10 @@ def load_records(config: RunConfig) -> list[FlowRecord]:
     """Loads flow records from the configured corpus or PCAP captures. Flow
     ids must be distinct: a capture's ids are prefixed with its file stem,
     and two captures that yield the same id raise DataError naming both.
-    A capture malformed mid-file is refused with a warning naming it, and
-    the rest still load; DataError is raised only when every capture was
-    refused."""
+    A capture that ingest_pcap cannot read (PcapFormatError: unreadable,
+    a bad global header, an unsupported link type) or that is malformed
+    mid-file is refused with a warning naming it, and the rest still load;
+    DataError is raised only when every capture was refused."""
     if config.corpus is not None:
         return read_corpus(config.corpus / "flows.csv", config.corpus / "events.jsonl")
     if not config.captures:
@@ -57,7 +58,12 @@ def load_records(config: RunConfig) -> list[FlowRecord]:
     origin: dict[str, Path] = {}  # flow id -> the capture it came from
     refused = 0
     for spec in config.captures:
-        result = ingest_pcap(spec.path, config.server_ports)
+        try:
+            result = ingest_pcap(spec.path, config.server_ports)
+        except PcapFormatError as exc:
+            logger.warning("%s; refusing it", exc)
+            refused += 1
+            continue
         if result.partial:
             logger.warning("%s: capture is malformed mid-file; refusing it", spec.path)
             refused += 1
@@ -77,7 +83,7 @@ def load_records(config: RunConfig) -> list[FlowRecord]:
             origin[flow.flow_id] = spec.path
             records.append(events.flow_to_record(flow))
     if refused == len(config.captures):
-        raise DataError(f"all {refused} capture(s) are malformed mid-file; no input left")
+        raise DataError(f"all {refused} capture(s) are unreadable or malformed; no input left")
     if refused:
         logger.warning("refused %d of %d capture(s)", refused, len(config.captures))
     return records

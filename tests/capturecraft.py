@@ -11,7 +11,9 @@ MAGIC_NANO_LE = b"\x4d\x3c\xb2\xa1"
 
 _FLAG_BITS = {"FIN": 0x01, "SYN": 0x02, "RST": 0x04, "PSH": 0x08, "ACK": 0x10, "URG": 0x20}
 
+LINKTYPE_NULL = 0
 LINKTYPE_ETHERNET = 1
+LINKTYPE_RAW = 101
 
 
 def ipv4_tcp_frame(
@@ -62,6 +64,7 @@ def ipv6_tcp_frame(
     flags: tuple[str, ...] = (),
     fragment_offset: int | None = None,
     authentication: bool = False,
+    payload: bytes = b"",
 ) -> bytes:
     """An IPv6 TCP segment; with fragment_offset (in 8-byte units) it sits
     behind a fragment header with the more-fragments bit set. With
@@ -71,7 +74,7 @@ def ipv6_tcp_frame(
         ">HHIIBBHHH",
         sport, dport, 0, 0, 5 << 4,
         sum(_FLAG_BITS[f] for f in flags), 8192, 0, 0,
-    )
+    ) + payload
     next_header = 6
     if fragment_offset is not None:
         tcp = struct.pack(">BBHI", 6, 0, fragment_offset << 3 | 1, 0x1234) + tcp
@@ -87,6 +90,19 @@ def ipv6_tcp_frame(
         socket.inet_pton(socket.AF_INET6, "2001:db8::2"),
     ) + tcp
     return b"\x02" * 6 + b"\x04" * 6 + struct.pack(">H", 0x86DD) + ip6
+
+
+def relink(frame: bytes, linktype: int) -> bytes:
+    """An untagged Ethernet frame re-framed for another link type: the bare
+    IP datagram for raw IP (101), behind a 4-byte address family for BSD
+    loopback (0)."""
+    datagram = frame[14:]
+    if linktype == LINKTYPE_RAW:
+        return datagram
+    if linktype == LINKTYPE_NULL:
+        family = socket.AF_INET if datagram[0] >> 4 == 4 else 24  # BSD AF_INET6
+        return struct.pack("<I", family) + datagram
+    return frame
 
 
 def pcap_bytes(

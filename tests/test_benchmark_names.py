@@ -1,5 +1,6 @@
-"""The names the benchmark's traced run patches must keep resolving, and
-the traced workloads must reach every layer they name.
+"""The names the benchmark's traced run patches must keep resolving, the
+traced workloads must reach every layer they name, and the captures the
+benchmark writes must read back as the flows they were written from.
 
 perfbench/layers.py wraps package functions by module and attribute name;
 a rename, or a call that moves to a name the probe does not wrap, breaks
@@ -59,3 +60,21 @@ def test_traced_workloads_reach_every_layer(monkeypatch, tmp_path):
         finally:
             probe.tracer.restore()
         assert probe.unreached(kind) == [], kind
+
+
+def test_written_captures_assemble_into_the_generated_flows(monkeypatch, tmp_path):
+    # The rate_pcap set-up check: pcapwriter reads each synthetic packet's
+    # direction, flags and lengths, and ingest_pcap plus assemble_flows must
+    # give back flows with exactly the generated features.
+    workloads = _perfbench_module(monkeypatch, "workloads")
+    pcapwriter = _perfbench_module(monkeypatch, "pcapwriter")
+    captures = []
+    for truth, profile, seed in (("normal", synthetic.PROFILE_NORMAL, 5),
+                                 ("attack", synthetic.PROFILE_SLOWLORIS, 6)):
+        flows = synthetic.generate_flows(profile, 10, seed=seed)
+        path = tmp_path / f"{truth}.pcap"
+        assert pcapwriter.write_pcap(flows, path) == sum(len(f.packets) for f in flows)
+        captures.append((path, flows))
+    inputs = workloads.Inputs(entry="cmd_rate", config={}, flows=20, scored=20,
+                              rating_dirs=[], captures=captures)
+    workloads.check_round_trip(inputs)

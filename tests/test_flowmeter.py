@@ -1,4 +1,5 @@
 """Flow assembly and feature statistics."""
+import dataclasses
 import json
 
 import numpy as np
@@ -10,7 +11,10 @@ from alarmsift.events import flow_to_record
 from alarmsift.flowmeter import (
     FEATURE_NAMES,
     Direction,
+    Flow,
+    FlowPacket,
     assemble_flows,
+    event_label,
     featurize,
     pair_key,
     read_corpus,
@@ -20,6 +24,7 @@ from alarmsift.flowmeter import (
 from alarmsift.pcap import PacketRecord, ingest_pcap
 
 from capturecraft import handshake_fin_frames, ipv4_tcp_frame, pcap_bytes
+from reference_flowmeter import reference_assemble_flows, reference_featurize
 
 
 def _pkt(ts, src, dst, sport, dport, flags=(), payload=0, total=60):
@@ -159,9 +164,68 @@ def test_partition_invariant_random_traffic():
     assert [f.first_ts for f in flows] == sorted(f.first_ts for f in flows)
 
 
-def test_featurize_rejects_empty_flow():
-    from alarmsift.flowmeter import Flow
+_TRACKED_FLAGS = ("SYN", "ACK", "FIN", "RST", "PSH", "URG")
+_FLAG_SETS = st.frozensets(st.sampled_from(_TRACKED_FLAGS))
 
+
+@given(st.lists(
+    st.tuples(
+        st.sampled_from(("10.0.0.1", "10.0.0.2", "10.0.0.3")), st.sampled_from((80, 1111)),
+        st.sampled_from(("10.0.0.1", "10.0.0.2")), st.sampled_from((80, 1111)),
+        _FLAG_SETS, st.floats(0.0, 5.0),
+    ),
+    max_size=40,
+))
+@settings(max_examples=150, deadline=None)
+def test_assembly_equals_the_reference(rows):
+    # Few endpoints, so flows share keys, close, time out and talk to
+    # themselves.
+    pkts, ts = [], 1.0
+    for src, sport, dst, dport, flags, gap in rows:
+        ts += gap
+        pkts.append(_pkt(ts, src, dst, sport, dport, flags, payload=int(gap * 10), total=60))
+    assert assemble_flows(pkts, timeout=4.0) == reference_assemble_flows(pkts, timeout=4.0)
+
+
+_FLOW_PACKETS = st.builds(
+    FlowPacket,
+    direction=st.sampled_from(Direction),
+    flags=st.one_of(_FLAG_SETS, st.just(frozenset())),
+    timestamp=st.floats(0.0, 2e9),
+    payload_len=st.integers(0, 9000),
+    total_len=st.integers(0, 9000),
+)
+
+
+@st.composite
+def _flows(draw):
+    """A flow of 1-60 packets; some have one direction only."""
+    packets = draw(st.lists(_FLOW_PACKETS, min_size=1, max_size=60))
+    if draw(st.booleans()):
+        packets = [dataclasses.replace(p, direction=packets[0].direction) for p in packets]
+    if draw(st.booleans()):
+        packets.sort(key=lambda p: p.timestamp)
+    return Flow("f", ("10.0.0.1", 1111), ("10.0.0.2", 80), tuple(packets))
+
+
+@given(_flows())
+@settings(max_examples=200, deadline=None)
+def test_features_and_labels_equal_the_reference(flow):
+    assert np.array_equal(featurize(flow), reference_featurize(flow))
+    assert flow_to_record(flow).events == tuple(
+        event_label(p.direction, p.flags) for p in flow.packets
+    )
+
+
+def test_untracked_flags_still_raise_when_labelled():
+    flow = Flow("f", ("10.0.0.1", 1111), ("10.0.0.2", 80), (
+        FlowPacket(Direction.CLIENT_TO_SERVER, frozenset({"SYN", "ECE"}), 1.0, 0, 60),
+    ))
+    with pytest.raises(DataError, match="untracked TCP flags"):
+        flow_to_record(flow)
+
+
+def test_featurize_rejects_empty_flow():
     with pytest.raises((DataError, IndexError)):
         featurize(Flow("x", ("a", 1), ("b", 2), ()))
 

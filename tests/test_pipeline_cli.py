@@ -574,8 +574,32 @@ def test_a_capture_corrupt_mid_file_is_refused_alone(tmp_path, caplog):
         f"{bad}: capture is malformed mid-file; refusing it",
         "refused 1 of 2 capture(s)",
     ]
-    with pytest.raises(DataError, match=re.escape("all 2 capture(s) are malformed mid-file")):
+    with pytest.raises(DataError, match=re.escape("all 2 capture(s) are unreadable or malformed")):
         load(bad, worse)
+
+
+def test_a_capture_with_a_bad_global_header_is_refused_alone(tmp_path, caplog):
+    # A bad magic and a Linux cooked capture (link type 113) fail in the
+    # global header, before any record is read.
+    good, zeros, cooked = (tmp_path / f"{name}.pcap" for name in ("good", "zeros", "cooked"))
+    good.write_bytes(pcap_bytes(handshake_fin_frames()))
+    zeros.write_bytes(bytes(40))
+    cooked.write_bytes(pcap_bytes(handshake_fin_frames(), linktype=113))
+
+    def load(*paths):
+        specs = tuple(CaptureSpec(p, "normal") for p in paths)
+        cfg = RunConfig(output_dir=tmp_path / "out", captures=specs).validate()
+        return pipeline.load_records(cfg)
+
+    with caplog.at_level(logging.WARNING, logger="alarmsift.pipeline"):
+        assert [r.flow_id for r in load(zeros, good, cooked)] == ["good-000000"]
+    messages = [r.getMessage() for r in caplog.records if r.name == "alarmsift.pipeline"]
+    assert messages[0] == f"{zeros}: unknown PCAP magic 00000000; refusing it"
+    assert messages[1].startswith(f"{cooked}: unsupported link type 113;")
+    assert messages[1].endswith("; refusing it")
+    assert messages[2:] == ["refused 2 of 3 capture(s)"]
+    with pytest.raises(DataError, match=re.escape("all 2 capture(s) are unreadable or malformed")):
+        load(zeros, cooked)
 
 
 def _corpus_repeating_a_row(name, index):
