@@ -265,7 +265,8 @@ def write_profile_csv(profile: Mapping[str, float], path: str | Path) -> None:
 
 
 def read_profile_csv(path: str | Path) -> dict[str, float]:
-    """Reads write_profile_csv's file; a count must be finite and >= 0."""
+    """Reads write_profile_csv's file; a count must be finite and >= 0, and
+    an event type may occur once."""
     profile: dict[str, float] = {}
     with read_csv(path, PROFILE_CSV_SCHEMA) as reader:
         for row in reader:
@@ -278,6 +279,10 @@ def read_profile_csv(path: str | Path) -> dict[str, float]:
                 # The schema comment precedes the lines the reader counts.
                 raise SchemaError(
                     f"{path}: line {reader.line_num + 1}: malformed profile row {row!r}"
+                )
+            if label in profile:
+                raise SchemaError(
+                    f"{path}: line {reader.line_num + 1}: repeated event type {label!r}"
                 )
             profile[label] = count
     return profile

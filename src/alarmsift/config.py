@@ -57,6 +57,11 @@ class RunConfig:
             raise ConfigError("extraction clusters and window must be >= 1")
         if self.runs < 1:
             raise ConfigError("run count must be >= 1")
+        if self.alignment_budget < 1:
+            raise ConfigError("config key 'alignment_budget' must be >= 1")
+        bad_ports = sorted(p for p in self.server_ports if not 0 <= p <= 65535)
+        if bad_ports:
+            raise ConfigError(f"config key 'server_ports' holds ports outside 0-65535: {bad_ports}")
         fractions = (self.train_fraction, self.validation_fraction)
         if any(f <= 0 for f in fractions) or sum(fractions) > 1:
             raise ConfigError(

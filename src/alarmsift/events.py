@@ -5,15 +5,17 @@ direction plus flag combination ("C_to_S_SYN", "S_to_C_ACK+PSH", ...;
 "NONE" for a flagless data segment; flowmeter.event_label). Sliding
 windows over the traces are clustered with k-means into states; maximal
 runs of equal state split a trace into contiguous fragments whose
-concatenation reproduces the trace. A state's log is the list of its
-fragments: build_logs returns the logs as a dict[int, list[Fragment]]
-keyed by state, empty states included.
+concatenation reproduces the trace. A window's label counts are the
+difference of two rows of the trace's one-hot prefix sums, and a window
+equally near two centroids takes the lower state. A state's log is the
+list of its fragments: build_logs returns the logs as a
+dict[int, list[Fragment]] keyed by state, empty states included.
 """
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -22,21 +24,14 @@ import numpy as np
 
 from .artifacts import read_schema_json, write_jsonl, write_schema_json, write_xml
 from .errors import DataError, SchemaError
-from .flowmeter import FLAG_ORDER, Direction, Flow, FlowRecord, event_label, featurize
+from .flowmeter import EVENT_LABELS, Flow, FlowRecord, event_label, featurize
 
 PARAMS_SCHEMA = "alarmsift-extraction/1"
 STATE_LOGS_SCHEMA = "alarmsift-state-logs/1"
 _KMEANS_MAX_ITER = 300
 
 
-# The label of each direction and tracked flag set, so labelling a packet
-# is one lookup; anything else goes through event_label.
-_LABELS = {
-    (direction, frozenset(flags)): event_label(direction, flags)
-    for direction in Direction
-    for size in range(len(FLAG_ORDER) + 1)
-    for flags in combinations(FLAG_ORDER, size)
-}
+# Labelling a packet is one lookup; event_label raises for what the table lacks.
 _LABEL_KEY = attrgetter("direction", "flags")
 
 
@@ -48,7 +43,7 @@ def flow_to_record(flow: Flow) -> FlowRecord:
         truth=flow.truth,
         features=featurize(flow),
         events=tuple([
-            _LABELS.get(key) or event_label(*key) for key in map(_LABEL_KEY, flow.packets)
+            EVENT_LABELS.get(key) or event_label(*key) for key in map(_LABEL_KEY, flow.packets)
         ]),
         client=flow.client,
         server=flow.server,
@@ -93,23 +88,21 @@ def _alphabet_index(alphabet: Sequence[str]) -> dict[str, int]:
     return {label: i for i, label in enumerate(alphabet)}
 
 
-def _window_slices(events: Sequence[str], window: int) -> list[Sequence[str]]:
-    if len(events) <= window:
-        return [events]
-    return [events[i:i + window] for i in range(len(events) - window + 1)]
+def _window_counts(events: Sequence[str], index: dict[str, int], window: int) -> np.ndarray:
+    """Row i counts the labels of events[i:i + window]; a trace no longer
+    than the window is one row. A trailing OTHER column counts the labels
+    outside index: it adds the same offset to every centroid distance, so
+    it leaves the nearest state unchanged while keeping them visible."""
+    other = len(index)
+    onehot = np.zeros((len(events) + 1, other + 1))
+    onehot[np.arange(1, len(events) + 1), [index.get(label, other) for label in events]] = 1.0
+    sums = onehot.cumsum(axis=0)  # whole numbers, so the differences are exact
+    width = min(window, len(events))
+    return sums[width:] - sums[:len(sums) - width]
 
 
-def _count_vectors(windows: list[Sequence[str]], index: dict[str, int]) -> np.ndarray:
-    # A trailing OTHER dimension counts the labels unseen at fit time. That
-    # leaves the nearest-centroid decision unchanged (the same offset is
-    # added to every distance) while keeping their presence visible.
-    dim = len(index) + 1
-    out = np.zeros((len(windows), dim))
-    other = dim - 1
-    for row, win in enumerate(windows):
-        for label in win:
-            out[row, index.get(label, other)] += 1.0
-    return out
+def _sq_dist(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    return ((vectors[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
 
 
 def _kmeans(vectors: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -129,7 +122,7 @@ def _kmeans(vectors: np.ndarray, k: int, seed: int) -> np.ndarray:
         d2 = np.minimum(d2, ((vectors - centroids[-1]) ** 2).sum(axis=1))
     cents = np.array(centroids)
     for _ in range(_KMEANS_MAX_ITER):
-        dist = ((vectors[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
+        dist = _sq_dist(vectors, cents)
         assign = dist.argmin(axis=1)
         new = cents.copy()
         for j in range(k):
@@ -162,18 +155,15 @@ def fit_states(
         raise DataError("cannot fit states on an empty trace set")
     alphabet = tuple(sorted({label for events in sequences for label in events}))
     index = _alphabet_index(alphabet)
-    windows: list[Sequence[str]] = []
-    for events in sequences:
-        windows.extend(_window_slices(events, window))
-    vectors = _count_vectors(windows, index)
-    distinct = np.unique(vectors, axis=0)
-    if len(distinct) < clusters:
+    vectors = np.concatenate([_window_counts(events, index, window) for events in sequences])
+    distinct = len(set(map(tuple, vectors.tolist())))
+    if distinct < clusters:
         raise DataError(
-            f"only {len(distinct)} distinct window vectors for k={clusters}; "
+            f"only {distinct} distinct window vectors for k={clusters}; "
             "use a smaller cluster count"
         )
     cents = _kmeans(vectors, clusters, seed)
-    if len(np.unique(cents, axis=0)) < clusters:
+    if len(set(map(tuple, cents.tolist()))) < clusters:
         raise DataError(
             f"clustering collapsed below k={clusters} distinct centroids; "
             "use a smaller cluster count"
@@ -182,38 +172,26 @@ def fit_states(
     return ExtractionParams(clusters, window, seed, alphabet, cents[order])
 
 
-def _nearest_state(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    dist = ((vectors[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    return dist.argmin(axis=1)  # ties resolve to the lowest state id
-
-
 def assign_states(events: Sequence[str], params: ExtractionParams) -> list[int]:
     """Per-event state: event i takes the state of the window starting at i;
-    the final window-1 events inherit the last window's state."""
-    index = _alphabet_index(params.alphabet)
-    windows = _window_slices(events, params.window)
-    states = _nearest_state(_count_vectors(windows, index), params.centroids)
-    return [int(states[min(i, len(states) - 1)]) for i in range(len(events))]
+    the final window-1 events inherit the last window's state. Ties go to
+    the lowest state id."""
+    counts = _window_counts(events, _alphabet_index(params.alphabet), params.window)
+    states = _sq_dist(counts, params.centroids).argmin(axis=1).tolist()
+    # The empty trace has one (empty) window but no event.
+    return states[:len(events)] + states[-1:] * (len(events) - len(states))
 
 
 def split_by_state(
     flow_id: str, events: tuple[str, ...], params: ExtractionParams
 ) -> list[Fragment]:
     """Maximal runs of equal state become fragments, in trace order."""
-    states = assign_states(events, params)
     fragments: list[Fragment] = []
     start = 0
-    for i in range(1, len(states) + 1):
-        if i == len(states) or states[i] != states[start]:
-            fragments.append(
-                Fragment(
-                    flow_id=flow_id,
-                    state=states[start],
-                    index=len(fragments),
-                    events=events[start:i],
-                )
-            )
-            start = i
+    for state, run in groupby(assign_states(events, params)):
+        end = start + sum(1 for _ in run)
+        fragments.append(Fragment(flow_id, state, len(fragments), events[start:end]))
+        start = end
     return fragments
 
 

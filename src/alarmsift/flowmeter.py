@@ -14,7 +14,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
+from itertools import combinations, compress
 from operator import attrgetter, not_
 from pathlib import Path
 from typing import Iterable
@@ -44,17 +44,26 @@ class Direction(str, Enum):
 FLAG_ORDER = ("SYN", "ACK", "FIN", "RST", "PSH", "URG")
 EMPTY_FLAGS_LABEL = "NONE"
 
-_DIRECTION_PREFIXES = tuple(d.value for d in Direction)
+# The only source of event labels: each tracked flag set's label part and
+# each (direction, flag set)'s event label; _PARSED_LABELS inverts the second.
+_FLAGS_LABELS = {
+    frozenset(flags): "+".join(flags) or EMPTY_FLAGS_LABEL
+    for size in range(len(FLAG_ORDER) + 1)
+    for flags in combinations(FLAG_ORDER, size)
+}
+EVENT_LABELS = {
+    (direction, flags): f"{direction.value}_{part}"
+    for direction in Direction for flags, part in _FLAGS_LABELS.items()
+}
+_PARSED_LABELS = {label: key for key, label in EVENT_LABELS.items()}
 
 
 def flags_label(flags: Iterable[str]) -> str:
     """Canonical flag-combination part of an event label."""
-    present = set(flags)
-    unknown = present.difference(FLAG_ORDER)
-    if unknown:
-        raise DataError(f"untracked TCP flags: {sorted(unknown)}")
-    ordered = [f for f in FLAG_ORDER if f in present]
-    return "+".join(ordered) if ordered else EMPTY_FLAGS_LABEL
+    present = frozenset(flags)
+    if present not in _FLAGS_LABELS:
+        raise DataError(f"untracked TCP flags: {sorted(present.difference(FLAG_ORDER))}")
+    return _FLAGS_LABELS[present]
 
 
 def event_label(direction: Direction, flags: Iterable[str]) -> str:
@@ -63,24 +72,12 @@ def event_label(direction: Direction, flags: Iterable[str]) -> str:
 
 def parse_event_label(label: str) -> tuple[Direction, frozenset[str]]:
     """Inverse of event_label; the construction is a bijection."""
-    for prefix in _DIRECTION_PREFIXES:
-        if label.startswith(prefix + "_"):
-            part = label[len(prefix) + 1:]
-            if part == EMPTY_FLAGS_LABEL:
-                return Direction(prefix), frozenset()
-            flags = part.split("+")
-            if flags != [f for f in FLAG_ORDER if f in set(flags)] or len(set(flags)) != len(flags):
-                break
-            return Direction(prefix), frozenset(flags)
-    raise DataError(f"not a TCP event label: {label!r}")
+    if label not in _PARSED_LABELS:
+        raise DataError(f"not a TCP event label: {label!r}")
+    return _PARSED_LABELS[label]
 
 
 Endpoint = tuple[str, int]
-
-
-def pair_key(a: Endpoint, b: Endpoint) -> tuple[Endpoint, Endpoint]:
-    """Canonical unordered endpoint pair: pair_key(A, B) == pair_key(B, A)."""
-    return (a, b) if a <= b else (b, a)
 
 
 @dataclass(slots=True)
@@ -186,7 +183,7 @@ def assemble_flows(
     done: list[_FlowBuilder] = []
     arrival = 0
     for pkt in packets:
-        # pair_key, inlined: this loop runs once per packet.
+        # The unordered endpoint pair, so both directions share a flow.
         src, dst = (pkt.src_ip, pkt.src_port), (pkt.dst_ip, pkt.dst_port)
         key = (src, dst) if src <= dst else (dst, src)
         builder = active.get(key)

@@ -49,14 +49,16 @@ def load_records(config: RunConfig) -> list[FlowRecord]:
     A capture that ingest_pcap cannot read (PcapFormatError: unreadable,
     a bad global header, an unsupported link type) or that is malformed
     mid-file is refused with a warning naming it, and the rest still load;
-    DataError is raised only when every capture was refused."""
+    DataError is raised when every capture was refused, and when the
+    captures yield no flow, with the packets that server_ports filtered
+    and the non-TCP packets counted."""
     if config.corpus is not None:
         return read_corpus(config.corpus / "flows.csv", config.corpus / "events.jsonl")
     if not config.captures:
         raise ConfigError("no input configured: set either corpus or captures")
     records: list[FlowRecord] = []
     origin: dict[str, Path] = {}  # flow id -> the capture it came from
-    refused = 0
+    refused = filtered = non_tcp = 0
     for spec in config.captures:
         try:
             result = ingest_pcap(spec.path, config.server_ports)
@@ -68,6 +70,8 @@ def load_records(config: RunConfig) -> list[FlowRecord]:
             logger.warning("%s: capture is malformed mid-file; refusing it", spec.path)
             refused += 1
             continue
+        filtered += result.filtered
+        non_tcp += result.non_tcp
         flows = assemble_flows(
             result.packets,
             timeout=config.flow_timeout,
@@ -86,6 +90,11 @@ def load_records(config: RunConfig) -> list[FlowRecord]:
         raise DataError(f"all {refused} capture(s) are unreadable or malformed; no input left")
     if refused:
         logger.warning("refused %d of %d capture(s)", refused, len(config.captures))
+    if not records:
+        raise DataError(
+            f"no flow was assembled from the captures: {filtered} packet(s) filtered "
+            f"by server_ports, {non_tcp} non-TCP packet(s)"
+        )
     return records
 
 

@@ -20,9 +20,13 @@ from alarmsift.flowmeter import (
     Endpoint,
     Flow,
     FlowPacket,
-    pair_key,
 )
 from alarmsift.pcap import PacketRecord
+
+
+def pair_key(a: Endpoint, b: Endpoint) -> tuple[Endpoint, Endpoint]:
+    """Canonical unordered endpoint pair: pair_key(A, B) == pair_key(B, A)."""
+    return (a, b) if a <= b else (b, a)
 
 
 class _FlowBuilder:

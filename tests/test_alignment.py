@@ -2,6 +2,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -17,7 +18,7 @@ from alarmsift.alignment import (
     write_profile_csv,
 )
 from alarmsift.discovery import discover, tree_to_net, leaf, ProcessTree, SEQUENCE
-from alarmsift.errors import BudgetError, DataError
+from alarmsift.errors import BudgetError, DataError, SchemaError
 from alarmsift.events import Fragment
 from alarmsift.petri import PetriNet, Transition
 
@@ -406,3 +407,13 @@ def test_profile_csv_round_trip(tmp_path):
     path = tmp_path / "profile.csv"
     write_profile_csv(profile, path)
     assert read_profile_csv(path) == profile
+
+
+def test_profile_csv_rejects_a_repeated_event_type(tmp_path):
+    path = tmp_path / "profile.csv"
+    write_profile_csv({"C_to_S_ACK": 1.0}, path)
+    with open(path, "a") as fh:
+        fh.write("C_to_S_ACK,5.0\n")
+    message = f"{path}: line 4: repeated event type 'C_to_S_ACK'"
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        read_profile_csv(path)

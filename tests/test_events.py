@@ -21,6 +21,7 @@ from alarmsift.events import (
     split_by_state,
     unseen_labels,
     _kmeans,
+    _window_counts,
 )
 from alarmsift.flowmeter import (
     Direction,
@@ -29,6 +30,16 @@ from alarmsift.flowmeter import (
     event_label,
     flags_label,
     parse_event_label,
+)
+
+from reference_events import (
+    alphabet_index,
+    count_vectors,
+    reference_assign_states,
+    reference_fit_states,
+    reference_parse_event_label,
+    reference_split_by_state,
+    window_slices,
 )
 
 
@@ -244,3 +255,88 @@ def test_xes_and_jsonl_exports(tmp_path):
     assert [(r["state"], tuple(r["events"])) for r in rows] == [
         (0, ("a",)), (0, ("a",)), (1, ("b",)),
     ]
+
+
+# --- the frozen oracle: tests/reference_events.py ---------------------------
+
+_POOL = "abcdef"
+# Traces may hold labels outside the fitted alphabet ("y", "z": OTHER).
+_ALPHABETS = st.sets(st.sampled_from(_POOL), min_size=1).map(sorted).map(tuple)
+# A small grid makes equidistant and repeated centroid rows likely.
+_GRID = st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.0))
+
+
+@st.composite
+def _split_cases(draw):
+    alphabet = draw(_ALPHABETS)
+    trace = tuple(draw(st.lists(st.sampled_from(alphabet + ("y", "z")), max_size=40)))
+    rows = draw(st.lists(st.lists(_GRID, min_size=len(alphabet) + 1, max_size=len(alphabet) + 1),
+                         min_size=1, max_size=4))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=2))  # repeated rows tie
+    params = _params_for(alphabet, rows, window=draw(st.integers(1, 6)))
+    return trace, params
+
+
+@given(_split_cases())
+@settings(max_examples=400, deadline=None)
+def test_state_split_matches_reference(case):
+    trace, params = case
+    index = alphabet_index(params.alphabet)
+    assert np.array_equal(
+        _window_counts(trace, index, params.window),
+        count_vectors(window_slices(trace, params.window), index),
+    )
+    assert assign_states(trace, params) == reference_assign_states(trace, params)
+    assert split_by_state("f", trace, params) == reference_split_by_state("f", trace, params)
+
+
+def test_empty_trace_has_no_state_and_no_fragment():
+    params = _params_for(("a", "b"), [[1, 0, 0], [0, 1, 0]], window=3)
+    assert assign_states((), params) == reference_assign_states((), params) == []
+    assert split_by_state("f", (), params) == reference_split_by_state("f", (), params) == []
+
+
+def _fit_outcome(fit, traces, clusters, window, seed):
+    try:
+        return fit(traces, clusters, window, seed)
+    except DataError as exc:
+        return str(exc)
+
+
+@given(
+    st.lists(st.lists(st.sampled_from(_POOL[:4]), max_size=12).map(tuple), min_size=1, max_size=6),
+    st.integers(1, 4), st.integers(1, 6), st.integers(0, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_fit_states_matches_reference(traces, clusters, window, seed):
+    got = _fit_outcome(fit_states, traces, clusters, window, seed)
+    expected = _fit_outcome(reference_fit_states, traces, clusters, window, seed)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert got.alphabet == expected.alphabet
+        assert np.array_equal(got.centroids, expected.centroids)
+
+
+_LABEL_PREFIXES = ("C_to_S_", "S_to_C_", "C_to_S", "S_to_C", "X_to_Y_", "c_to_s_", "")
+_LABEL_TOKENS = ("SYN", "ACK", "FIN", "RST", "PSH", "URG", "NONE", "ECE", "", "syn")
+
+
+def _label_outcome(parse, label):
+    try:
+        return parse(label)
+    except DataError as exc:
+        return str(exc)
+
+
+@given(
+    st.sampled_from(_LABEL_PREFIXES),
+    st.lists(st.sampled_from(_LABEL_TOKENS), max_size=5),
+    st.sampled_from(("+", "", "_")),
+)
+@settings(max_examples=500, deadline=None)
+def test_parse_event_label_matches_reference(prefix, tokens, sep):
+    label = prefix + sep.join(tokens)
+    assert _label_outcome(parse_event_label, label) == _label_outcome(
+        reference_parse_event_label, label
+    )

@@ -16,7 +16,6 @@ from alarmsift.flowmeter import (
     assemble_flows,
     event_label,
     featurize,
-    pair_key,
     read_corpus,
     write_flow_events,
     write_flows_csv,
@@ -45,20 +44,6 @@ def _conversation(ts0, client, server, cport, sport):
 def test_feature_list_is_fixed():
     assert len(FEATURE_NAMES) == 40
     assert len(set(FEATURE_NAMES)) == 40
-
-
-def test_pair_key_symmetric():
-    a, b = ("10.0.0.1", 1234), ("10.0.0.2", 80)
-    assert pair_key(a, b) == pair_key(b, a)
-
-
-@given(
-    st.tuples(st.ip_addresses(v=4).map(str), st.integers(1, 65535)),
-    st.tuples(st.ip_addresses(v=4).map(str), st.integers(1, 65535)),
-)
-@settings(max_examples=150, deadline=None)
-def test_pair_key_symmetric_property(a, b):
-    assert pair_key(a, b) == pair_key(b, a)
 
 
 def test_interleaved_conversations_partition():

@@ -17,7 +17,7 @@ from alarmsift.cli import main
 from alarmsift.config import CaptureSpec, RunConfig, derive_seed, load_config, semantic_echo
 from alarmsift.errors import ConfigError, DataError, SchemaError
 from alarmsift.petri import PetriNet, Transition, export_pnml, import_pnml
-from capturecraft import handshake_fin_frames, pcap_bytes
+from capturecraft import handshake_fin_frames, ipv4_udp_frame, pcap_bytes
 
 
 @pytest.fixture(scope="module")
@@ -536,6 +536,7 @@ def test_config_null_means_default(tmp_path, monkeypatch):
     ("captures", [7]), ("captures", ["a.pcap", 1]),
     ("captures", [{"path": "a.pcap", "truht": "attack"}]),
     ("captures", [{"path": "a.pcap", "truth": ""}]),
+    ("alignment_budget", 0), ("alignment_budget", -3), ("server_ports", [70000, -1]),
 ])
 def test_config_unconvertible_value_names_key(tmp_path, key, value):
     cfg_file = tmp_path / "cfg.json"
@@ -543,6 +544,21 @@ def test_config_unconvertible_value_names_key(tmp_path, key, value):
     with pytest.raises(ConfigError, match=key):
         load_config(cfg_file)
     assert main(["train", "--config", str(cfg_file), "--output-dir", str(tmp_path / "o")]) == 2
+
+
+def test_captures_without_a_flow_are_refused_with_counts(tmp_path):
+    # Six port-80 segments that a server_ports filter of 8080 drops, and
+    # one UDP datagram.
+    frames = handshake_fin_frames() + [(1.02, ipv4_udp_frame("10.0.0.1", "10.0.0.2", 53, 53))]
+    (tmp_path / "web.pcap").write_bytes(pcap_bytes(frames))
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({
+        "captures": [str(tmp_path / "web.pcap")], "server_ports": [8080],
+    }))
+    message = "no flow was assembled from the captures: 6 packet(s) filtered by server_ports, 1 "
+    with pytest.raises(DataError, match=re.escape(message)):
+        pipeline.load_records(load_config(cfg_file))
+    assert main(["train", "--config", str(cfg_file), "--output-dir", str(tmp_path / "o")]) == 3
 
 
 def _captures_sharing_a_stem(tmp_path, corpus):
