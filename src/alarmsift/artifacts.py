@@ -15,8 +15,9 @@ Artifacts (container, schema id, line ending):
   (JSONL, alarmsift-flow-events/1).
 - Bundle: manifest.json (JSON, alarmsift-bundle/1), detector.json (JSON,
   alarmsift-detector/1; baseline detector only), extraction.json (JSON,
-  alarmsift-extraction/1), nets/state_<k>.pnml (PNML XML with a
-  finalmarkings element, no schema id; read by petri.import_pnml),
+  alarmsift-extraction/1), nets/state_<k>.pnml (PNML XML with a page and
+  a finalmarkings element, no schema id; petri.import_pnml reads only the
+  shape petri.export_pnml writes),
   logs/state_<k>.xes (XES 1849-2016 XML, no schema id),
   logs/state_logs.jsonl (JSONL, alarmsift-state-logs/1) and
   reference_profile.csv (CSV, alarmsift-profile/1, rows end in LF).

@@ -69,6 +69,8 @@ class RunConfig:
             )
         if self.external_scores is not None and self.external_threshold is None:
             raise ConfigError("external scores require an external threshold")
+        if self.external_threshold is not None and self.external_scores is None:
+            raise ConfigError("config key 'external_threshold' needs external_scores")
         try:
             SeverityBands(self.band_boundaries)
         except DataError as exc:

@@ -254,8 +254,8 @@ def load_model(path: str | Path) -> DetectorModel:
     missing or mistyped key, for mean, std, mask or basis shapes that do not
     fit the feature list and the active mask, for a non-finite value, for a
     std that is not positive on an active column, for a threshold that is
-    not a finite number, for a seed that is not an integer, for a percentile
-    outside (0, 1], and for a kind other than KIND_BASELINE."""
+    not a finite number, for components or a seed that is not an integer,
+    for a percentile outside (0, 1], and for a kind other than KIND_BASELINE."""
     payload = read_schema_json(path, MODEL_SCHEMA)
     try:
         model = DetectorModel(
@@ -275,6 +275,8 @@ def load_model(path: str | Path) -> DetectorModel:
     n, active = len(model.feature_names), int(model.mask.sum())
     if any(v.shape != (n,) for v in (model.mean, model.std, model.mask)):
         problem = f"mean, std and mask must have {n} entries, one per feature"
+    elif type(model.components) is not int:
+        problem = f"components {model.components!r} is not an integer"
     elif model.basis.shape != (model.components, active):
         problem = f"basis must be components x active features ({model.components} x {active})"
     elif not all(np.isfinite(v).all() for v in (model.mean, model.std, model.basis)):

@@ -3,7 +3,8 @@ workflow-shape and soundness checks, and PNML serialization.
 
 Nets here are workflow nets: a unique source place carrying the single
 initial token, a unique sink place carrying the single final token, and
-every node on a path between them. Arcs have unit weight.
+every node on a path between them. Arcs have unit weight: a net holds each
+(source, target) arc at most once, and PetriNet refuses a repeated one.
 
 Each net's reachable markings are explored once, breadth-first, into a
 ReachabilityGraph that alignment and the soundness check read. A marking's
@@ -79,35 +80,29 @@ class PetriNet:
         self.initial_marking: Marking = {p: c for p, c in initial_marking.items() if c}
         self.final_marking: Marking = {p: c for p, c in final_marking.items() if c}
 
-        place_set = set(self.places)
-        tid_set = {t.tid for t in self.transitions}
-        if len(place_set) != len(self.places) or len(tid_set) != len(self.transitions):
+        places = {p: i for i, p in enumerate(self.places)}
+        tids = {t.tid: j for j, t in enumerate(self.transitions)}
+        if len(places) != len(self.places) or len(tids) != len(self.transitions):
             raise DataError("duplicate place or transition ids")
-        if place_set & tid_set:
+        if places.keys() & tids.keys():
             raise DataError("place and transition ids must be disjoint")
+        pre: list[list[int]] = [[] for _ in self.transitions]
+        post: list[list[int]] = [[] for _ in self.transitions]
         for src, dst in self.arcs:
-            ok = (src in place_set and dst in tid_set) or (src in tid_set and dst in place_set)
-            if not ok:
-                raise DataError(f"arc ({src}, {dst}) is not place<->transition")
-        for marking in (self.initial_marking, self.final_marking):
-            for p in marking:
-                if p not in place_set:
-                    raise DataError(f"marking references unknown place {p}")
-
-        self._place_idx = {p: i for i, p in enumerate(self.places)}
-        self._tid_idx = {t.tid: j for j, t in enumerate(self.transitions)}
-        self._pre: list[tuple[int, ...]] = [() for _ in self.transitions]
-        self._post: list[tuple[int, ...]] = [() for _ in self.transitions]
-        pre: dict[int, list[int]] = {j: [] for j in range(len(self.transitions))}
-        post: dict[int, list[int]] = {j: [] for j in range(len(self.transitions))}
-        for src, dst in self.arcs:
-            if src in self._place_idx:
-                pre[self._tid_idx[dst]].append(self._place_idx[src])
+            if src in places and dst in tids:
+                table, j, i = pre, tids[dst], places[src]
+            elif src in tids and dst in places:
+                table, j, i = post, tids[src], places[dst]
             else:
-                post[self._tid_idx[src]].append(self._place_idx[dst])
-        for j in range(len(self.transitions)):
-            self._pre[j] = tuple(sorted(pre[j]))
-            self._post[j] = tuple(sorted(post[j]))
+                raise DataError(f"arc ({src}, {dst}) is not place<->transition")
+            if i in table[j]:
+                raise DataError(f"arc ({src}, {dst}) is repeated; arcs have unit weight")
+            table[j].append(i)
+        for p in [*self.initial_marking, *self.final_marking]:
+            if p not in places:
+                raise DataError(f"marking references unknown place {p}")
+        self._pre: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(ps)) for ps in pre)
+        self._post: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(ps)) for ps in post)
         self.labels: frozenset[str] = frozenset(
             t.label for t in self.transitions if t.label is not None
         )
@@ -290,48 +285,33 @@ def export_pnml(net: PetriNet, path: str | Path, net_id: str = "net0") -> None:
 
 
 def import_pnml(path: str | Path) -> PetriNet:
-    """Reads a net written by export_pnml; raises SchemaError naming the
-    file when it cannot be read or does not describe a valid net."""
+    """Reads the one shape export_pnml writes: nodes under net/page, token
+    counts in each place's initialMarking/text and in
+    net/finalmarkings/marking/place/text, a name on visible transitions only.
+    Raises SchemaError naming the file for any other shape or invalid net."""
     try:
-        return _read_pnml(path)
-    except SchemaError:
-        raise
+        root = ET.parse(Path(path)).getroot()
+        page, final_el = root.find("net/page"), root.find("net/finalmarkings/marking")
+        if page is None or final_el is None:
+            raise ValueError("no net/page or no net/finalmarkings/marking element")
+        places = [p_el.attrib["id"] for p_el in page.findall("place")]
+        initial = {p_el.attrib["id"]: _tokens(p_el.findtext("initialMarking/text"))
+                   for p_el in page.findall("place[initialMarking]")}
+        transitions: list[Transition] = []
+        for t_el in page.findall("transition"):
+            label = t_el.findtext("name/text")
+            if t_el.find("name") is not None and not label:
+                raise ValueError(f"transition {t_el.attrib['id']} has an empty name")
+            transitions.append(Transition(t_el.attrib["id"], label))
+        arcs = [(a_el.attrib["source"], a_el.attrib["target"]) for a_el in page.findall("arc")]
+        final = {ref.attrib["idref"]: _tokens(ref.findtext("text"))
+                 for ref in final_el.findall("place")}
+        return PetriNet(places, transitions, arcs, initial, final)
     except (ET.ParseError, OSError, KeyError, ValueError, DataError) as exc:
         raise SchemaError(f"{path}: not a readable PNML net: {exc!r}") from exc
 
 
-def _read_pnml(path: str | Path) -> PetriNet:
-    root = ET.parse(Path(path)).getroot()
-    net_el = root.find("net")
-    if net_el is None:
-        raise SchemaError(f"{path}: missing <net> element")
-    page = net_el.find("page")
-    container = page if page is not None else net_el
-    places: list[str] = []
-    transitions: list[Transition] = []
-    arcs: list[tuple[str, str]] = []
-    initial: Marking = {}
-    for p_el in container.findall("place"):
-        pid = p_el.attrib["id"]
-        places.append(pid)
-        im = p_el.find("initialMarking/text")
-        if im is not None and im.text and int(im.text):
-            initial[pid] = int(im.text)
-    for t_el in container.findall("transition"):
-        label_el = t_el.find("name/text")
-        label = label_el.text if label_el is not None else None
-        transitions.append(Transition(tid=t_el.attrib["id"], label=label))
-    for a_el in container.findall("arc"):
-        arcs.append((a_el.attrib["source"], a_el.attrib["target"]))
-    final: Marking = {}
-    for ref in net_el.findall("finalmarkings/marking/place"):
-        text = ref.find("text")
-        final[ref.attrib["idref"]] = int(text.text) if text is not None else 1
-    if not final:
-        # Fall back to the structural sink place.
-        outgoing = {src for src, _ in arcs}
-        sinks = [p for p in places if p not in outgoing]
-        if len(sinks) != 1:
-            raise SchemaError(f"{path}: no final marking and no unique sink place")
-        final = {sinks[0]: 1}
-    return PetriNet(places, transitions, arcs, initial, final)
+def _tokens(text: str | None) -> int:
+    if not (text or "").isdigit():
+        raise ValueError(f"marking text {text!r} is not a token count")
+    return int(text)

@@ -43,17 +43,23 @@ KIND_EXTERNAL = "external-scores"
 # --- input loading ---------------------------------------------------------
 
 def load_records(config: RunConfig) -> list[FlowRecord]:
-    """Loads flow records from the configured corpus or PCAP captures. Flow
-    ids must be distinct: a capture's ids are prefixed with its file stem,
-    and two captures that yield the same id raise DataError naming both.
-    A capture that ingest_pcap cannot read (PcapFormatError: unreadable,
-    a bad global header, an unsupported link type) or that is malformed
-    mid-file is refused with a warning naming it, and the rest still load;
-    DataError is raised when every capture was refused, and when the
-    captures yield no flow, with the packets that server_ports filtered
-    and the non-TCP packets counted."""
+    """Loads flow records from the configured corpus or PCAP captures; setting
+    both is a ConfigError. A corpus without a flow raises DataError naming
+    its directory. Flow ids must be distinct: a capture's ids are prefixed
+    with its file stem, and two captures that yield the same id raise
+    DataError naming both. A capture that ingest_pcap cannot read
+    (PcapFormatError: unreadable, a bad global header, an unsupported link
+    type) or that is malformed mid-file is refused with a warning naming it,
+    and the rest still load; DataError is raised when every capture was
+    refused, and when the captures yield no flow, with the packets that
+    server_ports filtered and the non-TCP packets counted."""
+    if config.corpus is not None and config.captures:
+        raise ConfigError("set either corpus or captures, not both")
     if config.corpus is not None:
-        return read_corpus(config.corpus / "flows.csv", config.corpus / "events.jsonl")
+        corpus = read_corpus(config.corpus / "flows.csv", config.corpus / "events.jsonl")
+        if not corpus:
+            raise DataError(f"corpus {config.corpus} holds no flow")
+        return corpus
     if not config.captures:
         raise ConfigError("no input configured: set either corpus or captures")
     records: list[FlowRecord] = []
@@ -306,6 +312,8 @@ def _detect(
     external score rows that name no record (empty for the baseline)."""
     ids, truths = [r.flow_id for r in records], [r.truth for r in records]
     if kind != KIND_EXTERNAL:
+        if config.external_scores is not None:
+            raise ConfigError("bundle was trained on the baseline detector; unset external_scores")
         return det.classify(model, _features_matrix(records), ids, truths), []
     if config.external_scores is None:
         raise ConfigError("bundle was trained on external scores; configure external_scores")

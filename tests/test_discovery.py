@@ -1,5 +1,6 @@
 """Inductive miner and Petri net semantics."""
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -247,13 +248,15 @@ def test_silent_one_in_one_out_preserves_token_count():
 
 
 def test_pnml_round_trip(tmp_path):
-    net = discover([("a", "b"), ("b", "a"), ("a", "b", "r", "a", "b")])
-    path = tmp_path / "net.pnml"
-    export_pnml(net, path)
-    loaded = import_pnml(path)
-    assert loaded == net
-    export_pnml(loaded, tmp_path / "net2.pnml")
-    assert (tmp_path / "net.pnml").read_bytes() == (tmp_path / "net2.pnml").read_bytes()
+    rng = random.Random(18)
+    nets = [discover([("a", "b"), ("b", "a"), ("a", "b", "r", "a", "b")])]
+    nets += [tree_to_net(random_tree(rng, ["a", "b", "c", "d"])) for _ in range(40)]
+    for net in nets:
+        export_pnml(net, tmp_path / "net.pnml")
+        loaded = import_pnml(tmp_path / "net.pnml")
+        assert loaded == net
+        export_pnml(loaded, tmp_path / "net2.pnml")
+        assert (tmp_path / "net.pnml").read_bytes() == (tmp_path / "net2.pnml").read_bytes()
 
 
 def test_pnml_export_is_deterministic(tmp_path):
@@ -270,7 +273,21 @@ def test_mine_tree_single_activity_and_empty_handling():
 
 
 def test_invalid_net_construction_rejected():
-    with pytest.raises(DataError):
-        PetriNet(["p"], [Transition("p", "x")], [], {"p": 1}, {"p": 1})
-    with pytest.raises(DataError):
-        PetriNet(["p1", "p2"], [Transition("t")], [("p1", "p2")], {"p1": 1}, {"p2": 1})
+    t = [Transition("t", "x")]
+    cases = [
+        (["p", "p"], t, [], "duplicate place or transition ids"),
+        (["p"], [Transition("t"), Transition("t", "x")], [], "duplicate place or transition ids"),
+        (["p"], [Transition("p", "x")], [], "place and transition ids must be disjoint"),
+        (["p", "q"], t, [("p", "q")], "arc (p, q) is not place<->transition"),
+        (["p"], [Transition("t"), Transition("u")], [("t", "u")],
+         "arc (t, u) is not place<->transition"),
+        (["p"], t, [("p", "nowhere")], "arc (p, nowhere) is not place<->transition"),
+        (["p"], t, [("p", "t"), ("t", "p"), ("t", "p")], "arc (t, p) is repeated"),
+        (["p"], t, [("p", "t"), ("p", "t")], "arc (p, t) is repeated"),
+    ]
+    for places, transitions, arcs, message in cases:
+        with pytest.raises(DataError, match=re.escape(message)):
+            PetriNet(places, transitions, arcs, {"p": 1}, {"p": 1})
+    for initial, final in (({"q": 1}, {"p": 1}), ({"p": 1}, {"q": 1})):
+        with pytest.raises(DataError, match="marking references unknown place q"):
+            PetriNet(["p"], t, [("p", "t")], initial, final)

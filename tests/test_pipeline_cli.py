@@ -7,6 +7,7 @@ import math
 import re
 import shutil
 import struct
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -362,6 +363,27 @@ def _net_file(net):
     return corrupt
 
 
+def _edit_net(edit):
+    def corrupt(bundle: Path) -> None:
+        path = bundle / "nets" / "state_1.pnml"
+        tree = ET.parse(path)
+        edit(tree.getroot().find("net"))
+        tree.write(path)
+    return corrupt
+
+
+def _empty_text(element_path):
+    def edit(net):
+        net.find(element_path).text = None
+    return edit
+
+
+def _unwrap_page(net):
+    page = net.find("page")
+    net.remove(page)
+    net.extend(page)
+
+
 def _zero_std_on_an_active_column(model):
     model["std"][model["mask"].index(True)] = 0.0
     return model
@@ -427,6 +449,12 @@ _DEADLOCKING_NET = PetriNet(
     (_net_file(_DEADLOCKING_NET), "state_1.pnml"),
     (_append("reference_profile.csv", "C_to_S_ACK;0.5\n"), "reference_profile.csv"),
     (_append("reference_profile.csv", "C_to_S_ACK,nan\n"), "reference_profile.csv"),
+    (_edit_json("detector.json", lambda d: _with(d, components=float(d["components"]))),
+     "detector.json"),
+    (_edit_net(_empty_text("finalmarkings/marking/place/text")), "state_1.pnml"),
+    (_edit_net(lambda net: net.remove(net.find("finalmarkings"))), "state_1.pnml"),
+    (_edit_net(_unwrap_page), "state_1.pnml"),
+    (_edit_net(_empty_text("page/transition/name/text")), "state_1.pnml"),
 ], ids=[
     "no-states", "string-threshold", "string-fp-pool", "one-state-of-two", "not-an-object",
     "truncated-manifest", "short-centroids", "no-alphabet", "int-in-alphabet",
@@ -436,7 +464,8 @@ _DEADLOCKING_NET = PetriNet(
     "string-detector-threshold", "inf-detector-threshold", "unknown-detector-kind",
     "string-detector-seed", "bool-detector-percentile", "list-detector-percentile",
     "manifest-threshold-differs", "not-a-workflow-net", "unsound-net", "profile-row-without-comma",
-    "nan-profile-count",
+    "nan-profile-count", "float-detector-components", "empty-final-marking-text",
+    "no-finalmarkings", "no-page", "emptied-transition-name",
 ])
 def test_corrupt_bundle_is_a_schema_error(trained_bundle, tmp_path, corrupt, culprit):
     bundle = tmp_path / "bundle"
@@ -537,6 +566,7 @@ def test_config_null_means_default(tmp_path, monkeypatch):
     ("captures", [{"path": "a.pcap", "truht": "attack"}]),
     ("captures", [{"path": "a.pcap", "truth": ""}]),
     ("alignment_budget", 0), ("alignment_budget", -3), ("server_ports", [70000, -1]),
+    ("external_threshold", 0.5),
 ])
 def test_config_unconvertible_value_names_key(tmp_path, key, value):
     cfg_file = tmp_path / "cfg.json"
@@ -559,6 +589,38 @@ def test_captures_without_a_flow_are_refused_with_counts(tmp_path):
     with pytest.raises(DataError, match=re.escape(message)):
         pipeline.load_records(load_config(cfg_file))
     assert main(["train", "--config", str(cfg_file), "--output-dir", str(tmp_path / "o")]) == 3
+
+
+def test_an_empty_corpus_is_refused(trained_bundle, tmp_path):
+    synthetic.write_corpus([], tmp_path / "empty")
+    with pytest.raises(DataError, match=re.escape(f"corpus {tmp_path / 'empty'} holds no flow")):
+        pipeline.load_records(_cfg(tmp_path / "empty", tmp_path / "o"))
+    common = ["--corpus", str(tmp_path / "empty"), "--bundle", str(trained_bundle)]
+    assert main(["rate", *common, "--output-dir", str(tmp_path / "rate")]) == 3
+    assert main(["explain", *common, "--out", str(tmp_path / "explain.json")]) == 3
+
+
+def test_corpus_and_captures_together_are_a_config_error(normal_only_dir, tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({
+        "corpus": str(normal_only_dir), "captures": [str(tmp_path / "nonexistent.pcap")],
+    }))
+    with pytest.raises(ConfigError, match="set either corpus or captures, not both"):
+        pipeline.load_records(load_config(cfg_file))
+    assert main(["train", "--config", str(cfg_file), "--output-dir", str(tmp_path / "o")]) == 2
+
+
+def test_external_scores_for_a_baseline_bundle_are_a_config_error(
+    corpus_dir, trained_bundle, tmp_path
+):
+    scores_csv = tmp_path / "scores.csv"
+    scores_csv.write_text("flow_id,score\n")
+    cfg = _cfg(corpus_dir, tmp_path / "rate", external_scores=scores_csv, external_threshold=0.5)
+    with pytest.raises(ConfigError, match="unset external_scores"):
+        pipeline.cmd_rate(cfg, trained_bundle)
+    assert main(["rate", "--corpus", str(corpus_dir), "--bundle", str(trained_bundle),
+                 "--external-scores", str(scores_csv), "--external-threshold", "0.5",
+                 "--output-dir", str(tmp_path / "o")]) == 2
 
 
 def _captures_sharing_a_stem(tmp_path, corpus):
