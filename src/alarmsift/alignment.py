@@ -57,12 +57,6 @@ class Alignment:
     moves: tuple[Move, ...]
     cost: int
 
-    def log_projection(self) -> tuple[str, ...]:
-        return tuple(
-            m.label for m in self.moves
-            if m.kind in (MoveKind.SYNCHRONOUS, MoveKind.LOG_ONLY)
-        )
-
     def misaligned(self) -> tuple[Move, ...]:
         return tuple(
             m for m in self.moves

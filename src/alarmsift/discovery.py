@@ -167,8 +167,6 @@ def _loop_cut(alphabet, dfg, starts, ends):
                 body |= comp_set
                 grew = True
         if not grew:
-            if not comps:
-                return None
             return [tuple(sorted(body))] + comps
 
 

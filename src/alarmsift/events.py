@@ -112,12 +112,10 @@ def _kmeans(vectors: np.ndarray, k: int, seed: int) -> np.ndarray:
     first = int(rng.integers(n))
     centroids = [vectors[first]]
     d2 = ((vectors - centroids[0]) ** 2).sum(axis=1)
+    # fit_states passes at least k distinct integral vectors, and a vector
+    # already chosen has d2 == 0, so d2 sums to at least 1 until k are chosen.
     for _ in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            pick = int(rng.integers(n))
-        else:
-            pick = int(rng.choice(n, p=d2 / total))
+        pick = int(rng.choice(n, p=d2 / d2.sum()))
         centroids.append(vectors[pick])
         d2 = np.minimum(d2, ((vectors - centroids[-1]) ** 2).sum(axis=1))
     cents = np.array(centroids)

@@ -319,17 +319,13 @@ class FlowRecord:
     last_ts: float = 0.0
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def write_flows_csv(records: list[FlowRecord], path: str | Path) -> None:
     """Writes the documented flows CSV (one row per flow, schema versioned)."""
     header = ["flow_id", "client_ip", "client_port", "server_ip", "server_port",
               "first_ts", "last_ts", "truth", *FEATURE_NAMES]
     rows = (
         [rec.flow_id, rec.client[0], rec.client[1], rec.server[0], rec.server[1],
-         _fmt(rec.first_ts), _fmt(rec.last_ts), rec.truth, *(_fmt(v) for v in rec.features)]
+         float(rec.first_ts), float(rec.last_ts), rec.truth, *rec.features.tolist()]
         for rec in records
     )
     write_csv(path, header, rows, schema=FLOWS_CSV_SCHEMA)

@@ -231,7 +231,7 @@ def save_bundle(
 
 # Manifest key -> whether a JSON value is valid for it (a missing key reads None).
 _MANIFEST_KEYS = {
-    "kind": lambda v: isinstance(v, str),
+    "kind": lambda v: v in (det.KIND_BASELINE, KIND_EXTERNAL),
     "threshold": lambda v: type(v) in (int, float) and math.isfinite(v),
     "states": lambda v: isinstance(v, list) and all(type(s) is int for s in v),
     "fp_pool": lambda v: isinstance(v, list) and all(isinstance(f, str) for f in v),

@@ -10,6 +10,10 @@ Two profiles are supported:
   tiny payloads spread over tens of seconds, terminated by a server RST
   instead of a close handshake. Targets the low-and-slow regime (about
   14 packets per flow, packet length around 70 bytes).
+
+Each profile is one _PROFILES row (builder, start spacing, truth, id
+prefix). Packets of one kind share one flag set, as captured packets share
+pcap's.
 """
 from __future__ import annotations
 
@@ -17,9 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .detector import TRUTH_ATTACK, TRUTH_NORMAL
 from .errors import DataError
 from .events import flow_to_record
-from .flowmeter import Direction, Flow, FlowPacket, FlowRecord, write_flow_events, write_flows_csv
+from .flowmeter import Direction, Flow, FlowPacket, write_flow_events, write_flows_csv
 
 PROFILE_NORMAL = "normal"
 PROFILE_SLOWLORIS = "slowloris"
@@ -34,15 +39,13 @@ _DATA_LEN = 1514
 _DATA_PAYLOAD = 1448
 _START_TIME = 1_700_000_000.0
 
-
-def _pkt(direction: Direction, flags: set[str], ts: float, payload: int, total: int) -> FlowPacket:
-    return FlowPacket(
-        direction=direction,
-        flags=frozenset(flags),
-        timestamp=ts,
-        payload_len=payload,
-        total_len=total,
-    )
+_C2S, _S2C = Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT
+_SYN = frozenset({"SYN"})
+_SYN_ACK = frozenset({"SYN", "ACK"})
+_ACK = frozenset({"ACK"})
+_ACK_PSH = frozenset({"ACK", "PSH"})
+_FIN_ACK = frozenset({"FIN", "ACK"})
+_RST_ACK = frozenset({"RST", "ACK"})
 
 
 class _Clock:
@@ -55,60 +58,52 @@ class _Clock:
 
 
 def _handshake(clock: _Clock, rng: np.random.Generator) -> list[FlowPacket]:
-    c2s, s2c = Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT
     return [
-        _pkt(c2s, {"SYN"}, clock.now, 0, _SYN_LEN),
-        _pkt(s2c, {"SYN", "ACK"}, clock.tick(rng.uniform(0.0005, 0.003)), 0, _SYN_LEN),
-        _pkt(c2s, {"ACK"}, clock.tick(rng.uniform(0.0005, 0.003)), 0, _ACK_LEN),
+        FlowPacket(_C2S, _SYN, clock.now, 0, _SYN_LEN),
+        FlowPacket(_S2C, _SYN_ACK, clock.tick(rng.uniform(0.0005, 0.003)), 0, _SYN_LEN),
+        FlowPacket(_C2S, _ACK, clock.tick(rng.uniform(0.0005, 0.003)), 0, _ACK_LEN),
     ]
 
 
 def _normal_flow(rng: np.random.Generator, start: float) -> list[FlowPacket]:
-    c2s, s2c = Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT
     clock = _Clock(start)
     packets = _handshake(clock, rng)
     requests = int(rng.integers(2, 5))
     for _ in range(requests):
         req_payload = int(rng.integers(250, 700))
-        packets.append(
-            _pkt(c2s, {"ACK", "PSH"}, clock.tick(rng.uniform(0.05, 0.3)), req_payload,
-                 _ACK_LEN + req_payload)
-        )
+        packets.append(FlowPacket(_C2S, _ACK_PSH, clock.tick(rng.uniform(0.05, 0.3)),
+                                  req_payload, _ACK_LEN + req_payload))
         rounds = int(rng.integers(8, 26))
         for _ in range(rounds):
             for _ in range(3):
-                packets.append(
-                    _pkt(s2c, {"ACK", "PSH"}, clock.tick(rng.uniform(0.08, 0.4)),
-                         _DATA_PAYLOAD, _DATA_LEN)
-                )
-            packets.append(_pkt(c2s, {"ACK"}, clock.tick(rng.uniform(0.01, 0.1)), 0, _ACK_LEN))
-    packets.append(_pkt(c2s, {"FIN", "ACK"}, clock.tick(rng.uniform(0.05, 0.4)), 0, _FIN_LEN))
-    packets.append(_pkt(s2c, {"FIN", "ACK"}, clock.tick(rng.uniform(0.001, 0.02)), 0, _FIN_LEN))
-    packets.append(_pkt(c2s, {"ACK"}, clock.tick(rng.uniform(0.001, 0.02)), 0, _ACK_LEN))
+                packets.append(FlowPacket(_S2C, _ACK_PSH, clock.tick(rng.uniform(0.08, 0.4)),
+                                          _DATA_PAYLOAD, _DATA_LEN))
+            packets.append(FlowPacket(_C2S, _ACK, clock.tick(rng.uniform(0.01, 0.1)), 0, _ACK_LEN))
+    packets.append(FlowPacket(_C2S, _FIN_ACK, clock.tick(rng.uniform(0.05, 0.4)), 0, _FIN_LEN))
+    packets.append(FlowPacket(_S2C, _FIN_ACK, clock.tick(rng.uniform(0.001, 0.02)), 0, _FIN_LEN))
+    packets.append(FlowPacket(_C2S, _ACK, clock.tick(rng.uniform(0.001, 0.02)), 0, _ACK_LEN))
     return packets
 
 
 def _slowloris_flow(rng: np.random.Generator, start: float) -> list[FlowPacket]:
-    c2s, s2c = Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT
     clock = _Clock(start)
     packets = _handshake(clock, rng)
     drips = int(rng.integers(6, 11))
     for _ in range(drips):
         payload = int(rng.integers(4, 24))
-        packets.append(
-            _pkt(c2s, {"ACK", "PSH"}, clock.tick(min(rng.exponential(3.2), 9.0)),
-                 payload, _ACK_LEN + payload)
-        )
+        packets.append(FlowPacket(_C2S, _ACK_PSH, clock.tick(min(rng.exponential(3.2), 9.0)),
+                                  payload, _ACK_LEN + payload))
         if rng.random() < 0.45:
-            packets.append(_pkt(s2c, {"ACK"}, clock.tick(rng.uniform(0.001, 0.05)), 0, _ACK_LEN))
+            packets.append(FlowPacket(_S2C, _ACK, clock.tick(rng.uniform(0.001, 0.05)), 0, _ACK_LEN))
     # Server gives up on the starved connection.
-    packets.append(_pkt(s2c, {"RST", "ACK"}, clock.tick(min(rng.exponential(3.2), 9.0)), 0, _RST_LEN))
+    packets.append(FlowPacket(_S2C, _RST_ACK, clock.tick(min(rng.exponential(3.2), 9.0)),
+                              0, _RST_LEN))
     return packets
 
 
-_BUILDERS = {
-    PROFILE_NORMAL: (_normal_flow, 0.79),
-    PROFILE_SLOWLORIS: (_slowloris_flow, 0.043),
+_PROFILES = {
+    PROFILE_NORMAL: (_normal_flow, 0.79, TRUTH_NORMAL, "nor"),
+    PROFILE_SLOWLORIS: (_slowloris_flow, 0.043, TRUTH_ATTACK, "atk"),
 }
 
 
@@ -116,11 +111,9 @@ def generate_flows(profile: str, count: int, seed: int) -> list[Flow]:
     """Generates count flows of one profile; fully determined by the seed."""
     if count < 1:
         raise DataError(f"flow count must be >= 1, got {count}")
-    if profile not in _BUILDERS:
+    if profile not in _PROFILES:
         raise DataError(f"unknown traffic profile {profile!r}")
-    builder, spacing = _BUILDERS[profile]
-    truth = "normal" if profile == PROFILE_NORMAL else "attack"
-    prefix = "nor" if truth == "normal" else "atk"
+    builder, spacing, truth, prefix = _PROFILES[profile]
     rng = np.random.default_rng(seed)
     flows = []
     for i in range(count):
@@ -137,10 +130,6 @@ def generate_flows(profile: str, count: int, seed: int) -> list[Flow]:
             )
         )
     return flows
-
-
-def generate_records(profile: str, count: int, seed: int) -> list[FlowRecord]:
-    return [flow_to_record(f) for f in generate_flows(profile, count, seed)]
 
 
 def write_corpus(flows: list[Flow], out_dir: str | Path) -> tuple[Path, Path]:

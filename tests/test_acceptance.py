@@ -20,7 +20,7 @@ from alarmsift.pcap import ingest_pcap
 from alarmsift.rating import BandedConfusion, SeverityBands, banded_metrics, cos_sim
 
 from capturecraft import handshake_fin_frames, ipv4_tcp_frame, pcap_bytes
-from treegen import oracle_align_cost, perturb_trace, random_tree, sample_trace
+from treegen import log_projection, oracle_align_cost, perturb_trace, random_tree, sample_trace
 
 
 def test_criterion_1_alignment_optimality_vs_bruteforce():
@@ -80,7 +80,7 @@ def test_criterion_3_paper_alignment_example():
     assert len(non_sync) == 1
     assert non_sync[0].kind is MoveKind.MODEL_ONLY
     assert non_sync[0].label == "C_to_S_ACK"
-    assert result.log_projection() == trace
+    assert log_projection(result) == trace
     print("ACCEPTANCE 3 paper-alignment-example: PASS (cost 1, ModelOnly C_to_S_ACK)")
 
 

@@ -23,7 +23,9 @@ from alarmsift.events import Fragment
 from alarmsift.petri import PetriNet, Transition
 
 from reference_astar import reference_align
-from treegen import firing_rule, oracle_align_cost, perturb_trace, random_tree, sample_trace
+from treegen import (
+    firing_rule, log_projection, oracle_align_cost, perturb_trace, random_tree, sample_trace,
+)
 
 HANDSHAKE = ("C_to_S_SYN", "S_to_C_SYN", "C_to_S_ACK", "S_to_C_ACK+PSH", "C_to_S_ACK")
 
@@ -40,7 +42,7 @@ def test_handshake_missing_ack_costs_one_model_move():
     non_sync = result.misaligned()
     assert len(non_sync) == 1
     assert (non_sync[0].kind, non_sync[0].label) == (MoveKind.MODEL_ONLY, "C_to_S_ACK")
-    assert result.log_projection() == trace
+    assert log_projection(result) == trace
 
 
 def test_in_language_trace_aligns_all_sync():
@@ -86,7 +88,7 @@ def test_projections_hold_on_random_instances():
         base = sample_trace(tree, rng)
         trace = perturb_trace(base, rng, list("abcd"))
         result = align(net, trace)
-        assert result.log_projection() == tuple(trace)
+        assert log_projection(result) == tuple(trace)
         assert _replay_model_projection(net, result)
         moves = [[m.kind.value, m.label, m.tid] for m in result.moves]
         digest.update(json.dumps(moves).encode() + b"\n")

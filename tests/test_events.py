@@ -179,6 +179,13 @@ def test_fit_states_requires_k_distinct_windows():
         fit_states(traces, clusters=2, window=2, seed=0)
 
 
+def test_fit_states_refuses_collapsed_centroids(monkeypatch):
+    monkeypatch.setattr("alarmsift.events._kmeans",
+                        lambda vectors, k, seed: np.repeat(vectors[:1], k, axis=0))
+    with pytest.raises(DataError, match="collapsed"):
+        fit_states([("a",) * 6, ("b",) * 6], clusters=2, window=3, seed=0)
+
+
 @pytest.mark.parametrize("clusters, window", [(0, 2), (2, 0)])
 def test_fit_states_rejects_sizes_below_one(clusters, window):
     with pytest.raises(DataError, match="must be >= 1"):

@@ -1,6 +1,7 @@
 """Flow assembly and feature statistics."""
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -64,6 +65,15 @@ def test_idle_timeout_splits_flow():
     flows = assemble_flows(pkts, timeout=120.0)
     assert len(flows) == 2
     assert len(flows[0].packets) == 3 and len(flows[1].packets) == 1
+
+
+def test_idle_gap_must_exceed_the_timeout_to_split():
+    def gap_flows(second_ts):
+        pkts = [_pkt(ts, "10.0.0.1", "10.0.0.9", 1111, 80, ("ACK",)) for ts in (2.0, second_ts)]
+        return assemble_flows(pkts, timeout=120.0)
+
+    assert [len(f.packets) for f in gap_flows(122.0)] == [2]  # gap == timeout
+    assert [len(f.packets) for f in gap_flows(math.nextafter(122.0, math.inf))] == [1, 1]
 
 
 def test_fin_close_then_new_flow():

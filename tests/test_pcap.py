@@ -111,6 +111,14 @@ def test_corrupt_midfile_header_flags_partial(tmp_path):
     assert result.partial
 
 
+@pytest.mark.parametrize("size, partial", [(1 << 18, False), ((1 << 18) + 1, True)])
+def test_record_length_limit_is_inclusive(tmp_path, size, partial):
+    frame = ipv4_tcp_frame("10.0.0.1", "10.0.0.2", 1111, 80, ("SYN",))
+    result = ingest_pcap(_write(tmp_path, pcap_bytes([(1.0, frame.ljust(size, b"\x00"))])))
+    assert result.partial is partial
+    assert len(result.packets) == (0 if partial else 1)
+
+
 def test_port_filter(tmp_path):
     frames = [
         (1.0, ipv4_tcp_frame("10.0.0.1", "10.0.0.2", 1111, 80, ("SYN",))),

@@ -455,6 +455,7 @@ _DEADLOCKING_NET = PetriNet(
     (_edit_net(lambda net: net.remove(net.find("finalmarkings"))), "state_1.pnml"),
     (_edit_net(_unwrap_page), "state_1.pnml"),
     (_edit_net(_empty_text("page/transition/name/text")), "state_1.pnml"),
+    (_edit_json("manifest.json", lambda m: _with(m, kind="x")), "manifest.json"),
 ], ids=[
     "no-states", "string-threshold", "string-fp-pool", "one-state-of-two", "not-an-object",
     "truncated-manifest", "short-centroids", "no-alphabet", "int-in-alphabet",
@@ -465,7 +466,7 @@ _DEADLOCKING_NET = PetriNet(
     "string-detector-seed", "bool-detector-percentile", "list-detector-percentile",
     "manifest-threshold-differs", "not-a-workflow-net", "unsound-net", "profile-row-without-comma",
     "nan-profile-count", "float-detector-components", "empty-final-marking-text",
-    "no-finalmarkings", "no-page", "emptied-transition-name",
+    "no-finalmarkings", "no-page", "emptied-transition-name", "unknown-manifest-kind",
 ])
 def test_corrupt_bundle_is_a_schema_error(trained_bundle, tmp_path, corrupt, culprit):
     bundle = tmp_path / "bundle"

@@ -1,5 +1,6 @@
-"""Random process trees, trace sampling, and the brute-force alignment
-oracle (uniform-cost search over the synchronous product, no heuristic).
+"""Random process trees, trace sampling, the brute-force alignment oracle
+(uniform-cost search over the synchronous product, no heuristic), and an
+alignment's log projection.
 
 The oracle deliberately shares only the net data model with the package;
 the firing rule and the search are independent implementations.
@@ -10,6 +11,7 @@ import heapq
 import random
 from collections import Counter
 
+from alarmsift.alignment import Alignment, MoveKind
 from alarmsift.discovery import (
     EXCLUSIVE, LOOP, PARALLEL, SEQUENCE, ProcessTree, leaf, tau,
 )
@@ -131,3 +133,11 @@ def perturb_trace(trace: tuple[str, ...], rng: random.Random, alphabet: list[str
             i = rng.randrange(len(events) - 1)
             events[i], events[i + 1] = events[i + 1], events[i]
     return tuple(events[:10])
+
+
+def log_projection(alignment: Alignment) -> tuple[str, ...]:
+    """The labels of the log-side moves, which must equal the aligned trace."""
+    return tuple(
+        m.label for m in alignment.moves
+        if m.kind in (MoveKind.SYNCHRONOUS, MoveKind.LOG_ONLY)
+    )
