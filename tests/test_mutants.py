@@ -1,6 +1,7 @@
 """The mutation catalogue in tools/mutants.py must stay applicable: each
 entry's `old` string occurs exactly once in its file, and its test file
-exists. Running the mutants is on demand (python3 tools/mutants.py)."""
+defines the test it names (and the parametrize id, if the node id has one).
+Running the mutants is on demand (python3 tools/mutants.py)."""
 import importlib.util
 from pathlib import Path
 
@@ -20,4 +21,8 @@ def _catalogue():
 def test_each_mutant_applies_exactly_once(mutant):
     assert mutant.old != mutant.new
     assert (ROOT / mutant.path).read_text().count(mutant.old) == 1
-    assert (ROOT / mutant.test.split("::")[0]).is_file()
+    test_file, node = mutant.test.split("::")
+    function, _, param_id = node.rstrip("]").partition("[")
+    source = (ROOT / test_file).read_text()
+    assert f"def {function}(" in source
+    assert not param_id or f'"{param_id}"' in source

@@ -1,7 +1,6 @@
 """Mutation catalogue: one-line faults that a named test must catch.
 
-    python3 tools/mutants.py          # run every mutant
-    python3 tools/mutants.py NAME...  # run the named mutants
+    python3 tools/mutants.py
 
 Each mutant replaces the exact string `old` with `new` in one file of a
 fresh temporary copy of src/, tests/, pyproject.toml and perfbench/*.py,
@@ -118,14 +117,9 @@ def caught(mutant: Mutant) -> bool:
     return result.returncode == 1
 
 
-def main(names: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutant(s): {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
+def main() -> int:
     survivors = []
-    for mutant in chosen:
+    for mutant in MUTANTS:
         try:
             ok = caught(mutant)
         except ValueError as exc:
@@ -136,11 +130,11 @@ def main(names: list[str]) -> int:
         if not ok:
             survivors.append(mutant.name)
     if survivors:
-        print(f"{len(survivors)} of {len(chosen)} mutant(s) not caught: {', '.join(survivors)}")
+        print(f"{len(survivors)} of {len(MUTANTS)} mutant(s) not caught: {', '.join(survivors)}")
         return 1
-    print(f"all {len(chosen)} mutant(s) caught")
+    print(f"all {len(MUTANTS)} mutant(s) caught")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
