@@ -15,6 +15,7 @@ from pathlib import Path
 from .alignment import DEFAULT_BUDGET
 from .detector import TRUTH_LABELS, TRUTH_UNKNOWN
 from .errors import ConfigError, DataError
+from .flowmeter import DEFAULT_FLOW_TIMEOUT
 from .rating import DEFAULT_BAND_BOUNDARIES, SeverityBands
 
 OUTPUT_DIR_ENV = "ALARMSIFT_OUTPUT_DIR"
@@ -23,7 +24,7 @@ OUTPUT_DIR_ENV = "ALARMSIFT_OUTPUT_DIR"
 @dataclass(frozen=True)
 class CaptureSpec:
     path: Path
-    truth: str = "unknown"
+    truth: str = TRUTH_UNKNOWN
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,7 @@ class RunConfig:
     corpus: Path | None = None
     captures: tuple[CaptureSpec, ...] = ()
     server_ports: frozenset[int] = frozenset()
-    flow_timeout: float = 120.0
+    flow_timeout: float = DEFAULT_FLOW_TIMEOUT
     components: int = 5
     percentile: float = 0.85
     external_scores: Path | None = None
@@ -47,6 +48,16 @@ class RunConfig:
     alignment_budget: int = DEFAULT_BUDGET
 
     def validate(self) -> "RunConfig":
+        # A RunConfig built directly skips load_config's converters.
+        for f in fields(self):
+            value, convert = getattr(self, f.name), _FIELDS[f.name]
+            try:
+                if convert is _integer and type(value) is not int:
+                    raise TypeError(f"{value!r} is not an integer")
+                if convert is _number and not (value is None and f.default is None):
+                    convert(value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"config key {f.name!r}: {exc}") from exc
         if self.flow_timeout <= 0:
             raise ConfigError("flow timeout must be > 0")
         if not 0 < self.percentile <= 1:

@@ -1,7 +1,9 @@
 """Reference anomaly detector: principal-direction reconstruction error
 over z-scored flow features, with a nearest-rank percentile threshold
 calibrated on a validation split. External scores can be imported so any
-black-box IDS's alarms can be rated.
+black-box IDS's alarms can be rated. One rule decides both the baseline's
+flows and imported scores: a flow is positive iff its score exceeds the
+threshold.
 """
 from __future__ import annotations
 
@@ -21,7 +23,9 @@ logger = logging.getLogger(__name__)
 MODEL_SCHEMA = "alarmsift-detector/1"
 SCORES_CSV_SCHEMA = "alarmsift-scores/1"
 
+# The two detectors a bundle can be trained on, as its manifest names them.
 KIND_BASELINE = "reconstruction-baseline"
+KIND_EXTERNAL = "external-scores"
 
 TRUTH_NORMAL = "normal"
 TRUTH_ATTACK = "attack"
@@ -41,7 +45,6 @@ class DetectorModel:
     seed: int
     threshold: float | None = None
     percentile: float | None = None
-    kind: str = KIND_BASELINE
 
     @property
     def calibrated(self) -> bool:
@@ -144,21 +147,25 @@ def classify(
     flow_ids: Sequence[str],
     truths: Sequence[str] | None = None,
 ) -> list[ScoredFlow]:
-    """Decision rule: positive iff score > threshold (ties are negative)."""
+    """The baseline's decision for each flow, at the calibrated threshold."""
     if not model.calibrated:
         raise DataError("detector model has no calibrated threshold")
     scores = score_flows(model, features)
     if len(scores) != len(flow_ids):
         raise DataError("flow id list does not match the feature matrix")
+    return _decide(flow_ids, scores.tolist(), model.threshold, truths)
+
+
+def _decide(
+    flow_ids: Sequence[str], scores: Sequence[float], threshold: float,
+    truths: Sequence[str] | None,
+) -> list[ScoredFlow]:
+    """Decision rule: positive iff score > threshold (ties are negative).
+    Without truths, each flow reads TRUTH_UNKNOWN."""
     truths = truths or [TRUTH_UNKNOWN] * len(flow_ids)
     return [
-        ScoredFlow(
-            flow_id=fid,
-            score=float(s),
-            positive=bool(s > model.threshold),
-            truth=truth,
-        )
-        for fid, s, truth in zip(flow_ids, scores, truths)
+        ScoredFlow(flow_id=fid, score=score, positive=score > threshold, truth=truth)
+        for fid, score, truth in zip(flow_ids, scores, truths)
     ]
 
 
@@ -208,12 +215,9 @@ def import_scores(
     """
     scores = read_scores_csv(path)
     skipped = sorted(set(scores) - set(known_ids))
-    truths = truths or [TRUTH_UNKNOWN] * len(known_ids)
-    scored = [
-        ScoredFlow(flow_id=fid, score=scores[fid], positive=scores[fid] > threshold, truth=truth)
-        for fid, truth in zip(known_ids, truths)
-        if fid in scores
-    ]
+    ids = [fid for fid in known_ids if fid in scores]
+    truths = truths and [t for fid, t in zip(known_ids, truths) if fid in scores]
+    scored = _decide(ids, [scores[fid] for fid in ids], threshold, truths)
     if not scored:
         raise DataError("external scores match none of the input flows")
     if len(scored) < len(known_ids):
@@ -236,7 +240,7 @@ def write_scores_csv(scored: Sequence[ScoredFlow], path: str | Path) -> None:
 
 def save_model(model: DetectorModel, path: str | Path) -> None:
     write_schema_json(path, MODEL_SCHEMA, {
-        "kind": model.kind,
+        "kind": KIND_BASELINE,
         "feature_names": list(model.feature_names),
         "mean": [float(v) for v in model.mean],
         "std": [float(v) for v in model.std],
@@ -258,6 +262,7 @@ def load_model(path: str | Path) -> DetectorModel:
     for a percentile outside (0, 1], and for a kind other than KIND_BASELINE."""
     payload = read_schema_json(path, MODEL_SCHEMA)
     try:
+        kind = payload["kind"]
         model = DetectorModel(
             feature_names=tuple(payload["feature_names"]),
             mean=np.array(payload["mean"], dtype=float),
@@ -268,7 +273,6 @@ def load_model(path: str | Path) -> DetectorModel:
             seed=payload["seed"],
             threshold=payload["threshold"],
             percentile=payload["percentile"],
-            kind=payload["kind"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed detector model: {exc!r}") from exc
@@ -289,8 +293,8 @@ def load_model(path: str | Path) -> DetectorModel:
         problem = f"seed {model.seed!r} is not an integer"
     elif type(model.percentile) not in (int, float) or not 0.0 < model.percentile <= 1.0:
         problem = f"percentile {model.percentile!r} is not a number in (0, 1]"
-    elif model.kind != KIND_BASELINE:
-        problem = f"kind {model.kind!r} is not {KIND_BASELINE!r}"
+    elif kind != KIND_BASELINE:
+        problem = f"kind {kind!r} is not {KIND_BASELINE!r}"
     else:
         return model
     raise SchemaError(f"{path}: malformed detector model: {problem}")

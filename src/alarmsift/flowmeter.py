@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .artifacts import read_csv, read_jsonl, write_csv, write_jsonl
-from .detector import TRUTH_LABELS
+from .detector import TRUTH_LABELS, TRUTH_UNKNOWN
 from .errors import DataError, SchemaError
 from .pcap import PacketRecord
 
@@ -107,7 +107,7 @@ class Flow:
     client: Endpoint
     server: Endpoint
     packets: tuple[FlowPacket, ...]
-    truth: str = "unknown"
+    truth: str = TRUTH_UNKNOWN
 
     @property
     def first_ts(self) -> float:
@@ -170,7 +170,7 @@ def assemble_flows(
     packets: list[PacketRecord],
     timeout: float = DEFAULT_FLOW_TIMEOUT,
     id_prefix: str = "flow",
-    truth: str = "unknown",
+    truth: str = TRUTH_UNKNOWN,
 ) -> list[Flow]:
     """Partitions packets into flows; every packet lands in exactly one flow.
 

@@ -25,6 +25,7 @@ from .pcap import ingest_pcap
 from .petri import check_soundness, export_pnml, import_pnml, workflow_shape_errors
 from .rating import (
     BAND_NAMES,
+    NUM_BANDS,
     BandedConfusion,
     RatedAlarm,
     SeverityBands,
@@ -37,7 +38,7 @@ logger = logging.getLogger(__name__)
 BUNDLE_SCHEMA = "alarmsift-bundle/1"
 REPORT_SCHEMA = "alarmsift-report/1"
 
-KIND_EXTERNAL = "external-scores"
+_BANDS = range(1, NUM_BANDS + 1)  # band k of rating.BAND_NAMES, 1 = most severe
 
 
 # --- input loading ---------------------------------------------------------
@@ -112,7 +113,7 @@ def _features_matrix(records: list[FlowRecord]) -> np.ndarray:
 
 @dataclass
 class TrainedBundle:
-    kind: str
+    # A bundle without a model rates external scores at threshold.
     model: det.DetectorModel | None
     threshold: float
     params: events.ExtractionParams
@@ -164,18 +165,15 @@ def _train_from_split(
     """Training on a given split; the bundle's Aligner keeps its results in
     memo, or in a memo of its own when none is given."""
     if config.external_scores is not None:
-        kind, model, threshold = KIND_EXTERNAL, None, config.external_threshold
+        model, threshold = None, config.external_threshold
     else:
         model = det.fit_baseline(
             _features_matrix(train_recs), config.components,
             derive_seed(seed, "detector"), FEATURE_NAMES,
         )
         model = det.calibrate_threshold(model, _features_matrix(val_recs), config.percentile)
-        kind, threshold = model.kind, model.threshold
-    val_scored, _ = _detect(kind, model, threshold, val_recs, config)
-    flagged = {s.flow_id for s in val_scored if s.positive}
-    fp_records = [r for r in val_recs if r.flow_id in flagged]
-
+        threshold = model.threshold
+    _, fp_records, _ = _detect(model, threshold, val_recs, config)
     if not fp_records:
         raise DataError(
             "no validation false positives available for mining; "
@@ -191,7 +189,6 @@ def _train_from_split(
     aligner = al.Aligner(nets, config.alignment_budget, memo)
     reference = al.profile_reference(per_flow, aligner)
     return TrainedBundle(
-        kind=kind,
         model=model,
         threshold=float(threshold),
         params=params,
@@ -211,7 +208,7 @@ def save_bundle(
     (out_dir / "nets").mkdir(parents=True, exist_ok=True)
     (out_dir / "logs").mkdir(exist_ok=True)
     write_schema_json(out_dir / "manifest.json", BUNDLE_SCHEMA, {
-        "kind": bundle.kind,
+        "kind": det.KIND_EXTERNAL if bundle.model is None else det.KIND_BASELINE,
         "threshold": bundle.threshold,
         "states": sorted(bundle.aligner.nets),
         "fp_pool": list(bundle.fp_pool),
@@ -231,7 +228,7 @@ def save_bundle(
 
 # Manifest key -> whether a JSON value is valid for it (a missing key reads None).
 _MANIFEST_KEYS = {
-    "kind": lambda v: v in (det.KIND_BASELINE, KIND_EXTERNAL),
+    "kind": lambda v: v in (det.KIND_BASELINE, det.KIND_EXTERNAL),
     "threshold": lambda v: type(v) in (int, float) and math.isfinite(v),
     "states": lambda v: isinstance(v, list) and all(type(s) is int for s in v),
     "fp_pool": lambda v: isinstance(v, list) and all(isinstance(f, str) for f in v),
@@ -251,7 +248,7 @@ def load_bundle(bundle_dir: str | Path, budget: int = al.DEFAULT_BUDGET) -> Trai
         if not valid(manifest.get(key)):
             raise SchemaError(f"{manifest_path}: key {key!r} is missing or malformed")
     model = None
-    if manifest["kind"] != KIND_EXTERNAL:
+    if manifest["kind"] == det.KIND_BASELINE:
         model = det.load_model(bundle_dir / "detector.json")
         if manifest["threshold"] != model.threshold:
             raise SchemaError(
@@ -274,7 +271,6 @@ def load_bundle(bundle_dir: str | Path, budget: int = al.DEFAULT_BUDGET) -> Trai
             raise SchemaError(f"{path}: not a sound workflow net: {problems}")
     reference = al.read_profile_csv(bundle_dir / "reference_profile.csv")
     return TrainedBundle(
-        kind=manifest["kind"],
         model=model,
         threshold=manifest["threshold"],
         params=params,
@@ -305,19 +301,24 @@ class RateReport:
 
 
 def _detect(
-    kind: str, model: det.DetectorModel | None, threshold: float,
+    model: det.DetectorModel | None, threshold: float,
     records: list[FlowRecord], config: RunConfig,
-) -> tuple[list[det.ScoredFlow], list[str]]:
-    """The detector decision for each record, in record order, plus the
-    external score rows that name no record (empty for the baseline)."""
+) -> tuple[list[det.ScoredFlow], list[FlowRecord], list[str]]:
+    """The detector decision for each record, in record order; the records
+    decided positive; and the external score rows that name no record
+    (empty for the baseline). Without a model, the external scores are
+    decided at threshold."""
     ids, truths = [r.flow_id for r in records], [r.truth for r in records]
-    if kind != KIND_EXTERNAL:
+    if model is not None:
         if config.external_scores is not None:
             raise ConfigError("bundle was trained on the baseline detector; unset external_scores")
-        return det.classify(model, _features_matrix(records), ids, truths), []
-    if config.external_scores is None:
+        scored, skipped = det.classify(model, _features_matrix(records), ids, truths), []
+    elif config.external_scores is None:
         raise ConfigError("bundle was trained on external scores; configure external_scores")
-    return det.import_scores(config.external_scores, threshold, ids, truths)
+    else:
+        scored, skipped = det.import_scores(config.external_scores, threshold, ids, truths)
+    flagged = {s.flow_id for s in scored if s.positive}
+    return scored, [r for r in records if r.flow_id in flagged], skipped
 
 
 def _rate(
@@ -345,9 +346,8 @@ def rate_records(
 ) -> tuple[RateReport, list[str]]:
     """Inference phase: classify, then rate the positives only. Returns the
     report plus the external score rows that name none of the records."""
-    scored, skipped = _detect(bundle.kind, bundle.model, bundle.threshold, records, config)
-    flagged = {s.flow_id for s in scored if s.positive}
-    rated = _rate(bundle, [r for r in records if r.flow_id in flagged], config)
+    scored, positives, skipped = _detect(bundle.model, bundle.threshold, records, config)
+    rated = _rate(bundle, positives, config)
     return RateReport(scored, *rated), skipped
 
 
@@ -386,7 +386,7 @@ def _write_band_profiles(alarms: list[RatedAlarm], path: Path) -> None:
 
 def cmd_rate(config: RunConfig, bundle_dir: str | Path) -> RateReport:
     bundle = load_bundle(bundle_dir, config.alignment_budget)
-    if bundle.kind != KIND_EXTERNAL and tuple(bundle.model.feature_names) != FEATURE_NAMES:
+    if bundle.model is not None and tuple(bundle.model.feature_names) != FEATURE_NAMES:
         raise SchemaError("bundle feature list does not match this build")
     records = load_records(config)
     report, skipped = rate_records(bundle, records, config)
@@ -470,7 +470,7 @@ def _mean_std(values: list[float]) -> dict:
 
 def _aggregate(outcomes: list[RunOutcome]) -> dict:
     agg: dict = {"recall": {}, "precision": {}, "tp_band": {}, "fp_band": {}}
-    for k in range(1, 6):
+    for k in _BANDS:
         metrics = [banded_metrics(o.confusion, k) for o in outcomes]
         agg["recall"][k] = _mean_std([recall for recall, _ in metrics])
         agg["precision"][k] = _mean_std([p for _, p in metrics if p is not None])
@@ -482,7 +482,7 @@ def _aggregate(outcomes: list[RunOutcome]) -> dict:
 
 def _run_record(run: int, o: RunOutcome) -> dict:
     """One run's entry in report.json, its metrics derived from the confusion."""
-    metrics = {k: banded_metrics(o.confusion, k) for k in range(1, 6)}
+    metrics = {k: banded_metrics(o.confusion, k) for k in _BANDS}
     return {
         "seed": o.seed,
         "tp": o.confusion.tp,
@@ -520,16 +520,16 @@ def _write_experiment(report: ExperimentReport, config: RunConfig, out_root: Pat
          repr(agg["fp_band"][k]["mean"]), repr(agg["fp_band"][k]["std"]),
          repr(agg["recall"][k]["mean"]), repr(agg["recall"][k]["std"]),
          precision(k, "mean"), precision(k, "std")]
-        for k in (5, 4, 3, 2, 1)
+        for k in reversed(_BANDS)
     ))
-    total_tp = sum(agg["tp_band"][k]["mean"] for k in range(1, 6)) or 1.0
-    total_fp = sum(agg["fp_band"][k]["mean"] for k in range(1, 6)) or 1.0
+    total_tp = sum(agg["tp_band"][k]["mean"] for k in _BANDS) or 1.0
+    total_fp = sum(agg["fp_band"][k]["mean"] for k in _BANDS) or 1.0
     write_csv(out_root / "fig_performance.csv", [
         "k", "band", "recall_mean", "precision_mean", "tp_share", "fp_share",
     ], (
         [k, BAND_NAMES[k], repr(agg["recall"][k]["mean"]), precision(k, "mean"),
          repr(agg["tp_band"][k]["mean"] / total_tp), repr(agg["fp_band"][k]["mean"] / total_fp)]
-        for k in range(1, 6)
+        for k in _BANDS
     ))
 
 

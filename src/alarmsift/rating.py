@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+from .detector import TRUTH_UNKNOWN
 from .errors import ContractError, DataError
 
 #: Inner band boundaries; bands are lower-inclusive, upper-exclusive,
@@ -74,7 +75,7 @@ class RatedAlarm:
     cos_sim: float
     band: int
     profile: Mapping[str, float]
-    truth: str = "unknown"
+    truth: str = TRUTH_UNKNOWN
 
     @property
     def band_name(self) -> str:

@@ -104,7 +104,7 @@ def test_rate_external_scores_all_negative_is_empty(corpus_dir, normal_only_dir,
     scores_csv.write_text("\n".join(lines) + "\n")
 
     bundle = pipeline.load_bundle(bundle_dir)
-    bundle.kind = pipeline.KIND_EXTERNAL
+    bundle.model = None
     bundle.threshold = 5.0
     cfg = _cfg(corpus_dir, tmp_path / "rate2",
                external_scores=scores_csv, external_threshold=5.0)
@@ -513,6 +513,20 @@ def test_config_rejects_unknown_keys_and_bad_values(tmp_path):
         RunConfig(train_fraction=0.8, validation_fraction=0.4).validate()
     with pytest.raises(ConfigError):
         RunConfig(runs=0).validate()
+    # An integer is a valid number.
+    RunConfig(flow_timeout=30, percentile=1).validate()
+
+
+# Values load_config would refuse in a file, set on a RunConfig directly.
+@pytest.mark.parametrize("key, value", [
+    ("runs", 2.5), ("clusters", 1.5), ("seed", 1.5), ("window", True),
+    ("train_fraction", math.nan), ("validation_fraction", math.nan),
+    ("flow_timeout", math.nan), ("percentile", "0.9"), ("external_threshold", math.nan),
+])
+def test_validate_refuses_what_load_config_refuses(key, value):
+    external = {"external_scores": Path("s.csv")} if key == "external_threshold" else {}
+    with pytest.raises(ConfigError, match=f"config key '{key}'"):
+        RunConfig(**{key: value}, **external).validate()
 
 
 def test_config_file_sets_every_field(tmp_path, monkeypatch):

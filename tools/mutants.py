@@ -70,9 +70,57 @@ MUTANTS = (
     ),
     Mutant(
         "any-manifest-kind", "src/alarmsift/pipeline.py",
-        '"kind": lambda v: v in (det.KIND_BASELINE, KIND_EXTERNAL),',
+        '"kind": lambda v: v in (det.KIND_BASELINE, det.KIND_EXTERNAL),',
         '"kind": lambda v: isinstance(v, str),',
         "tests/test_pipeline_cli.py::test_corrupt_bundle_is_a_schema_error[unknown-manifest-kind]",
+    ),
+    Mutant(
+        "score-tie-positive", "src/alarmsift/detector.py",
+        "positive=score > threshold",
+        "positive=score >= threshold",
+        "tests/test_detector.py::test_classify_tie_is_negative",
+    ),
+    Mutant(
+        "negatives-selected", "src/alarmsift/pipeline.py",
+        "flagged = {s.flow_id for s in scored if s.positive}",
+        "flagged = {s.flow_id for s in scored if not s.positive}",
+        "tests/test_pipeline_cli.py::test_baseline_fp_pool_is_the_validation_positives",
+    ),
+    Mutant(
+        "vlan-tag-half-read", "src/alarmsift/pcap.py",
+        "if end - offset < 4:",
+        "if end - offset < 2:",
+        "tests/test_pcap.py::test_every_cut_and_overwritten_byte_ingests_as_the_reference[ipv4-vlan]",
+    ),
+    Mutant(
+        "ipv6-extension-headers-in-payload", "src/alarmsift/pcap.py",
+        "max(payload_len - (offset - ip - 40), 0)",
+        "max(payload_len, 0)",
+        "tests/test_pcap.py::test_ipv6_tcp_behind_authentication_header",
+    ),
+    Mutant(
+        "no-tcp-data-offset-check", "src/alarmsift/pcap.py",
+        "    if data_offset < 20:\n        return None\n",
+        "",
+        "tests/test_pcap.py::test_every_cut_and_overwritten_byte_ingests_as_the_reference[ipv4-vlan]",
+    ),
+    Mutant(
+        "bad-capture-aborts-batch", "src/alarmsift/pipeline.py",
+        "except PcapFormatError as exc:",
+        "except SchemaError as exc:",
+        "tests/test_pipeline_cli.py::test_a_capture_with_a_bad_global_header_is_refused_alone",
+    ),
+    Mutant(
+        "no-alignment-budget", "src/alarmsift/alignment.py",
+        "if expansions > budget:",
+        "if False:",
+        "tests/test_alignment.py::test_budget_error_carries_lower_bound",
+    ),
+    Mutant(
+        "memo-ignores-budget", "src/alarmsift/alignment.py",
+        "(_net_key(net), budget)",
+        "(_net_key(net), 0)",
+        "tests/test_alignment.py::test_shared_memo_keeps_nets_apart_by_declaration_order",
     ),
 )
 
