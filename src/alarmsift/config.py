@@ -1,7 +1,8 @@
 """Run configuration: single JSON file plus flag overrides.
 
 Precedence is flags > environment > file > defaults. The only environment
-variable is ALARMSIFT_OUTPUT_DIR, which sets the output directory.
+variable is ALARMSIFT_OUTPUT_DIR, which sets the output directory. Every
+RunConfig, however it is built, holds what _FIELDS converts its values to.
 """
 from __future__ import annotations
 
@@ -47,17 +48,18 @@ class RunConfig:
     seed: int = 7
     alignment_budget: int = DEFAULT_BUDGET
 
-    def validate(self) -> "RunConfig":
-        # A RunConfig built directly skips load_config's converters.
+    def __post_init__(self) -> None:
         for f in fields(self):
-            value, convert = getattr(self, f.name), _FIELDS[f.name]
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue
             try:
-                if convert is _integer and type(value) is not int:
-                    raise TypeError(f"{value!r} is not an integer")
-                if convert is _number and not (value is None and f.default is None):
-                    convert(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config key {f.name!r}: {exc}") from exc
+                object.__setattr__(self, f.name, _FIELDS[f.name](value))
+            except (KeyError, OverflowError, TypeError, ValueError) as exc:
+                raise ConfigError(f"config key {f.name!r}: cannot use {value!r}") from exc
+        self.validate()
+
+    def validate(self) -> "RunConfig":
         if self.flow_timeout <= 0:
             raise ConfigError("flow timeout must be > 0")
         if not 0 < self.percentile <= 1:
@@ -89,7 +91,9 @@ class RunConfig:
         return self
 
 
-def _capture_spec(item: str | dict) -> CaptureSpec:
+def _capture_spec(item: str | dict | CaptureSpec) -> CaptureSpec:
+    if isinstance(item, CaptureSpec):  # checked as the object it was read from
+        item = vars(item)
     if isinstance(item, str):
         return CaptureSpec(path=Path(item))
     if not isinstance(item, dict):
@@ -122,8 +126,9 @@ def _number(value) -> float:
 
 
 def _json_list(value) -> list:
-    # Iterating a string would split it into characters.
-    if not isinstance(value, list):
+    # Iterating a string would split it into characters; a tuple or a
+    # frozenset is what a built RunConfig holds.
+    if not isinstance(value, (list, tuple, frozenset)):
         raise TypeError(f"{value!r} is not a list")
     return value
 
@@ -139,7 +144,8 @@ _CONVERTERS = {
     "band_boundaries": lambda bounds: tuple(_number(b) for b in _json_list(bounds)),
 }
 
-#: Config-file key -> converter from its JSON value, one per RunConfig field.
+#: Config-file key -> converter from its JSON value, one per RunConfig field;
+#: RunConfig.__post_init__ applies it to every value, however it was given.
 _FIELDS = {
     f.name: _CONVERTERS.get(f.name) or {int: _integer, float: _number}[type(f.default)]
     for f in fields(RunConfig)
@@ -177,16 +183,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         values["output_dir"] = os.environ[OUTPUT_DIR_ENV]
     if overrides:
         values.update({k: v for k, v in overrides.items() if k in _FIELDS and v is not None})
-
-    kwargs = {}
-    for key, value in values.items():
-        if value is None:
-            continue
-        try:
-            kwargs[key] = _FIELDS[key](value)
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise ConfigError(f"config key {key!r}: cannot use {value!r}") from exc
-    return RunConfig(**kwargs).validate()
+    return RunConfig(**{k: v for k, v in values.items() if v is not None})
 
 
 def semantic_echo(cfg: RunConfig) -> dict:

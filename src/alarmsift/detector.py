@@ -116,9 +116,15 @@ def score_flows(model: DetectorModel, features: np.ndarray) -> np.ndarray:
             f"feature dimension mismatch: expected {len(model.feature_names)} "
             f"columns (active mask {model.mask.astype(int).tolist()}), got {features.shape[1]}"
         )
-    z = (features[:, model.mask] - model.mean[model.mask]) / model.std[model.mask]
-    recon = (z @ model.basis.T) @ model.basis
-    return ((z - recon) ** 2).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (features[:, model.mask] - model.mean[model.mask]) / model.std[model.mask]
+        recon = (z @ model.basis.T) @ model.basis
+        scores = ((z - recon) ** 2).sum(axis=1)
+    # The finite features read_corpus and featurize give overflow only
+    # through a corrupt model.
+    if not np.isfinite(scores).all():
+        raise DataError("detector scores are not finite; the model is corrupt")
+    return scores
 
 
 def calibrate_threshold(

@@ -246,6 +246,9 @@ def load_params(path: str | Path) -> ExtractionParams:
     shape = (params.clusters, len(params.alphabet) + 1)
     if params.centroids.shape != shape or not np.isfinite(params.centroids).all():
         raise SchemaError(f"{path}: centroids must be a finite {shape[0]} x {shape[1]} matrix")
+    # A centroid is a mean of window label counts.
+    if ((params.centroids < 0) | (params.centroids > params.window)).any():
+        raise SchemaError(f"{path}: centroid entries must lie in [0, {params.window}]")
     return params
 
 

@@ -82,7 +82,7 @@ def load_records(config: RunConfig) -> list[FlowRecord]:
         flows = assemble_flows(
             result.packets,
             timeout=config.flow_timeout,
-            id_prefix=Path(spec.path).stem,
+            id_prefix=spec.path.stem,
             truth=spec.truth,
         )
         for flow in flows:
@@ -435,7 +435,7 @@ def evaluate(config: RunConfig) -> ExperimentReport:
         raise DataError("evaluation requires both normal and attack flows")
 
     outcomes: list[RunOutcome] = []
-    out_root = Path(config.output_dir)
+    out_root = config.output_dir
     # Each run rates only part of the corpus, so a score row is unknown only
     # when it names no corpus flow at all.
     corpus_ids = {r.flow_id for r in records}

@@ -1,0 +1,110 @@
+"""Boundary fuzz: a corrupt bundle or a cut corpus ends `rate` with an exit
+code, never with a raised exception.
+
+The cases are every substitution of a JSON value in the bundle's
+manifest.json, detector.json and extraction.json, every dropped element,
+dropped attribute and emptied text of one PNML net, and cuts of the
+corpus files at sampled byte offsets. A fixed-seed sample of them runs.
+"""
+import json
+import random
+import xml.etree.ElementTree as ET
+from pathlib import Path
+
+import pytest
+
+from alarmsift import pipeline, synthetic
+from alarmsift.cli import main
+from alarmsift.config import RunConfig
+
+_SEED = 24
+_SAMPLE = 400
+_CUTS_PER_FILE = 40
+_VALUES = [None, "x", [], {}, -1, 0, 1.5, True, [1], {"a": 1}, 1e308]
+_NET = "nets/state_1.pnml"
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    synthetic.write_corpus(synthetic.generate_flows("normal", 100, seed=41), root / "train")
+    flows = synthetic.generate_flows("normal", 6, seed=3)
+    flows += synthetic.generate_flows("slowloris", 4, seed=4)
+    synthetic.write_corpus(flows, root / "corpus")
+    bundle = pipeline.cmd_train(RunConfig(corpus=root / "train", output_dir=root / "train_out"))
+    return root, bundle
+
+
+def _positions(value, path=()):
+    """Each key of an object and the first three entries of each list, nested."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value[:3])
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from _positions(child, path + (key,))
+
+
+def _json_cases(path: Path):
+    text = path.read_text()
+    for position in _positions(json.loads(text)):
+        for value in _VALUES:
+            payload = json.loads(text)
+            parent = payload
+            for key in position[:-1]:
+                parent = parent[key]
+            parent[position[-1]] = value
+            yield f"{path.name} {list(position)} = {value!r}", path, json.dumps(payload).encode()
+
+
+def _net_cases(path: Path):
+    def edited(index, edit):
+        root = ET.parse(path).getroot()
+        parents = {child: parent for parent in root.iter() for child in parent}
+        element = list(root.iter())[index]
+        edit(element, parents.get(element))
+        return ET.tostring(root)
+
+    for index, element in enumerate(ET.parse(path).getroot().iter()):
+        label = f"{path.name} element {index} <{element.tag}>"
+        if index:
+            yield f"{label} dropped", path, edited(index, lambda e, parent: parent.remove(e))
+        for name in element.attrib:
+            yield (f"{label} without {name!r}", path,
+                   edited(index, lambda e, _, name=name: e.attrib.pop(name)))
+        if element.text:
+            yield f"{label} emptied", path, edited(index, lambda e, _: setattr(e, "text", None))
+
+
+def _cut_cases(path: Path, rng: random.Random):
+    data = path.read_bytes()
+    for offset in sorted(rng.sample(range(len(data)), _CUTS_PER_FILE)):
+        yield f"{path.name} cut at byte {offset}", path, data[:offset]
+
+
+def test_rate_ends_every_boundary_case_with_an_exit_code(inputs, tmp_path):
+    root, bundle = inputs
+    rng = random.Random(_SEED)
+    cases = [
+        *(case for name in ("manifest.json", "detector.json", "extraction.json")
+          for case in _json_cases(bundle / name)),
+        *_net_cases(bundle / _NET),
+        *(case for name in ("flows.csv", "events.jsonl")
+          for case in _cut_cases(root / "corpus" / name, rng)),
+    ]
+    argv = ["rate", "--corpus", str(root / "corpus"), "--bundle", str(bundle),
+            "--output-dir", str(tmp_path / "out")]
+    outcomes = {}
+    for label, path, corrupt in rng.sample(cases, min(_SAMPLE, len(cases))):
+        original = path.read_bytes()
+        path.write_bytes(corrupt)
+        try:
+            outcomes[label] = main(argv)
+        except Exception as exc:
+            outcomes[label] = repr(exc)
+        finally:
+            path.write_bytes(original)
+    assert {label: code for label, code in outcomes.items() if code not in (0, 2, 3, 4)} == {}

@@ -1,4 +1,5 @@
 """End-to-end pipeline stages and the CLI surface."""
+import argparse
 import csv
 import dataclasses
 import json
@@ -14,8 +15,10 @@ import numpy as np
 import pytest
 
 from alarmsift import alignment, detector, discovery, pipeline, synthetic
-from alarmsift.cli import main
-from alarmsift.config import CaptureSpec, RunConfig, derive_seed, load_config, semantic_echo
+from alarmsift.cli import _add_common, main
+from alarmsift.config import (
+    _FIELDS, CaptureSpec, RunConfig, derive_seed, load_config, semantic_echo,
+)
 from alarmsift.errors import ConfigError, DataError, SchemaError
 from alarmsift.petri import PetriNet, Transition, export_pnml, import_pnml
 from capturecraft import handshake_fin_frames, ipv4_udp_frame, pcap_bytes
@@ -384,6 +387,14 @@ def _unwrap_page(net):
     net.extend(page)
 
 
+def _first_entry(key, value):
+    # Sets entry [0][0] of a matrix such as centroids or basis.
+    def edit(payload):
+        payload[key][0][0] = value
+        return payload
+    return edit
+
+
 def _zero_std_on_an_active_column(model):
     model["std"][model["mask"].index(True)] = 0.0
     return model
@@ -456,6 +467,8 @@ _DEADLOCKING_NET = PetriNet(
     (_edit_net(_unwrap_page), "state_1.pnml"),
     (_edit_net(_empty_text("page/transition/name/text")), "state_1.pnml"),
     (_edit_json("manifest.json", lambda m: _with(m, kind="x")), "manifest.json"),
+    (_edit_json("extraction.json", _first_entry("centroids", -1)), "extraction.json"),
+    (_edit_json("extraction.json", _first_entry("centroids", 1e308)), "extraction.json"),
 ], ids=[
     "no-states", "string-threshold", "string-fp-pool", "one-state-of-two", "not-an-object",
     "truncated-manifest", "short-centroids", "no-alphabet", "int-in-alphabet",
@@ -467,6 +480,7 @@ _DEADLOCKING_NET = PetriNet(
     "manifest-threshold-differs", "not-a-workflow-net", "unsound-net", "profile-row-without-comma",
     "nan-profile-count", "float-detector-components", "empty-final-marking-text",
     "no-finalmarkings", "no-page", "emptied-transition-name", "unknown-manifest-kind",
+    "negative-centroid", "centroid-beyond-window",
 ])
 def test_corrupt_bundle_is_a_schema_error(trained_bundle, tmp_path, corrupt, culprit):
     bundle = tmp_path / "bundle"
@@ -476,6 +490,15 @@ def test_corrupt_bundle_is_a_schema_error(trained_bundle, tmp_path, corrupt, cul
         pipeline.load_bundle(bundle)
     assert main(["rate", "--corpus", str(tmp_path / "unused"), "--bundle", str(bundle),
                  "--output-dir", str(tmp_path / "out")]) == 3
+
+
+def test_rate_refuses_a_model_whose_scores_overflow(corpus_dir, trained_bundle, tmp_path, caplog):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(trained_bundle, bundle)
+    _edit_json("detector.json", _first_entry("basis", 1e308))(bundle)
+    assert main(["rate", "--corpus", str(corpus_dir), "--bundle", str(bundle),
+                 "--output-dir", str(tmp_path / "out")]) == 3
+    assert "detector scores are not finite" in caplog.text
 
 
 def test_seed_derivation_stable():
@@ -513,20 +536,64 @@ def test_config_rejects_unknown_keys_and_bad_values(tmp_path):
         RunConfig(train_fraction=0.8, validation_fraction=0.4).validate()
     with pytest.raises(ConfigError):
         RunConfig(runs=0).validate()
-    # An integer is a valid number.
-    RunConfig(flow_timeout=30, percentile=1).validate()
 
 
-# Values load_config would refuse in a file, set on a RunConfig directly.
-@pytest.mark.parametrize("key, value", [
-    ("runs", 2.5), ("clusters", 1.5), ("seed", 1.5), ("window", True),
-    ("train_fraction", math.nan), ("validation_fraction", math.nan),
-    ("flow_timeout", math.nan), ("percentile", "0.9"), ("external_threshold", math.nan),
-])
-def test_validate_refuses_what_load_config_refuses(key, value):
-    external = {"external_scores": Path("s.csv")} if key == "external_threshold" else {}
-    with pytest.raises(ConfigError, match=f"config key '{key}'"):
-        RunConfig(**{key: value}, **external).validate()
+# Every field set to each JSON value of another shape, and values that a
+# RunConfig built in code once kept although a file refuses them.
+_PROBES = [{f.name: value} for f in dataclasses.fields(RunConfig)
+           for value in ["x", [], {}, -1, 0, 1.5, True, [1], {"a": 1}]]
+_ONCE_KEPT = [
+    {"runs": 2.5}, {"clusters": 1.5}, {"seed": 1.5}, {"window": True},
+    {"train_fraction": math.nan}, {"validation_fraction": math.nan},
+    {"flow_timeout": math.nan}, {"percentile": "0.9"},
+    {"external_threshold": math.nan, "external_scores": "s.csv"},
+]
+
+
+@pytest.mark.parametrize(
+    "values", _PROBES + [v for v in _ONCE_KEPT if v not in _PROBES],
+    ids=lambda values: "-".join(map(str, next(iter(values.items())))),
+)
+def test_validate_refuses_what_load_config_refuses(tmp_path, monkeypatch, values):
+    # A config built in code is refused exactly when the same values in a
+    # file are, with the same message, and otherwise equals the file's.
+    monkeypatch.delenv("ALARMSIFT_OUTPUT_DIR", raising=False)
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(values))
+    try:
+        from_file = load_config(cfg_file)
+    except ConfigError as refused:
+        with pytest.raises(ConfigError) as built:
+            RunConfig(**values).validate()
+        assert str(built.value) == str(refused)
+        if values in _ONCE_KEPT:
+            assert str(refused).startswith(f"config key {next(iter(values))!r}")
+        return
+    built = RunConfig(**values).validate()
+    assert built == from_file
+    assert all(getattr(built, key) == _FIELDS[key](value) for key, value in values.items())
+
+
+def test_built_config_converts_what_only_code_can_hold(tmp_path, monkeypatch):
+    with pytest.raises(ConfigError, match="config key 'server_ports'"):
+        RunConfig(server_ports=frozenset({80.5, True}))
+    assert RunConfig(captures=("a.pcap",)) == RunConfig(captures=(CaptureSpec(Path("a.pcap")),))
+    assert RunConfig(captures=(CaptureSpec("a.pcap"),)).captures[0].path == Path("a.pcap")
+    # An int is a valid number, and manifests echo it as the file's float.
+    monkeypatch.delenv("ALARMSIFT_OUTPUT_DIR", raising=False)
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"flow_timeout": 30, "percentile": 1}))
+    built = semantic_echo(RunConfig(flow_timeout=30, percentile=1))
+    assert json.dumps(built) == json.dumps(semantic_echo(load_config(cfg_file)))
+
+
+def test_every_common_option_names_a_run_config_field():
+    # _config_from hands the parsed options to load_config, which ignores
+    # any dest that names no RunConfig field.
+    parser = argparse.ArgumentParser()
+    _add_common(parser)
+    dests = {action.dest for action in parser._actions} - {"help", "config"}
+    assert dests <= {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def test_config_file_sets_every_field(tmp_path, monkeypatch):

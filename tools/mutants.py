@@ -122,6 +122,24 @@ MUTANTS = (
         "(_net_key(net), 0)",
         "tests/test_alignment.py::test_shared_memo_keeps_nets_apart_by_declaration_order",
     ),
+    Mutant(
+        "built-config-unconverted", "src/alarmsift/config.py",
+        "object.__setattr__(self, f.name, _FIELDS[f.name](value))",
+        "_FIELDS[f.name](value)",
+        "tests/test_pipeline_cli.py::test_validate_refuses_what_load_config_refuses",
+    ),
+    Mutant(
+        "no-centroid-bound", "src/alarmsift/events.py",
+        "if ((params.centroids < 0) | (params.centroids > params.window)).any():",
+        "if False:",
+        "tests/test_pipeline_cli.py::test_corrupt_bundle_is_a_schema_error[centroid-beyond-window]",
+    ),
+    Mutant(
+        "non-finite-scores-kept", "src/alarmsift/detector.py",
+        "if not np.isfinite(scores).all():",
+        "if False:",
+        "tests/test_pipeline_cli.py::test_rate_refuses_a_model_whose_scores_overflow",
+    ),
 )
 
 
