@@ -14,7 +14,7 @@ equal-cost frontier entries pop in generation order. Synchronous
 successors come from the graph's by_label table, model moves from its
 edges; Moves are built only along the returned path.
 
-Aligners keep alignments in a memo keyed by the net as declared, the
+Aligners keep alignments in a memo keyed by the net (PetriNet.key), the
 budget and the events, so each distinct (net, trace) is searched once per
 memo. Each Aligner has a memo of its own, except that the Aligners of one
 evaluate call's runs share one; nothing is kept at module level. A cached
@@ -162,24 +162,13 @@ def align(net: PetriNet, trace: Sequence[str], budget: int = DEFAULT_BUDGET) -> 
 AlignmentMemo = dict[tuple[tuple, int], dict[tuple[str, ...], Alignment]]
 
 
-def _net_key(net: PetriNet) -> tuple:
-    # Declaration order: tie-breaks follow transition and place indexes,
-    # so two nets equal under PetriNet.__eq__, which sorts, can align the
-    # same trace differently.
-    return (
-        net.places, net.transitions, net.arcs,
-        tuple(sorted(net.initial_marking.items())), tuple(sorted(net.final_marking.items())),
-    )
-
-
 class Aligner:
     """The one owner of alignment results for one set of nets.
 
     Calling it on a fragment returns the alignment of the fragment's events
     against its state's net. Results are kept in memo, a memo of its own
-    unless one is given, under the net as declared (places, transitions
-    and arcs in order, and the markings), the budget and the events. So
-    Aligners sharing a memo search each distinct (net, trace) once: the
+    unless one is given, under the net's key, the budget and the events.
+    So Aligners sharing a memo search each distinct (net, trace) once: the
     runs of one evaluate call share one, and a net that a later run mines
     again reuses the earlier run's results. Each search gets the full
     budget; a BudgetError propagates and is never cached, so the same
@@ -197,7 +186,7 @@ class Aligner:
         self.budget = budget
         memo = {} if memo is None else memo
         self._results = {
-            state: memo.setdefault((_net_key(net), budget), {}) for state, net in nets.items()
+            state: memo.setdefault((net.key, budget), {}) for state, net in nets.items()
         }
 
     def __call__(self, frag: Fragment) -> Alignment:

@@ -45,10 +45,6 @@ def flow_to_record(flow: Flow) -> FlowRecord:
         events=tuple([
             EVENT_LABELS.get(key) or event_label(*key) for key in map(_LABEL_KEY, flow.packets)
         ]),
-        client=flow.client,
-        server=flow.server,
-        first_ts=flow.first_ts,
-        last_ts=flow.last_ts,
     )
 
 

@@ -313,20 +313,17 @@ class FlowRecord:
     truth: str
     features: np.ndarray
     events: tuple[str, ...]
-    client: Endpoint = ("", 0)
-    server: Endpoint = ("", 0)
-    first_ts: float = 0.0
-    last_ts: float = 0.0
 
 
-def write_flows_csv(records: list[FlowRecord], path: str | Path) -> None:
-    """Writes the documented flows CSV (one row per flow, schema versioned)."""
+def write_flows_csv(flows: list[Flow], path: str | Path) -> None:
+    """Writes the documented flows CSV (one row per flow, schema versioned);
+    featurize raises DataError for a flow without packets."""
     header = ["flow_id", "client_ip", "client_port", "server_ip", "server_port",
               "first_ts", "last_ts", "truth", *FEATURE_NAMES]
     rows = (
-        [rec.flow_id, rec.client[0], rec.client[1], rec.server[0], rec.server[1],
-         float(rec.first_ts), float(rec.last_ts), rec.truth, *rec.features.tolist()]
-        for rec in records
+        [flow.flow_id, *flow.client, *flow.server, float(flow.first_ts), float(flow.last_ts),
+         flow.truth, *featurize(flow).tolist()]
+        for flow in flows
     )
     write_csv(path, header, rows, schema=FLOWS_CSV_SCHEMA)
 
@@ -343,6 +340,11 @@ def write_flow_events(flows: list[Flow], path: str | Path) -> None:
         }
         for flow in flows
     ))
+
+
+# Flows CSV columns that read_corpus parses but does not keep.
+_UNKEPT_COLUMNS = (("client_port", int), ("server_port", int), ("first_ts", float),
+                   ("last_ts", float))
 
 
 def read_corpus(flows_csv: str | Path, events_path: str | Path) -> list[FlowRecord]:
@@ -397,18 +399,9 @@ def read_corpus(flows_csv: str | Path, events_path: str | Path) -> list[FlowReco
                 features = np.array([float(row[name]) for name in FEATURE_NAMES])
                 if not np.isfinite(features).all():
                     raise ValueError("feature values must be finite")
-                records.append(
-                    FlowRecord(
-                        flow_id=flow_id,
-                        truth=row["truth"],
-                        features=features,
-                        events=events[flow_id],
-                        client=(row["client_ip"], int(row["client_port"])),
-                        server=(row["server_ip"], int(row["server_port"])),
-                        first_ts=float(row["first_ts"]),
-                        last_ts=float(row["last_ts"]),
-                    )
-                )
+                for name, parse in _UNKEPT_COLUMNS:
+                    parse(row[name])  # checked, not kept: no stage reads it
+                records.append(FlowRecord(flow_id, row["truth"], features, events[flow_id]))
             except (KeyError, TypeError, ValueError) as exc:
                 # The schema comment precedes the lines the reader counts.
                 raise SchemaError(

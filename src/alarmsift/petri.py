@@ -6,6 +6,11 @@ initial token, a unique sink place carrying the single final token, and
 every node on a path between them. Arcs have unit weight: a net holds each
 (source, target) arc at most once, and PetriNet refuses a repeated one.
 
+A net keeps one order, whatever its declaration order: places, transitions
+(by tid, so index order is tid order) and arcs sorted, markings in place
+order. export_pnml writes it, import_pnml reads it back, and PetriNet.key
+holds it for == and the alignment memo.
+
 Each net's reachable markings are explored once, breadth-first, into a
 ReachabilityGraph that alignment and the soundness check read. A marking's
 edges run silent transitions first by index, then visible ones by (label,
@@ -38,8 +43,6 @@ class Transition:
         return self.label is None
 
 
-Marking = dict[str, int]
-
 Node = TypeVar("Node", bound=Hashable)
 
 #: Reachable markings a net may have; reachability() reports a net with
@@ -64,7 +67,7 @@ class ReachabilityGraph:
 
 
 class PetriNet:
-    """Immutable place/transition net with unit-weight arcs."""
+    """Immutable place/transition net with unit-weight arcs, kept in the module's one order."""
 
     def __init__(
         self,
@@ -74,11 +77,15 @@ class PetriNet:
         initial_marking: Mapping[str, int],
         final_marking: Mapping[str, int],
     ):
-        self.places: tuple[str, ...] = tuple(places)
-        self.transitions: tuple[Transition, ...] = tuple(transitions)
-        self.arcs: tuple[tuple[str, str], ...] = tuple(arcs)
-        self.initial_marking: Marking = {p: c for p, c in initial_marking.items() if c}
-        self.final_marking: Marking = {p: c for p, c in final_marking.items() if c}
+        self.places: tuple[str, ...] = tuple(sorted(places))
+        self.transitions: tuple[Transition, ...] = tuple(sorted(transitions, key=lambda t: t.tid))
+        self.arcs: tuple[tuple[str, str], ...] = tuple(sorted(arcs))
+        self.initial_marking = dict(sorted((p, c) for p, c in initial_marking.items() if c))
+        self.final_marking = dict(sorted((p, c) for p, c in final_marking.items() if c))
+        self.key: tuple = (
+            self.places, self.transitions, self.arcs,
+            tuple(self.initial_marking.items()), tuple(self.final_marking.items()),
+        )
 
         places = {p: i for i, p in enumerate(self.places)}
         tids = {t.tid: j for j, t in enumerate(self.transitions)}
@@ -163,14 +170,7 @@ class PetriNet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PetriNet):
             return NotImplemented
-        return (
-            sorted(self.places) == sorted(other.places)
-            and sorted(self.transitions, key=lambda t: t.tid)
-            == sorted(other.transitions, key=lambda t: t.tid)
-            and sorted(self.arcs) == sorted(other.arcs)
-            and self.initial_marking == other.initial_marking
-            and self.final_marking == other.final_marking
-        )
+        return self.key == other.key
 
     def __repr__(self) -> str:
         return (
@@ -262,23 +262,23 @@ def export_pnml(net: PetriNet, path: str | Path, net_id: str = "net0") -> None:
     root = ET.Element("pnml")
     net_el = ET.SubElement(root, "net", {"id": net_id, "type": PNML_NET_TYPE})
     page = ET.SubElement(net_el, "page", {"id": "page0"})
-    for p in sorted(net.places):
+    for p in net.places:
         p_el = ET.SubElement(page, "place", {"id": p})
         name = ET.SubElement(p_el, "name")
         ET.SubElement(name, "text").text = p
         if net.initial_marking.get(p):
             im = ET.SubElement(p_el, "initialMarking")
             ET.SubElement(im, "text").text = str(net.initial_marking[p])
-    for t in sorted(net.transitions, key=lambda t: t.tid):
+    for t in net.transitions:
         t_el = ET.SubElement(page, "transition", {"id": t.tid})
         if t.label is not None:
             name = ET.SubElement(t_el, "name")
             ET.SubElement(name, "text").text = t.label
-    for i, (src, dst) in enumerate(sorted(net.arcs)):
+    for i, (src, dst) in enumerate(net.arcs):
         ET.SubElement(page, "arc", {"id": f"a{i}", "source": src, "target": dst})
     finals = ET.SubElement(net_el, "finalmarkings")
     marking_el = ET.SubElement(finals, "marking")
-    for p in sorted(net.final_marking):
+    for p in net.final_marking:
         ref = ET.SubElement(marking_el, "place", {"idref": p})
         ET.SubElement(ref, "text").text = str(net.final_marking[p])
     write_xml(root, path)

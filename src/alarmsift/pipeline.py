@@ -18,7 +18,7 @@ from . import alignment as al
 from . import detector as det
 from . import discovery, events
 from .artifacts import read_schema_json, write_csv, write_jsonl, write_schema_json
-from .config import RunConfig, derive_seed, semantic_echo
+from .config import RunConfig, derive_seed, is_semantic_echo, semantic_echo
 from .errors import ConfigError, DataError, PcapFormatError, SchemaError
 from .flowmeter import FEATURE_NAMES, FlowRecord, assemble_flows, read_corpus
 from .pcap import ingest_pcap
@@ -232,6 +232,7 @@ _MANIFEST_KEYS = {
     "threshold": lambda v: type(v) in (int, float) and math.isfinite(v),
     "states": lambda v: isinstance(v, list) and all(type(s) is int for s in v),
     "fp_pool": lambda v: isinstance(v, list) and all(isinstance(f, str) for f in v),
+    "config": is_semantic_echo,
 }
 
 
@@ -256,6 +257,13 @@ def load_bundle(bundle_dir: str | Path, budget: int = al.DEFAULT_BUDGET) -> Trai
                 f"detector.json's {model.threshold!r}"
             )
     params = events.load_params(bundle_dir / "extraction.json")
+    echo = manifest["config"]
+    for key, held in (("clusters", params.clusters), ("window", params.window),
+                      ("external", model is None)):
+        if echo[key] != held:
+            raise SchemaError(
+                f"{manifest_path}: config {key} {echo[key]!r} differs from the bundle's {held!r}"
+            )
     states = manifest["states"]
     if states != list(range(params.clusters)):
         raise SchemaError(

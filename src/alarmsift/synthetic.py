@@ -23,7 +23,6 @@ import numpy as np
 
 from .detector import TRUTH_ATTACK, TRUTH_NORMAL
 from .errors import DataError
-from .events import flow_to_record
 from .flowmeter import Direction, Flow, FlowPacket, write_flow_events, write_flows_csv
 
 PROFILE_NORMAL = "normal"
@@ -138,6 +137,6 @@ def write_corpus(flows: list[Flow], out_dir: str | Path) -> tuple[Path, Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     flows_csv = out_dir / "flows.csv"
     events_path = out_dir / "events.jsonl"
-    write_flows_csv([flow_to_record(f) for f in flows], flows_csv)
+    write_flows_csv(flows, flows_csv)
     write_flow_events(flows, events_path)
     return flows_csv, events_path

@@ -132,7 +132,7 @@ def _hand_net(transitions, arcs, places=("i", "p", "q", "o")) -> PetriNet:
     # a leaves a token behind next to the final one.
     (_hand_net([Transition("a", "a")], [("i", "a"), ("a", "o"), ("a", "p")]),
      ["final marking unreachable from the initial marking",
-      "improper completion: marking (0, 1, 0, 1) covers the final marking",
+      "improper completion: marking (0, 1, 1, 0) covers the final marking",
       "2 reachable marking(s) cannot reach the final marking"]),
     # Choosing b leads to p, where nothing is enabled.
     (_hand_net([Transition("a", "a"), Transition("b", "b"), Transition("c", "c")],

@@ -236,8 +236,8 @@ def test_flow_csv_deterministic_and_round_trips(tmp_path):
     flows = assemble_flows(result.packets, truth="normal")
     records = [flow_to_record(f) for f in flows]
 
-    write_flows_csv(records, tmp_path / "flows1.csv")
-    write_flows_csv(records, tmp_path / "flows2.csv")
+    write_flows_csv(flows, tmp_path / "flows1.csv")
+    write_flows_csv(flows, tmp_path / "flows2.csv")
     assert (tmp_path / "flows1.csv").read_bytes() == (tmp_path / "flows2.csv").read_bytes()
 
     write_flow_events(flows, tmp_path / "events.jsonl")
@@ -272,7 +272,7 @@ def test_flow_record_events_match_to_trace(tmp_path):
 def test_read_corpus_rejects_corrupt_event_label(tmp_path, bad_flags):
     frames = handshake_fin_frames()
     flows = assemble_flows(ingest_pcap_write(tmp_path, frames).packets, truth="normal")
-    write_flows_csv([flow_to_record(f) for f in flows], tmp_path / "flows.csv")
+    write_flows_csv(flows, tmp_path / "flows.csv")
     write_flow_events(flows, tmp_path / "events.jsonl")
     header, first, *rest = (tmp_path / "events.jsonl").read_text().splitlines()
     row = json.loads(first)
@@ -306,11 +306,16 @@ def _last_feature(value):
     return lambda line: line.rsplit(",", 1)[0] + "," + value
 
 
-def _truth(value):
-    truth_column = 7  # after flow_id, client/server ip and port, first/last ts
+def _column(column, value):
+    # Columns: flow_id, client ip and port, server ip and port, first and
+    # last ts, truth, then the features.
     return lambda line: ",".join(
-        value if i == truth_column else cell for i, cell in enumerate(line.split(","))
+        value if i == column else cell for i, cell in enumerate(line.split(","))
     )
+
+
+def _truth(value):
+    return _column(7, value)
 
 
 @pytest.mark.parametrize("name, index, edit", [
@@ -324,13 +329,18 @@ def _truth(value):
     ("flows.csv", 2, _last_feature("nan")),
     ("flows.csv", 2, _truth("Normal")),
     ("flows.csv", 2, _truth("")),
+    ("flows.csv", 2, _column(2, "http")),  # client port
+    ("flows.csv", 2, _column(4, "")),  # server port
+    ("flows.csv", 2, _column(5, "x")),  # first ts
+    ("flows.csv", 2, _column(6, "1.0.0")),  # last ts
 ], ids=[
     "bad-json", "no-flow-id", "no-events", "two-field-event", "empty-events", "short-row",
-    "non-numeric", "non-finite", "capitalized-truth", "empty-truth",
+    "non-numeric", "non-finite", "capitalized-truth", "empty-truth", "bad-client-port",
+    "empty-server-port", "bad-first-ts", "bad-last-ts",
 ])
 def test_read_corpus_rejects_malformed_rows(tmp_path, name, index, edit):
     flows = assemble_flows(ingest_pcap_write(tmp_path, handshake_fin_frames()).packets)
-    write_flows_csv([flow_to_record(f) for f in flows], tmp_path / "flows.csv")
+    write_flows_csv(flows, tmp_path / "flows.csv")
     write_flow_events(flows, tmp_path / "events.jsonl")
     lines = (tmp_path / name).read_text().splitlines()
     lines[index] = edit(lines[index])

@@ -17,7 +17,7 @@ import pytest
 from alarmsift import alignment, detector, discovery, pipeline, synthetic
 from alarmsift.cli import _add_common, main
 from alarmsift.config import (
-    _FIELDS, CaptureSpec, RunConfig, derive_seed, load_config, semantic_echo,
+    _FIELDS, CaptureSpec, RunConfig, derive_seed, is_semantic_echo, load_config, semantic_echo,
 )
 from alarmsift.errors import ConfigError, DataError, SchemaError
 from alarmsift.petri import PetriNet, Transition, export_pnml, import_pnml
@@ -231,12 +231,6 @@ def test_evaluate_report_shape_and_determinism(corpus_dir, tmp_path):
     ).read_bytes()
 
 
-def _declared(net) -> tuple:
-    """A net as declared: tie-breaks follow declaration order."""
-    return (net.places, net.transitions, net.arcs,
-            tuple(sorted(net.initial_marking.items())), tuple(sorted(net.final_marking.items())))
-
-
 def test_evaluate_searches_each_distinct_fragment_once(corpus_dir, tmp_path, monkeypatch):
     # Rating reuses the Aligner that profiled the reference, and the runs'
     # Aligners share one memo, so no (net, trace) is searched twice in one
@@ -246,12 +240,12 @@ def test_evaluate_searches_each_distinct_fragment_once(corpus_dir, tmp_path, mon
     search, mine = alignment.align, discovery.discover
 
     def counting(net, trace, *args):
-        searches.append((_declared(net), tuple(trace)))
+        searches.append((net.key, tuple(trace)))
         return search(net, trace, *args)
 
     def recording(*args):
         net = mine(*args)
-        mined.append(_declared(net))
+        mined.append(net.key)
         return net
 
     monkeypatch.setattr(alignment, "align", counting)
@@ -268,19 +262,13 @@ def test_evaluate_single_run_has_zero_std(corpus_dir, tmp_path):
     assert report.aggregate["recall"][5]["std"] == 0.0
 
 
-def test_evaluate_requires_labels(normal_only_dir, tmp_path):
-    records = pipeline.load_records(_cfg(normal_only_dir, tmp_path / "y"))
-    for r in records[:5]:
-        r.truth = "unknown"
-    out = tmp_path / "unlabeled"
-    from alarmsift.flowmeter import write_flows_csv
-    import shutil
-
-    out.mkdir()
-    write_flows_csv(records, out / "flows.csv")
-    shutil.copy(Path(normal_only_dir) / "events.jsonl", out / "events.jsonl")
+def test_evaluate_requires_labels(tmp_path):
+    flows = synthetic.generate_flows("normal", 100, seed=41)
+    for flow in flows[:5]:
+        flow.truth = "unknown"
+    synthetic.write_corpus(flows, tmp_path / "unlabeled")
     with pytest.raises(DataError, match="truth"):
-        pipeline.evaluate(_cfg(out, tmp_path / "evalz"))
+        pipeline.evaluate(_cfg(tmp_path / "unlabeled", tmp_path / "evalz"))
 
 
 def test_explain_selected_flow(corpus_dir, normal_only_dir, tmp_path):
@@ -308,6 +296,32 @@ def test_explain_rates_a_positive_as_rate_does(corpus_dir, normal_only_dir, tmp_
     for entry in explained:
         row = rated[entry["flow_id"]]
         assert (repr(entry["cos_sim"]), str(entry["band"])) == (row["cos_sim"], row["band"])
+
+
+def _assert_fields_equal(trained, loaded):
+    for field in dataclasses.fields(trained):
+        a, b = getattr(trained, field.name), getattr(loaded, field.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        elif isinstance(a, alignment.Aligner):
+            assert {s: n.key for s, n in a.nets.items()} == {s: n.key for s, n in b.nets.items()}
+            assert a.budget == b.budget
+        elif dataclasses.is_dataclass(a):
+            _assert_fields_equal(a, b)
+        else:
+            assert type(a) is type(b) and a == b, field.name
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+@pytest.mark.parametrize("clusters", [1, 2])
+def test_a_loaded_bundle_rates_and_explains_as_trained(corpus_dir, tmp_path, clusters, seed):
+    # evaluate rates with the bundle it trained; rate and explain load it.
+    cfg = _cfg(corpus_dir, tmp_path, clusters=clusters, seed=seed)
+    records = pipeline.load_records(cfg)
+    trained, logs = pipeline.train_bundle(records, cfg, seed)
+    loaded = pipeline.load_bundle(pipeline.save_bundle(trained, logs, tmp_path / "bundle", cfg))
+    _assert_fields_equal(trained, loaded)
+    assert pipeline._rate(loaded, records, cfg) == pipeline._rate(trained, records, cfg)
 
 
 @pytest.fixture(scope="module")
@@ -400,6 +414,26 @@ def _zero_std_on_an_active_column(model):
     return model
 
 
+def _active_mask_entry(value):
+    # Replaces the first true mask entry, so the active count stays the same.
+    def edit(model):
+        model["mask"][model["mask"].index(True)] = value
+        return model
+    return edit
+
+
+def _echo(edit):
+    # Edits the manifest's config echo.
+    def manifest(payload):
+        payload["config"] = edit(payload["config"])
+        return payload
+    return manifest
+
+
+def _external_echo(config):
+    return _with(config, external=True, external_threshold=0.5)
+
+
 # A workflow-shaped net that can deadlock: after b, the join d waits on p.
 _DEADLOCKING_NET = PetriNet(
     ["i", "p", "q", "o"],
@@ -469,6 +503,13 @@ _DEADLOCKING_NET = PetriNet(
     (_edit_json("manifest.json", lambda m: _with(m, kind="x")), "manifest.json"),
     (_edit_json("extraction.json", _first_entry("centroids", -1)), "extraction.json"),
     (_edit_json("extraction.json", _first_entry("centroids", 1e308)), "extraction.json"),
+    (_edit_json("manifest.json", lambda m: _with(m, config="x")), "manifest.json"),
+    (_edit_json("manifest.json", _echo(lambda c: _with(c, window=c["window"] + 1))),
+     "manifest.json"),
+    (_edit_json("manifest.json", _echo(_external_echo)), "manifest.json"),
+    (_edit_json("manifest.json", lambda m: _echo(_external_echo)(_with(m, kind="x"))),
+     "manifest.json"),
+    (_edit_json("detector.json", _active_mask_entry(1)), "detector.json"),
 ], ids=[
     "no-states", "string-threshold", "string-fp-pool", "one-state-of-two", "not-an-object",
     "truncated-manifest", "short-centroids", "no-alphabet", "int-in-alphabet",
@@ -480,7 +521,9 @@ _DEADLOCKING_NET = PetriNet(
     "manifest-threshold-differs", "not-a-workflow-net", "unsound-net", "profile-row-without-comma",
     "nan-profile-count", "float-detector-components", "empty-final-marking-text",
     "no-finalmarkings", "no-page", "emptied-transition-name", "unknown-manifest-kind",
-    "negative-centroid", "centroid-beyond-window",
+    "negative-centroid", "centroid-beyond-window", "config-not-an-object",
+    "config-window-differs", "external-config-on-baseline", "unknown-kind-external-config",
+    "int-mask-entry",
 ])
 def test_corrupt_bundle_is_a_schema_error(trained_bundle, tmp_path, corrupt, culprit):
     bundle = tmp_path / "bundle"
@@ -499,6 +542,17 @@ def test_rate_refuses_a_model_whose_scores_overflow(corpus_dir, trained_bundle, 
     assert main(["rate", "--corpus", str(corpus_dir), "--bundle", str(bundle),
                  "--output-dir", str(tmp_path / "out")]) == 3
     assert "detector scores are not finite" in caplog.text
+
+
+@pytest.mark.parametrize("cfg", [
+    RunConfig(), RunConfig(external_scores=Path("s.csv"), external_threshold=0.5, clusters=3),
+], ids=["baseline", "external"])
+def test_only_what_semantic_echo_writes_is_an_echo(cfg):
+    echo = json.loads(json.dumps(semantic_echo(cfg)))
+    assert is_semantic_echo(echo)
+    for changed in ({**echo, "window": 3.0}, {**echo, "output_dir": "o"}, {**echo, "external": 1},
+                    {k: v for k, v in echo.items() if k != "seed"}, [echo]):
+        assert not is_semantic_echo(changed)
 
 
 def test_seed_derivation_stable():

@@ -68,11 +68,13 @@ MUTANTS = (
         "both_fins_before = len(self.fin_sides) >= 1",
         "tests/test_acceptance.py::test_criterion_7_flow_metering_exact",
     ),
+    # An unknown kind next to an external config echo would load as external.
     Mutant(
         "any-manifest-kind", "src/alarmsift/pipeline.py",
         '"kind": lambda v: v in (det.KIND_BASELINE, det.KIND_EXTERNAL),',
         '"kind": lambda v: isinstance(v, str),',
-        "tests/test_pipeline_cli.py::test_corrupt_bundle_is_a_schema_error[unknown-manifest-kind]",
+        "tests/test_pipeline_cli.py::test_corrupt_bundle_is_a_schema_error"
+        "[unknown-kind-external-config]",
     ),
     Mutant(
         "score-tie-positive", "src/alarmsift/detector.py",
@@ -118,9 +120,9 @@ MUTANTS = (
     ),
     Mutant(
         "memo-ignores-budget", "src/alarmsift/alignment.py",
-        "(_net_key(net), budget)",
-        "(_net_key(net), 0)",
-        "tests/test_alignment.py::test_shared_memo_keeps_nets_apart_by_declaration_order",
+        "(net.key, budget)",
+        "(net.key, 0)",
+        "tests/test_alignment.py::test_shared_memo_shares_equal_nets_and_keeps_budgets_apart",
     ),
     Mutant(
         "built-config-unconverted", "src/alarmsift/config.py",
@@ -139,6 +141,24 @@ MUTANTS = (
         "if not np.isfinite(scores).all():",
         "if False:",
         "tests/test_pipeline_cli.py::test_rate_refuses_a_model_whose_scores_overflow",
+    ),
+    Mutant(
+        "net-declaration-order", "src/alarmsift/petri.py",
+        "tuple(sorted(transitions, key=lambda t: t.tid))",
+        "tuple(transitions)",
+        "tests/test_alignment.py::test_a_net_aligns_alike_however_declared_or_loaded",
+    ),
+    Mutant(
+        "config-echo-unread", "src/alarmsift/pipeline.py",
+        '"config": is_semantic_echo,',
+        '"config": lambda v: True,',
+        "tests/test_pipeline_cli.py::test_corrupt_bundle_is_a_schema_error[config-not-an-object]",
+    ),
+    Mutant(
+        "mask-any-truthy", "src/alarmsift/detector.py",
+        "elif any(type(v) is not bool for v in payload[\"mask\"]):",
+        "elif False:",
+        "tests/test_pipeline_cli.py::test_corrupt_bundle_is_a_schema_error[int-mask-entry]",
     ),
 )
 
