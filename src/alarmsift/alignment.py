@@ -33,6 +33,7 @@ from typing import Iterable, Mapping, Sequence
 from .artifacts import read_csv, write_csv
 from .errors import BudgetError, DataError, SchemaError
 from .events import Fragment
+from .flowmeter import parse_event_label
 from .petri import MAX_MARKINGS, PetriNet, Transition
 
 DEFAULT_BUDGET = 1_000_000
@@ -248,17 +249,19 @@ def write_profile_csv(profile: Mapping[str, float], path: str | Path) -> None:
 
 
 def read_profile_csv(path: str | Path) -> dict[str, float]:
-    """Reads write_profile_csv's file; a count must be finite and >= 0, and
-    an event type may occur once."""
+    """Reads write_profile_csv's file; an event type must be an event label
+    (flowmeter.parse_event_label) and may occur once, and a count must be
+    finite and >= 0."""
     profile: dict[str, float] = {}
     with read_csv(path, PROFILE_CSV_SCHEMA) as reader:
         for row in reader:
             label, value = row.get("event_type"), row.get("count")
             try:
+                parse_event_label(label)
                 count = float(value)
-            except (TypeError, ValueError):
+            except (DataError, TypeError, ValueError):
                 count = math.nan
-            if not label or None in row or not 0 <= count < math.inf:
+            if None in row or not 0 <= count < math.inf:
                 # The schema comment precedes the lines the reader counts.
                 raise SchemaError(
                     f"{path}: line {reader.line_num + 1}: malformed profile row {row!r}"

@@ -1,5 +1,13 @@
 """The on-disk containers of every artifact file: the only module that writes
-an artifact or checks its schema tag.
+an artifact, decodes its JSON or checks its schema tag.
+
+One rule reads a bundle's JSON files (manifest.json, detector.json and
+extraction.json): a file is valid exactly when its writer's payload function
+writes back the value read from it (read_json). What a writer could write
+but is still wrong stays an explicit check of its reader: array shapes,
+finiteness, a positive std on active features, the percentile range,
+centroid bounds, event labels, the config echo's clusters and window
+against extraction.json's, and net soundness.
 
 Containers:
 - JSON: one object with sorted keys, indent 1, its "schema" key the schema
@@ -36,9 +44,11 @@ import json
 import xml.etree.ElementTree as ET
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
-from .errors import SchemaError
+from .errors import ConfigError, DataError, SchemaError
+
+T = TypeVar("T")
 
 
 @contextmanager
@@ -58,16 +68,30 @@ def write_schema_json(path: str | Path, schema: str, payload: dict) -> None:
     Path(path).write_text(text + "\n")
 
 
-def read_schema_json(path: str | Path, schema: str) -> dict:
-    """The JSON object in path, whose "schema" key must equal schema.
-    Raises SchemaError naming the file otherwise."""
+def read_json(path: str | Path, schema: str, build: Callable[[dict], T],
+              payload: Callable[[T], dict]) -> T:
+    """The value build makes from the JSON object in path, whose "schema" key
+    must be schema. build uses plain constructors (float, int, bool, str,
+    tuple) and raises for what it cannot build or its checks refuse. Unless
+    payload, the writer's, gives back the same JSON text (True == 1 == 1.0 in
+    Python), raises SchemaError naming the file; a SchemaError that build
+    raises for another file passes through."""
     try:
-        payload = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"{path}: cannot read JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("schema") != schema:
+    if not isinstance(raw, dict) or raw.get("schema") != schema:
         raise SchemaError(f"{path}: expected a JSON object of schema {schema}")
-    return payload
+    try:
+        value = build(raw)
+        written = {"schema": schema, **payload(value)}
+    except SchemaError:
+        raise
+    except (LookupError, TypeError, ValueError, ArithmeticError, ConfigError, DataError) as exc:
+        raise SchemaError(f"{path}: malformed: {exc!r}") from exc
+    if json.dumps(written, sort_keys=True) != json.dumps(raw, sort_keys=True):
+        raise SchemaError(f"{path}: not what its writer writes for the value read from it")
+    return value
 
 
 def write_jsonl(path: str | Path, schema: str, rows: Iterable[dict]) -> None:

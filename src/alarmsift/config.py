@@ -194,17 +194,14 @@ def semantic_echo(cfg: RunConfig) -> dict:
     return echo
 
 
-def is_semantic_echo(value) -> bool:
-    """Whether a JSON value is exactly what semantic_echo writes for some
-    RunConfig, external_scores standing in as set when "external" is true."""
-    if not isinstance(value, dict) or type(value.get("external")) is not bool:
-        return False
-    echoed = {k: v for k, v in value.items() if k != "external"}
-    try:
-        cfg = RunConfig(**echoed, external_scores=Path() if value["external"] else None)
-    except (ConfigError, TypeError):
-        return False
-    return json.dumps(semantic_echo(cfg), sort_keys=True) == json.dumps(value, sort_keys=True)
+def echo_config(value: dict) -> RunConfig:
+    """The RunConfig that value echoes, external_scores set when "external" is
+    true; whether semantic_echo gives value back is for the caller to
+    compare. A value that no RunConfig takes raises ConfigError, KeyError,
+    TypeError or ValueError."""
+    echoed = dict(value)
+    external = echoed.pop("external")
+    return RunConfig(**echoed, external_scores=Path() if external else None)
 
 
 def derive_seed(master: int, name: str) -> int:

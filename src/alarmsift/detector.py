@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .artifacts import read_csv, read_schema_json, write_csv, write_schema_json
+from .artifacts import read_csv, read_json, write_csv, write_schema_json
 from .errors import DataError, SchemaError
 
 logger = logging.getLogger(__name__)
@@ -244,8 +244,8 @@ def write_scores_csv(scored: Sequence[ScoredFlow], path: str | Path) -> None:
 
 # --- persistence -----------------------------------------------------------
 
-def save_model(model: DetectorModel, path: str | Path) -> None:
-    write_schema_json(path, MODEL_SCHEMA, {
+def _model_payload(model: DetectorModel) -> dict:
+    return {
         "kind": KIND_BASELINE,
         "feature_names": list(model.feature_names),
         "mean": [float(v) for v in model.mean],
@@ -256,54 +256,43 @@ def save_model(model: DetectorModel, path: str | Path) -> None:
         "seed": model.seed,
         "threshold": model.threshold,
         "percentile": model.percentile,
-    })
+    }
+
+
+def save_model(model: DetectorModel, path: str | Path) -> None:
+    write_schema_json(path, MODEL_SCHEMA, _model_payload(model))
 
 
 def load_model(path: str | Path) -> DetectorModel:
-    """Reads save_model's file. Raises SchemaError naming the file for a
-    missing or mistyped key, for mean, std, mask or basis shapes that do not
-    fit the feature list and the active mask, for a mask entry that is not
-    true or false, for a non-finite value, for a std that is not positive
-    on an active column, for a threshold that is not a finite number, for
-    components or a seed that is not an integer, for a percentile outside
-    (0, 1], and for a kind other than KIND_BASELINE."""
-    payload = read_schema_json(path, MODEL_SCHEMA)
-    try:
-        kind = payload["kind"]
-        model = DetectorModel(
-            feature_names=tuple(payload["feature_names"]),
-            mean=np.array(payload["mean"], dtype=float),
-            std=np.array(payload["std"], dtype=float),
-            mask=np.array(payload["mask"], dtype=bool),
-            basis=np.array(payload["basis"], dtype=float),
-            components=payload["components"],
-            seed=payload["seed"],
-            threshold=payload["threshold"],
-            percentile=payload["percentile"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: malformed detector model: {exc!r}") from exc
+    """Reads save_model's file, valid exactly when _model_payload writes it
+    back (artifacts.read_json), mean, std and mask have one entry per
+    feature, basis is components x active features, mean, std, basis and
+    threshold are finite, std > 0 on every active feature and the
+    percentile is in (0, 1]; else raises SchemaError naming the file."""
+    return read_json(path, MODEL_SCHEMA, _model_from, _model_payload)
+
+
+def _model_from(payload: dict) -> DetectorModel:
+    model = DetectorModel(
+        feature_names=tuple(str(name) for name in payload["feature_names"]),
+        mean=np.array([float(v) for v in payload["mean"]]),
+        std=np.array([float(v) for v in payload["std"]]),
+        mask=np.array([bool(v) for v in payload["mask"]], dtype=bool),
+        basis=np.array([[float(v) for v in row] for row in payload["basis"]]),
+        components=int(payload["components"]),
+        seed=int(payload["seed"]),
+        threshold=float(payload["threshold"]),
+        percentile=float(payload["percentile"]),
+    )
     n, active = len(model.feature_names), int(model.mask.sum())
     if any(v.shape != (n,) for v in (model.mean, model.std, model.mask)):
-        problem = f"mean, std and mask must have {n} entries, one per feature"
-    elif any(type(v) is not bool for v in payload["mask"]):
-        problem = "mask entries must be true or false"
-    elif type(model.components) is not int:
-        problem = f"components {model.components!r} is not an integer"
-    elif model.basis.shape != (model.components, active):
-        problem = f"basis must be components x active features ({model.components} x {active})"
-    elif not all(np.isfinite(v).all() for v in (model.mean, model.std, model.basis)):
-        problem = "mean, std and basis must be finite"
-    elif not (model.std[model.mask] > 0).all():
-        problem = "std must be positive on every active feature"
-    elif type(model.threshold) not in (int, float) or not math.isfinite(model.threshold):
-        problem = f"threshold {model.threshold!r} is not a finite number"
-    elif type(model.seed) is not int:
-        problem = f"seed {model.seed!r} is not an integer"
-    elif type(model.percentile) not in (int, float) or not 0.0 < model.percentile <= 1.0:
-        problem = f"percentile {model.percentile!r} is not a number in (0, 1]"
-    elif kind != KIND_BASELINE:
-        problem = f"kind {kind!r} is not {KIND_BASELINE!r}"
-    else:
-        return model
-    raise SchemaError(f"{path}: malformed detector model: {problem}")
+        raise ValueError(f"mean, std and mask must have {n} entries, one per feature")
+    if model.basis.shape != (model.components, active):
+        raise ValueError(f"basis must be {model.components} x {active}: components x active")
+    if not np.isfinite([*model.mean, *model.std, *model.basis.ravel(), model.threshold]).all():
+        raise ValueError("mean, std, basis and threshold must be finite")
+    if not (model.std[model.mask] > 0).all():
+        raise ValueError("std must be positive on every active feature")
+    if not 0.0 < model.percentile <= 1.0:
+        raise ValueError(f"percentile {model.percentile!r} is not in (0, 1]")
+    return model

@@ -22,9 +22,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .artifacts import read_schema_json, write_jsonl, write_schema_json, write_xml
-from .errors import DataError, SchemaError
-from .flowmeter import EVENT_LABELS, Flow, FlowRecord, event_label, featurize
+from .artifacts import read_json, write_jsonl, write_schema_json, write_xml
+from .errors import DataError
+from .flowmeter import EVENT_LABELS, Flow, FlowRecord, event_label, featurize, parse_event_label
 
 PARAMS_SCHEMA = "alarmsift-extraction/1"
 STATE_LOGS_SCHEMA = "alarmsift-state-logs/1"
@@ -209,42 +209,47 @@ def build_logs(
 
 # --- persistence ---------------------------------------------------------
 
-def save_params(params: ExtractionParams, path: str | Path) -> None:
-    write_schema_json(path, PARAMS_SCHEMA, {
+def _params_payload(params: ExtractionParams) -> dict:
+    return {
         "clusters": params.clusters,
         "window": params.window,
         "seed": params.seed,
         "alphabet": list(params.alphabet),
         "centroids": [[float(v) for v in row] for row in params.centroids],
-    })
+    }
+
+
+def save_params(params: ExtractionParams, path: str | Path) -> None:
+    write_schema_json(path, PARAMS_SCHEMA, _params_payload(params))
 
 
 def load_params(path: str | Path) -> ExtractionParams:
-    payload = read_schema_json(path, PARAMS_SCHEMA)
-    for key in ("clusters", "window", "seed"):
-        if type(payload.get(key)) is not int:
-            raise SchemaError(f"{path}: key {key!r} is missing or not an integer")
-    alphabet = payload.get("alphabet")
-    if not (isinstance(alphabet, list) and all(isinstance(a, str) for a in alphabet)
-            and len(set(alphabet)) == len(alphabet)):
-        raise SchemaError(f"{path}: key 'alphabet' is missing or not a list of distinct strings")
-    try:
-        params = ExtractionParams(
-            clusters=payload["clusters"],
-            window=payload["window"],
-            seed=payload["seed"],
-            alphabet=tuple(alphabet),
-            centroids=np.array(payload["centroids"], dtype=float),
-        )
-    except (KeyError, TypeError, ValueError, DataError) as exc:
-        raise SchemaError(f"{path}: malformed extraction params: {exc!r}") from exc
+    """Reads save_params's file, valid exactly when _params_payload writes it
+    back (artifacts.read_json), the alphabet is sorted, distinct event labels
+    (flowmeter.parse_event_label) and the centroids are a finite clusters x
+    (alphabet + OTHER) matrix in [0, window]; else raises SchemaError."""
+    return read_json(path, PARAMS_SCHEMA, _params_from, _params_payload)
+
+
+def _params_from(payload: dict) -> ExtractionParams:
+    params = ExtractionParams(
+        clusters=int(payload["clusters"]),
+        window=int(payload["window"]),
+        seed=int(payload["seed"]),
+        alphabet=tuple(str(label) for label in payload["alphabet"]),
+        centroids=np.array([[float(v) for v in row] for row in payload["centroids"]]),
+    )
+    if list(params.alphabet) != sorted(set(params.alphabet)):
+        raise ValueError("the alphabet must be sorted and distinct")
+    for label in params.alphabet:
+        parse_event_label(label)  # DataError for a string that is not an event label
     # One row per state, one column per alphabet label plus the OTHER one.
     shape = (params.clusters, len(params.alphabet) + 1)
     if params.centroids.shape != shape or not np.isfinite(params.centroids).all():
-        raise SchemaError(f"{path}: centroids must be a finite {shape[0]} x {shape[1]} matrix")
+        raise ValueError(f"centroids must be a finite {shape[0]} x {shape[1]} matrix")
     # A centroid is a mean of window label counts.
     if ((params.centroids < 0) | (params.centroids > params.window)).any():
-        raise SchemaError(f"{path}: centroid entries must lie in [0, {params.window}]")
+        raise ValueError(f"centroid entries must lie in [0, {params.window}]")
     return params
 
 

@@ -8,7 +8,6 @@ master seed via named sub-seeds.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,8 +16,8 @@ import numpy as np
 from . import alignment as al
 from . import detector as det
 from . import discovery, events
-from .artifacts import read_schema_json, write_csv, write_jsonl, write_schema_json
-from .config import RunConfig, derive_seed, is_semantic_echo, semantic_echo
+from .artifacts import read_json, write_csv, write_jsonl, write_schema_json
+from .config import RunConfig, derive_seed, echo_config, semantic_echo
 from .errors import ConfigError, DataError, PcapFormatError, SchemaError
 from .flowmeter import FEATURE_NAMES, FlowRecord, assemble_flows, read_corpus
 from .pcap import ingest_pcap
@@ -198,6 +197,16 @@ def _train_from_split(
     ), logs
 
 
+def _manifest_payload(bundle: TrainedBundle, config: RunConfig) -> dict:
+    return {
+        "kind": det.KIND_EXTERNAL if bundle.model is None else det.KIND_BASELINE,
+        "threshold": bundle.threshold,
+        "states": sorted(bundle.aligner.nets),
+        "fp_pool": list(bundle.fp_pool),
+        "config": semantic_echo(config),
+    }
+
+
 def save_bundle(
     bundle: TrainedBundle,
     logs: dict[int, list[events.Fragment]],
@@ -207,13 +216,7 @@ def save_bundle(
     out_dir = Path(out_dir)
     (out_dir / "nets").mkdir(parents=True, exist_ok=True)
     (out_dir / "logs").mkdir(exist_ok=True)
-    write_schema_json(out_dir / "manifest.json", BUNDLE_SCHEMA, {
-        "kind": det.KIND_EXTERNAL if bundle.model is None else det.KIND_BASELINE,
-        "threshold": bundle.threshold,
-        "states": sorted(bundle.aligner.nets),
-        "fp_pool": list(bundle.fp_pool),
-        "config": semantic_echo(config),
-    })
+    write_schema_json(out_dir / "manifest.json", BUNDLE_SCHEMA, _manifest_payload(bundle, config))
     if bundle.model is not None:
         det.save_model(bundle.model, out_dir / "detector.json")
     events.save_params(bundle.params, out_dir / "extraction.json")
@@ -226,66 +229,42 @@ def save_bundle(
     return out_dir
 
 
-# Manifest key -> whether a JSON value is valid for it (a missing key reads None).
-_MANIFEST_KEYS = {
-    "kind": lambda v: v in (det.KIND_BASELINE, det.KIND_EXTERNAL),
-    "threshold": lambda v: type(v) in (int, float) and math.isfinite(v),
-    "states": lambda v: isinstance(v, list) and all(type(s) is int for s in v),
-    "fp_pool": lambda v: isinstance(v, list) and all(isinstance(f, str) for f in v),
-    "config": is_semantic_echo,
-}
-
-
 def load_bundle(bundle_dir: str | Path, budget: int = al.DEFAULT_BUDGET) -> TrainedBundle:
-    """Reads a bundle, raising SchemaError naming the file for any artifact
-    that is malformed or inconsistent with the others. The bundle's Aligner
-    searches its nets with the given budget."""
+    """Reads a bundle: manifest.json is valid exactly when _manifest_payload
+    writes it back for the bundle the other files hold (artifacts.read_json),
+    so its threshold is the model's or, without a model, the echoed
+    external_threshold. Besides, the echo's clusters and window must be
+    extraction.json's, and each net must be a sound workflow net. Raises
+    SchemaError naming the file at fault. The bundle's Aligner searches its
+    nets with the given budget."""
     bundle_dir = Path(bundle_dir)
-    manifest_path = bundle_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise DataError(f"{bundle_dir}: not a bundle (missing manifest.json)")
-    manifest = read_schema_json(manifest_path, BUNDLE_SCHEMA)
-    for key, valid in _MANIFEST_KEYS.items():
-        if not valid(manifest.get(key)):
-            raise SchemaError(f"{manifest_path}: key {key!r} is missing or malformed")
-    model = None
-    if manifest["kind"] == det.KIND_BASELINE:
-        model = det.load_model(bundle_dir / "detector.json")
-        if manifest["threshold"] != model.threshold:
-            raise SchemaError(
-                f"{manifest_path}: threshold {manifest['threshold']!r} differs from "
-                f"detector.json's {model.threshold!r}"
-            )
-    params = events.load_params(bundle_dir / "extraction.json")
-    echo = manifest["config"]
-    for key, held in (("clusters", params.clusters), ("window", params.window),
-                      ("external", model is None)):
-        if echo[key] != held:
-            raise SchemaError(
-                f"{manifest_path}: config {key} {echo[key]!r} differs from the bundle's {held!r}"
-            )
-    states = manifest["states"]
-    if states != list(range(params.clusters)):
-        raise SchemaError(
-            f"{manifest_path}: states {states} are not 0..{params.clusters - 1} "
-            "of extraction.json"
-        )
-    nets = {}
-    for state in states:
-        path = bundle_dir / "nets" / f"state_{state}.pnml"
-        nets[state] = import_pnml(path)
-        problems = workflow_shape_errors(nets[state]) or check_soundness(nets[state])
-        if problems:
-            raise SchemaError(f"{path}: not a sound workflow net: {problems}")
-    reference = al.read_profile_csv(bundle_dir / "reference_profile.csv")
-    return TrainedBundle(
-        model=model,
-        threshold=manifest["threshold"],
-        params=params,
-        aligner=al.Aligner(nets, budget),
-        reference=reference,
-        fp_pool=tuple(manifest["fp_pool"]),
-    )
+
+    def build(manifest: dict) -> tuple[TrainedBundle, RunConfig]:
+        config = echo_config(manifest["config"])
+        external = config.external_scores is not None
+        model = None if external else det.load_model(bundle_dir / "detector.json")
+        params = events.load_params(bundle_dir / "extraction.json")
+        if (config.clusters, config.window) != (params.clusters, params.window):
+            raise ValueError("config clusters and window differ from extraction.json's")
+        nets = {}
+        for state in range(params.clusters):
+            path = bundle_dir / "nets" / f"state_{state}.pnml"
+            nets[state] = import_pnml(path)
+            problems = workflow_shape_errors(nets[state]) or check_soundness(nets[state])
+            if problems:
+                raise SchemaError(f"{path}: not a sound workflow net: {problems}")
+        return TrainedBundle(
+            model=model,
+            threshold=config.external_threshold if external else model.threshold,
+            params=params,
+            aligner=al.Aligner(nets, budget),
+            reference=al.read_profile_csv(bundle_dir / "reference_profile.csv"),
+            fp_pool=tuple(str(flow_id) for flow_id in manifest["fp_pool"]),
+        ), config
+
+    return read_json(
+        bundle_dir / "manifest.json", BUNDLE_SCHEMA, build, lambda b: _manifest_payload(*b)
+    )[0]
 
 
 def cmd_train(config: RunConfig) -> Path:
@@ -315,7 +294,7 @@ def _detect(
     """The detector decision for each record, in record order; the records
     decided positive; and the external score rows that name no record
     (empty for the baseline). Without a model, the external scores are
-    decided at threshold."""
+    decided at threshold, and config.external_threshold must equal it."""
     ids, truths = [r.flow_id for r in records], [r.truth for r in records]
     if model is not None:
         if config.external_scores is not None:
@@ -323,6 +302,8 @@ def _detect(
         scored, skipped = det.classify(model, _features_matrix(records), ids, truths), []
     elif config.external_scores is None:
         raise ConfigError("bundle was trained on external scores; configure external_scores")
+    elif config.external_threshold != threshold:
+        raise ConfigError(f"external_threshold differs from the bundle's threshold {threshold!r}")
     else:
         scored, skipped = det.import_scores(config.external_scores, threshold, ids, truths)
     flagged = {s.flow_id for s in scored if s.positive}

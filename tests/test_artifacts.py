@@ -1,5 +1,5 @@
-"""Artifact files are written only through alarmsift.artifacts, and each
-reader accepts exactly its own schema tag."""
+"""Artifact files are written and their JSON decoded only through
+alarmsift.artifacts, and each reader accepts exactly its own schema tag."""
 import ast
 import json
 from pathlib import Path
@@ -14,6 +14,15 @@ from alarmsift.flowmeter import read_corpus
 
 # cli.py is exempt: `explain --out` writes the JSON it would otherwise print.
 EXEMPT = {"artifacts.py", "cli.py"}
+# config.py is exempt: the config file it reads is not an artifact.
+JSON_READ_EXEMPT = {"artifacts.py", "config.py"}
+
+
+def _modules(exempt: set[str]):
+    """(file name, syntax tree) of each package module outside exempt."""
+    for path in sorted(Path(alarmsift.__file__).parent.glob("*.py")):
+        if path.name not in exempt:
+            yield path.name, ast.parse(path.read_text(), filename=str(path))
 
 
 def _write_mode(call: ast.Call) -> str | None:
@@ -44,13 +53,30 @@ def _writes(tree: ast.AST) -> list[str]:
     return found
 
 
+def _json_reads(tree: ast.AST) -> list[str]:
+    """Each use of json.load or json.loads, called or not, and each import of
+    either."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("load", "loads"):
+            if getattr(node.value, "id", None) == "json":
+                found.append(f"line {node.lineno}: json.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found += [f"line {node.lineno}: from json import {alias.name}"
+                      for alias in node.names if alias.name in ("load", "loads")]
+    return found
+
+
 def test_only_artifacts_writes_files():
-    writers = []
-    for path in sorted(Path(alarmsift.__file__).parent.glob("*.py")):
-        if path.name not in EXEMPT:
-            tree = ast.parse(path.read_text(), filename=str(path))
-            writers += [f"{path.name}: {w}" for w in _writes(tree)]
+    writers = [f"{name}: {w}" for name, tree in _modules(EXEMPT) for w in _writes(tree)]
     assert writers == []
+
+
+def test_only_artifacts_decodes_json():
+    readers = [
+        f"{name}: {r}" for name, tree in _modules(JSON_READ_EXEMPT) for r in _json_reads(tree)
+    ]
+    assert readers == []
 
 
 def test_write_detection_sees_each_kind_of_writer():
@@ -67,6 +93,20 @@ p.open()
 open(p, "r")
 """
     assert len(_writes(ast.parse(source))) == 7
+
+
+def test_json_read_detection_sees_each_kind_of_reader():
+    source = """
+json.load(fh)
+json.loads(text)
+map(json.loads, lines)
+from json import loads
+from json import dumps, load
+json.dumps(value)
+pickle.loads(data)
+payload.load()
+"""
+    assert len(_json_reads(ast.parse(source))) == 5
 
 
 def _corpus(tmp_path: Path) -> Path:

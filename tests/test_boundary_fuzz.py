@@ -1,5 +1,6 @@
 """Boundary fuzz: a corrupt bundle or a cut corpus ends `rate` with an exit
-code, never with a raised exception.
+code, never with a raised exception, and a bundle JSON file loads only if
+its writer writes it back.
 
 The cases are every substitution of a JSON value in the bundle's
 manifest.json, detector.json and extraction.json, every dropped element,
@@ -16,6 +17,9 @@ import pytest
 from alarmsift import pipeline, synthetic
 from alarmsift.cli import main
 from alarmsift.config import RunConfig
+from alarmsift.detector import save_model
+from alarmsift.errors import DataError
+from alarmsift.events import save_params
 
 _SEED = 24
 _SAMPLE = 400
@@ -108,3 +112,37 @@ def test_rate_ends_every_boundary_case_with_an_exit_code(inputs, tmp_path):
         finally:
             path.write_bytes(original)
     assert {label: code for label, code in outcomes.items() if code not in (0, 2, 3, 4)} == {}
+
+
+def _sorted_json(data: bytes) -> str:
+    return json.dumps(json.loads(data), sort_keys=True)
+
+
+def test_every_bundle_json_that_loads_is_what_its_writer_writes(inputs, tmp_path):
+    # All substitutions run, not a sample; a case that raises anything but
+    # DataError fails. JSON text is compared, not values, because
+    # True == 1 == 1.0 in Python.
+    _, bundle = inputs
+    resave = {
+        "detector.json": lambda loaded, path: save_model(loaded.model, path),
+        "extraction.json": lambda loaded, path: save_params(loaded.params, path),
+    }
+    checked, rewritten = set(), {}
+    for label, path, corrupt in (
+        case for name in ("manifest.json", *resave) for case in _json_cases(bundle / name)
+    ):
+        original = path.read_bytes()
+        path.write_bytes(corrupt)
+        try:
+            loaded = pipeline.load_bundle(bundle)
+        except DataError:
+            continue
+        finally:
+            path.write_bytes(original)
+        if path.name in resave:
+            resave[path.name](loaded, tmp_path / path.name)
+            checked.add(path.name)
+            if _sorted_json((tmp_path / path.name).read_bytes()) != _sorted_json(corrupt):
+                rewritten[label] = (tmp_path / path.name).read_text()
+    assert checked == set(resave)
+    assert rewritten == {}

@@ -223,7 +223,8 @@ def test_kmeans_matches_bruteforce_partition():
 
 
 def test_fit_is_deterministic_and_persistable(tmp_path):
-    traces = [tuple("ab"[j % 2] for j in range(i + 3)) for i in range(8)]
+    labels = ("C_to_S_ACK", "S_to_C_ACK")  # load_params reads event labels only
+    traces = [tuple(labels[j % 2] for j in range(i + 3)) for i in range(8)]
     p1 = fit_states(traces, clusters=2, window=3, seed=9)
     p2 = fit_states(traces, clusters=2, window=3, seed=9)
     assert np.array_equal(p1.centroids, p2.centroids)

@@ -17,7 +17,7 @@ import pytest
 from alarmsift import alignment, detector, discovery, pipeline, synthetic
 from alarmsift.cli import _add_common, main
 from alarmsift.config import (
-    _FIELDS, CaptureSpec, RunConfig, derive_seed, is_semantic_echo, load_config, semantic_echo,
+    _FIELDS, CaptureSpec, RunConfig, derive_seed, echo_config, load_config, semantic_echo,
 )
 from alarmsift.errors import ConfigError, DataError, SchemaError
 from alarmsift.petri import PetriNet, Transition, export_pnml, import_pnml
@@ -191,6 +191,31 @@ def test_external_skipped_ids_warn_only_when_rating(normal_only_dir, tmp_path, c
         assert "skipped" not in caplog.text
         pipeline.cmd_rate(ext, bundle_dir)
     assert "external scores: skipped 1 unknown flow id(s)" in caplog.text
+
+
+@pytest.mark.parametrize("rate_threshold, code", [(0.5, 0), (0.95, 2)], ids=["equal", "differs"])
+def test_an_external_bundle_rates_only_at_its_own_threshold(
+    normal_only_dir, tmp_path, rate_threshold, code
+):
+    # Every score is 0.0 or 1.0, so both thresholds would flag the same flows.
+    cfg = _cfg(normal_only_dir, tmp_path / "train")
+    records = pipeline.load_records(cfg)
+    scores_csv = tmp_path / "scores.csv"
+    rows = [f"{r.flow_id},{1.0 if i % 4 == 0 else 0.0}" for i, r in enumerate(records)]
+    scores_csv.write_text("flow_id,score\n" + "\n".join(rows) + "\n")
+    ext = dataclasses.replace(cfg, external_scores=scores_csv, external_threshold=0.5)
+    trained, logs = pipeline.train_bundle(records, ext, ext.seed)
+    bundle_dir = pipeline.save_bundle(trained, logs, tmp_path / "bundle", ext)
+    report, _ = pipeline.rate_records(trained, records, ext)
+    pipeline.write_rate_report(report, tmp_path / "as_trained")
+    argv = ["rate", "--corpus", str(normal_only_dir), "--bundle", str(bundle_dir),
+            "--external-scores", str(scores_csv), "--external-threshold", str(rate_threshold),
+            "--output-dir", str(tmp_path / "rate")]
+    assert main(argv) == code
+    if code == 0:
+        assert _tree_bytes(tmp_path / "rate" / "rating") == _tree_bytes(tmp_path / "as_trained")
+    else:
+        assert not (tmp_path / "rate").exists()
 
 
 @pytest.mark.parametrize("extra_rows, warnings", [
@@ -409,9 +434,12 @@ def _first_entry(key, value):
     return edit
 
 
-def _zero_std_on_an_active_column(model):
-    model["std"][model["mask"].index(True)] = 0.0
-    return model
+def _active_std_entry(value):
+    # Replaces the std of the first active feature.
+    def edit(model):
+        model["std"][model["mask"].index(True)] = value
+        return model
+    return edit
 
 
 def _active_mask_entry(value):
@@ -479,7 +507,7 @@ _DEADLOCKING_NET = PetriNet(
     (_edit_json("detector.json",
                 lambda d: _with(d, basis=[[math.inf, *r[1:]] for r in d["basis"]])),
      "detector.json"),
-    (_edit_json("detector.json", _zero_std_on_an_active_column), "detector.json"),
+    (_edit_json("detector.json", _active_std_entry(0.0)), "detector.json"),
     (_edit_json("detector.json", lambda d: _with(d, threshold=str(d["threshold"]))),
      "detector.json"),
     (_edit_json("detector.json", lambda d: _with(d, threshold=math.inf)), "detector.json"),
@@ -510,6 +538,19 @@ _DEADLOCKING_NET = PetriNet(
     (_edit_json("manifest.json", lambda m: _echo(_external_echo)(_with(m, kind="x"))),
      "manifest.json"),
     (_edit_json("detector.json", _active_mask_entry(1)), "detector.json"),
+    (_edit_json("detector.json", lambda d: _with(d, mean=[True, *d["mean"][1:]])),
+     "detector.json"),
+    (_edit_json("detector.json", _active_std_entry(True)), "detector.json"),
+    (_edit_json("detector.json", _first_entry("basis", True)), "detector.json"),
+    (_edit_json("extraction.json", _first_entry("centroids", True)), "extraction.json"),
+    # "x" sorts after every event label, so only the label check refuses it.
+    (_edit_json("extraction.json", lambda e: _with(e, alphabet=[*e["alphabet"][:-1], "x"])),
+     "extraction.json"),
+    (_edit_json("detector.json", lambda d: _with(d, mean=[0, *d["mean"][1:]])), "detector.json"),
+    (_edit_json("detector.json", lambda d: _with(d, extra=1)), "detector.json"),
+    (_edit_json("extraction.json", lambda e: _with(e, clusters=math.inf)), "extraction.json"),
+    (_edit_json("detector.json", lambda d: _with(d, components=math.inf)), "detector.json"),
+    (_append("reference_profile.csv", "x,0.5\n"), "reference_profile.csv"),
 ], ids=[
     "no-states", "string-threshold", "string-fp-pool", "one-state-of-two", "not-an-object",
     "truncated-manifest", "short-centroids", "no-alphabet", "int-in-alphabet",
@@ -523,7 +564,9 @@ _DEADLOCKING_NET = PetriNet(
     "no-finalmarkings", "no-page", "emptied-transition-name", "unknown-manifest-kind",
     "negative-centroid", "centroid-beyond-window", "config-not-an-object",
     "config-window-differs", "external-config-on-baseline", "unknown-kind-external-config",
-    "int-mask-entry",
+    "int-mask-entry", "bool-mean-entry", "bool-std-entry", "bool-basis-entry",
+    "bool-centroid-entry", "non-label-alphabet-entry", "int-mean-entry", "extra-detector-key",
+    "infinite-clusters", "infinite-components", "unknown-reference-label",
 ])
 def test_corrupt_bundle_is_a_schema_error(trained_bundle, tmp_path, corrupt, culprit):
     bundle = tmp_path / "bundle"
@@ -548,11 +591,20 @@ def test_rate_refuses_a_model_whose_scores_overflow(corpus_dir, trained_bundle, 
     RunConfig(), RunConfig(external_scores=Path("s.csv"), external_threshold=0.5, clusters=3),
 ], ids=["baseline", "external"])
 def test_only_what_semantic_echo_writes_is_an_echo(cfg):
+    def written_back(value) -> bool:
+        try:
+            built = echo_config(value)
+        except (ConfigError, KeyError, TypeError, ValueError):
+            return False
+        return json.dumps(semantic_echo(built), sort_keys=True) == json.dumps(
+            value, sort_keys=True
+        )
+
     echo = json.loads(json.dumps(semantic_echo(cfg)))
-    assert is_semantic_echo(echo)
+    assert written_back(echo)
     for changed in ({**echo, "window": 3.0}, {**echo, "output_dir": "o"}, {**echo, "external": 1},
                     {k: v for k, v in echo.items() if k != "seed"}, [echo]):
-        assert not is_semantic_echo(changed)
+        assert not written_back(changed)
 
 
 def test_seed_derivation_stable():

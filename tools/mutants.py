@@ -68,14 +68,6 @@ MUTANTS = (
         "both_fins_before = len(self.fin_sides) >= 1",
         "tests/test_acceptance.py::test_criterion_7_flow_metering_exact",
     ),
-    # An unknown kind next to an external config echo would load as external.
-    Mutant(
-        "any-manifest-kind", "src/alarmsift/pipeline.py",
-        '"kind": lambda v: v in (det.KIND_BASELINE, det.KIND_EXTERNAL),',
-        '"kind": lambda v: isinstance(v, str),',
-        "tests/test_pipeline_cli.py::test_corrupt_bundle_is_a_schema_error"
-        "[unknown-kind-external-config]",
-    ),
     Mutant(
         "score-tie-positive", "src/alarmsift/detector.py",
         "positive=score > threshold",
@@ -149,16 +141,31 @@ MUTANTS = (
         "tests/test_alignment.py::test_a_net_aligns_alike_however_declared_or_loaded",
     ),
     Mutant(
-        "config-echo-unread", "src/alarmsift/pipeline.py",
-        '"config": is_semantic_echo,',
-        '"config": lambda v: True,',
-        "tests/test_pipeline_cli.py::test_corrupt_bundle_is_a_schema_error[config-not-an-object]",
+        "round-trip-unchecked", "src/alarmsift/artifacts.py",
+        "if json.dumps(written, sort_keys=True) != json.dumps(raw, sort_keys=True):",
+        "if False:",
+        "tests/test_pipeline_cli.py::test_corrupt_bundle_is_a_schema_error[bool-mean-entry]",
     ),
     Mutant(
-        "mask-any-truthy", "src/alarmsift/detector.py",
-        "elif any(type(v) is not bool for v in payload[\"mask\"]):",
+        "alphabet-any-string", "src/alarmsift/events.py",
+        "parse_event_label(label)",
+        "label",
+        "tests/test_pipeline_cli.py::test_corrupt_bundle_is_a_schema_error"
+        "[non-label-alphabet-entry]",
+    ),
+    Mutant(
+        "reference-any-label", "src/alarmsift/alignment.py",
+        "parse_event_label(label)",
+        "label",
+        "tests/test_pipeline_cli.py::test_corrupt_bundle_is_a_schema_error"
+        "[unknown-reference-label]",
+    ),
+    Mutant(
+        "external-threshold-ignored", "src/alarmsift/pipeline.py",
+        "elif config.external_threshold != threshold:",
         "elif False:",
-        "tests/test_pipeline_cli.py::test_corrupt_bundle_is_a_schema_error[int-mask-entry]",
+        "tests/test_pipeline_cli.py::test_an_external_bundle_rates_only_at_its_own_threshold"
+        "[differs]",
     ),
 )
 
