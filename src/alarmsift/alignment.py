@@ -229,12 +229,18 @@ def profile_reference(
     """Reference profile: the mean of the per-flow profiles (profile_flow,
     with the given aligner) of the given flows, one fragment list each.
     Silent model moves are never counted."""
+    return mean_profile([profile_flow(fragments, aligner)[0] for fragments in per_flow_fragments])
+
+
+def mean_profile(profiles: Sequence[Mapping[str, float]]) -> dict[str, float]:
+    """Per label, in label order, the mean count over profiles; a label that
+    a profile lacks counts 0 there. No profile gives the empty profile."""
     # Integral counts summed, then divided once: the mean stays exact.
     totals: dict[str, float] = {}
-    for fragments in per_flow_fragments:
-        for label, count in profile_flow(fragments, aligner)[0].items():
+    for profile in profiles:
+        for label, count in profile.items():
             totals[label] = totals.get(label, 0.0) + count
-    return {label: totals[label] / len(per_flow_fragments) for label in sorted(totals)}
+    return {label: totals[label] / len(profiles) for label in sorted(totals)}
 
 
 # --- persistence ----------------------------------------------------------

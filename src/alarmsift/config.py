@@ -20,6 +20,8 @@ from .flowmeter import DEFAULT_FLOW_TIMEOUT
 from .rating import DEFAULT_BAND_BOUNDARIES, SeverityBands
 
 OUTPUT_DIR_ENV = "ALARMSIFT_OUTPUT_DIR"
+# evaluate writes one run directory per run.
+MAX_RUNS = 1_000
 
 
 @dataclass(frozen=True)
@@ -68,8 +70,8 @@ class RunConfig:
             raise ConfigError("detector component count must be >= 1")
         if self.clusters < 1 or self.window < 1:
             raise ConfigError("extraction clusters and window must be >= 1")
-        if self.runs < 1:
-            raise ConfigError("run count must be >= 1")
+        if not 1 <= self.runs <= MAX_RUNS:
+            raise ConfigError(f"run count must be in 1-{MAX_RUNS}")
         if self.alignment_budget < 1:
             raise ConfigError("config key 'alignment_budget' must be >= 1")
         bad_ports = sorted(p for p in self.server_ports if not 0 <= p <= 65535)

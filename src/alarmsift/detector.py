@@ -7,7 +7,6 @@ threshold.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -17,8 +16,6 @@ import numpy as np
 
 from .artifacts import read_csv, read_json, write_csv, write_schema_json
 from .errors import DataError, SchemaError
-
-logger = logging.getLogger(__name__)
 
 MODEL_SCHEMA = "alarmsift-detector/1"
 SCORES_CSV_SCHEMA = "alarmsift-scores/1"
@@ -210,28 +207,22 @@ def import_scores(
     threshold: float,
     known_ids: Sequence[str],
     truths: Sequence[str] | None = None,
-) -> tuple[list[ScoredFlow], list[str]]:
+) -> list[ScoredFlow]:
     """Turns an external score file into classified flows.
 
     Mirrors classify: the same decision rule, results in the order of
-    known_ids, and truth labels from the caller. A known flow without a
-    score is left out; score rows for flow ids not in known_ids are
-    skipped and returned (sorted) for the caller to report. Raises
-    DataError when no known flow has a score.
+    known_ids, and truth labels from the caller. Only known flows with a
+    score are returned; the caller counts the known flows left out and the
+    score rows for other ids. Raises DataError when no known flow has a
+    score.
     """
     scores = read_scores_csv(path)
-    skipped = sorted(set(scores) - set(known_ids))
     ids = [fid for fid in known_ids if fid in scores]
     truths = truths and [t for fid, t in zip(known_ids, truths) if fid in scores]
     scored = _decide(ids, [scores[fid] for fid in ids], threshold, truths)
     if not scored:
         raise DataError("external scores match none of the input flows")
-    if len(scored) < len(known_ids):
-        logger.warning(
-            "external scores: %d input flow(s) have no score; excluded",
-            len(known_ids) - len(scored),
-        )
-    return scored, skipped
+    return scored
 
 
 def write_scores_csv(scored: Sequence[ScoredFlow], path: str | Path) -> None:

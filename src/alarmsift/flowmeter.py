@@ -10,7 +10,6 @@ with the same key starts a new flow).
 """
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -25,8 +24,6 @@ from .artifacts import read_csv, read_jsonl, write_csv, write_jsonl
 from .detector import TRUTH_LABELS, TRUTH_UNKNOWN
 from .errors import DataError, SchemaError
 from .pcap import PacketRecord
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_FLOW_TIMEOUT = 120.0
 

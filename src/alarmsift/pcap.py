@@ -17,15 +17,12 @@ short or has a data offset below 20 bytes.
 """
 from __future__ import annotations
 
-import logging
 import socket
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import PcapFormatError
-
-logger = logging.getLogger(__name__)
 
 # (struct byte-order prefix, timestamp fraction unit) keyed by the magic
 # bytes exactly as they appear at the start of the file.
@@ -242,7 +239,6 @@ def ingest_pcap(path: str | Path, ports: frozenset[int] = frozenset()) -> Ingest
             break
         ts_sec, ts_frac, incl_len, orig_len = record_header(raw, offset)
         if incl_len > _SANE_CAPLEN:
-            logger.warning("%s: corrupt record header at byte %d, stopping", path, offset)
             result.partial = True
             break
         start = offset + _RECORD_HEADER_LEN
@@ -273,6 +269,4 @@ def ingest_pcap(path: str | Path, ports: frozenset[int] = frozenset()) -> Ingest
             ts_sec + ts_frac * frac_unit, names[src], names[dst],
             sport, dport, flags, payload_len, orig_len,
         ))
-    if result.truncated:
-        logger.warning("%s: dropped %d truncated trailing record(s)", path, result.truncated)
     return result

@@ -4,6 +4,9 @@ seeded multi-run evaluation protocol.
 Every stage reads and writes documented file artifacts, so any stage can
 be rerun from persisted intermediates. All randomness flows from the
 master seed via named sub-seeds.
+
+This is the one module that reports dropped input. The stages (pcap,
+flowmeter, detector) return what they dropped and log nothing.
 """
 from __future__ import annotations
 
@@ -50,9 +53,10 @@ def load_records(config: RunConfig) -> list[FlowRecord]:
     DataError naming both. A capture that ingest_pcap cannot read
     (PcapFormatError: unreadable, a bad global header, an unsupported link
     type) or that is malformed mid-file is refused with a warning naming it,
-    and the rest still load; DataError is raised when every capture was
-    refused, and when the captures yield no flow, with the packets that
-    server_ports filtered and the non-TCP packets counted."""
+    and the rest still load; a warning counts records cut off at a capture's
+    end. DataError is raised when every capture was refused, and when the
+    captures yield no flow, with the packets that server_ports filtered and
+    the non-TCP packets counted."""
     if config.corpus is not None and config.captures:
         raise ConfigError("set either corpus or captures, not both")
     if config.corpus is not None:
@@ -68,14 +72,17 @@ def load_records(config: RunConfig) -> list[FlowRecord]:
     for spec in config.captures:
         try:
             result = ingest_pcap(spec.path, config.server_ports)
+            if result.partial:
+                read = len(result.packets) + result.non_tcp + result.filtered
+                raise PcapFormatError(f"{spec.path}: corrupt record header after {read} record(s)")
         except PcapFormatError as exc:
             logger.warning("%s; refusing it", exc)
             refused += 1
             continue
-        if result.partial:
-            logger.warning("%s: capture is malformed mid-file; refusing it", spec.path)
-            refused += 1
-            continue
+        if result.truncated:
+            logger.warning(
+                "%s: dropped %d truncated trailing record(s)", spec.path, result.truncated
+            )
         filtered += result.filtered
         non_tcp += result.non_tcp
         flows = assemble_flows(
@@ -172,7 +179,7 @@ def _train_from_split(
         )
         model = det.calibrate_threshold(model, _features_matrix(val_recs), config.percentile)
         threshold = model.threshold
-    _, fp_records, _ = _detect(model, threshold, val_recs, config)
+    _, fp_records = _detect(model, threshold, val_recs, config)
     if not fp_records:
         raise DataError(
             "no validation false positives available for mining; "
@@ -290,24 +297,35 @@ class RateReport:
 def _detect(
     model: det.DetectorModel | None, threshold: float,
     records: list[FlowRecord], config: RunConfig,
-) -> tuple[list[det.ScoredFlow], list[FlowRecord], list[str]]:
-    """The detector decision for each record, in record order; the records
-    decided positive; and the external score rows that name no record
-    (empty for the baseline). Without a model, the external scores are
-    decided at threshold, and config.external_threshold must equal it."""
+) -> tuple[list[det.ScoredFlow], list[FlowRecord]]:
+    """The detector decision for each record, in record order, and the
+    records decided positive. Without a model, the external scores are
+    decided at threshold, and config.external_threshold must equal it; the
+    records without a score are left out with a warning counting them."""
     ids, truths = [r.flow_id for r in records], [r.truth for r in records]
     if model is not None:
         if config.external_scores is not None:
             raise ConfigError("bundle was trained on the baseline detector; unset external_scores")
-        scored, skipped = det.classify(model, _features_matrix(records), ids, truths), []
+        scored = det.classify(model, _features_matrix(records), ids, truths)
     elif config.external_scores is None:
         raise ConfigError("bundle was trained on external scores; configure external_scores")
     elif config.external_threshold != threshold:
         raise ConfigError(f"external_threshold differs from the bundle's threshold {threshold!r}")
     else:
-        scored, skipped = det.import_scores(config.external_scores, threshold, ids, truths)
+        scored = det.import_scores(config.external_scores, threshold, ids, truths)
+        if len(scored) < len(records):
+            missing = len(records) - len(scored)
+            logger.warning("external scores: %d input flow(s) have no score; excluded", missing)
     flagged = {s.flow_id for s in scored if s.positive}
-    return scored, [r for r in records if r.flow_id in flagged], skipped
+    return scored, [r for r in records if r.flow_id in flagged]
+
+
+def _warn_stray_scores(records: list[FlowRecord], config: RunConfig) -> None:
+    """Warns once about the external score rows that name none of records."""
+    if config.external_scores is not None:
+        stray = set(det.read_scores_csv(config.external_scores)) - {r.flow_id for r in records}
+        if stray:
+            logger.warning("external scores: skipped %d unknown flow id(s)", len(stray))
 
 
 def _rate(
@@ -332,12 +350,11 @@ def _rate(
 
 def rate_records(
     bundle: TrainedBundle, records: list[FlowRecord], config: RunConfig
-) -> tuple[RateReport, list[str]]:
-    """Inference phase: classify, then rate the positives only. Returns the
-    report plus the external score rows that name none of the records."""
-    scored, positives, skipped = _detect(bundle.model, bundle.threshold, records, config)
-    rated = _rate(bundle, positives, config)
-    return RateReport(scored, *rated), skipped
+) -> RateReport:
+    """Inference phase: classify, then rate the positives only. Score rows
+    for other flows are the caller's to report (_warn_stray_scores)."""
+    scored, positives = _detect(bundle.model, bundle.threshold, records, config)
+    return RateReport(scored, *_rate(bundle, positives, config))
 
 
 def write_rate_report(report: RateReport, out_dir: str | Path) -> None:
@@ -360,17 +377,14 @@ def write_rate_report(report: RateReport, out_dir: str | Path) -> None:
 def _write_band_profiles(alarms: list[RatedAlarm], path: Path) -> None:
     """Mean misalignment profile per (band, truth): the explanation data
     behind per-band bar plots."""
-    groups: dict[tuple[int, str], list[RatedAlarm]] = {}
+    groups: dict[tuple[int, str], list[dict[str, float]]] = {}
     for alarm in alarms:
-        groups.setdefault((alarm.band, alarm.truth), []).append(alarm)
-    rows = []
-    for (band, truth) in sorted(groups):
-        members = groups[(band, truth)]
-        labels = sorted({label for a in members for label in a.profile})
-        for label in labels:
-            mean = sum(a.profile.get(label, 0.0) for a in members) / len(members)
-            rows.append([band, truth, label, repr(mean)])
-    write_csv(path, ["band", "truth", "event_type", "mean_count"], rows)
+        groups.setdefault((alarm.band, alarm.truth), []).append(alarm.profile)
+    write_csv(path, ["band", "truth", "event_type", "mean_count"], (
+        [band, truth, label, repr(mean)]
+        for (band, truth), profiles in sorted(groups.items())
+        for label, mean in al.mean_profile(profiles).items()
+    ))
 
 
 def cmd_rate(config: RunConfig, bundle_dir: str | Path) -> RateReport:
@@ -378,9 +392,8 @@ def cmd_rate(config: RunConfig, bundle_dir: str | Path) -> RateReport:
     if bundle.model is not None and tuple(bundle.model.feature_names) != FEATURE_NAMES:
         raise SchemaError("bundle feature list does not match this build")
     records = load_records(config)
-    report, skipped = rate_records(bundle, records, config)
-    if skipped:
-        logger.warning("external scores: skipped %d unknown flow id(s)", len(skipped))
+    report = rate_records(bundle, records, config)
+    _warn_stray_scores(records, config)
     write_rate_report(report, config.output_dir / "rating")
     return report
 
@@ -425,10 +438,6 @@ def evaluate(config: RunConfig) -> ExperimentReport:
 
     outcomes: list[RunOutcome] = []
     out_root = config.output_dir
-    # Each run rates only part of the corpus, so a score row is unknown only
-    # when it names no corpus flow at all.
-    corpus_ids = {r.flow_id for r in records}
-    stray_score_ids: set[str] = set()
     # Runs often mine the same net, so their Aligners share one memo.
     memo: al.AlignmentMemo = {}
     for run in range(config.runs):
@@ -437,14 +446,13 @@ def evaluate(config: RunConfig) -> ExperimentReport:
         bundle, logs = _train_from_split(train_recs, val_recs, config, run_seed, memo)
         run_dir = out_root / "runs" / f"run_{run}"
         save_bundle(bundle, logs, run_dir / "bundle", config)
-        report, skipped = rate_records(bundle, test_normals + attacks, config)
-        stray_score_ids.update(set(skipped) - corpus_ids)
+        report = rate_records(bundle, test_normals + attacks, config)
         write_rate_report(report, run_dir / "rating")
         outcomes.append(RunOutcome(
             seed=run_seed, confusion=_confusion_from(report), fp_pool=len(bundle.fp_pool)
         ))
-    if stray_score_ids:
-        logger.warning("external scores: skipped %d unknown flow id(s)", len(stray_score_ids))
+    # A run rates part of the corpus; a stray score row names no corpus flow.
+    _warn_stray_scores(records, config)
     report = ExperimentReport(runs=outcomes, aggregate=_aggregate(outcomes))
     _write_experiment(report, config, out_root)
     return report
@@ -469,7 +477,7 @@ def _aggregate(outcomes: list[RunOutcome]) -> dict:
     return agg
 
 
-def _run_record(run: int, o: RunOutcome) -> dict:
+def _report_entry(run: int, o: RunOutcome) -> dict:
     """One run's entry in report.json, its metrics derived from the confusion."""
     metrics = {k: banded_metrics(o.confusion, k) for k in _BANDS}
     return {
@@ -493,7 +501,7 @@ def _write_experiment(report: ExperimentReport, config: RunConfig, out_root: Pat
     agg = report.aggregate
     write_schema_json(out_root / "report.json", REPORT_SCHEMA, {
         "config": semantic_echo(config),
-        "runs": [_run_record(run, o) for run, o in enumerate(report.runs)],
+        "runs": [_report_entry(run, o) for run, o in enumerate(report.runs)],
         "aggregate": agg,
     })
 

@@ -1,11 +1,12 @@
 """Boundary fuzz: a corrupt bundle or a cut corpus ends `rate` with an exit
-code, never with a raised exception, and a bundle JSON file loads only if
-its writer writes it back.
+code, never with a raised exception, a bundle JSON file loads only if
+its writer writes it back, and a corrupt capture fails only itself.
 
 The cases are every substitution of a JSON value in the bundle's
 manifest.json, detector.json and extraction.json, every dropped element,
 dropped attribute and emptied text of one PNML net, and cuts of the
-corpus files at sampled byte offsets. A fixed-seed sample of them runs.
+corpus files at sampled byte offsets. The capture cases edit or cut a
+capture at each byte. A fixed-seed sample of each set runs.
 """
 import json
 import random
@@ -16,10 +17,11 @@ import pytest
 
 from alarmsift import pipeline, synthetic
 from alarmsift.cli import main
-from alarmsift.config import RunConfig
+from alarmsift.config import CaptureSpec, RunConfig
 from alarmsift.detector import save_model
-from alarmsift.errors import DataError
+from alarmsift.errors import ConfigError, DataError
 from alarmsift.events import save_params
+from capturecraft import handshake_fin_frames, pcap_bytes
 
 _SEED = 24
 _SAMPLE = 400
@@ -146,3 +148,37 @@ def test_every_bundle_json_that_loads_is_what_its_writer_writes(inputs, tmp_path
                 rewritten[label] = (tmp_path / path.name).read_text()
     assert checked == set(resave)
     assert rewritten == {}
+
+
+def _capture_cases(data: bytes):
+    """Each byte of data set to 0x00 or 0xff, incremented, or with bit 7
+    flipped, and data cut before each byte."""
+    for i, byte in enumerate(data):
+        for name, value in (("0x00", 0), ("0xff", 0xFF), ("+1", (byte + 1) % 256),
+                            ("bit 7 flipped", byte ^ 0x80)):
+            yield f"byte {i} {name}", data[:i] + bytes([value]) + data[i + 1:]
+        yield f"cut at byte {i}", data[:i]
+
+
+def test_rate_scores_a_good_capture_beside_any_corrupt_one(inputs, tmp_path):
+    _, bundle = inputs
+    good, bad = tmp_path / "good.pcap", tmp_path / "bad.pcap"
+    good.write_bytes(pcap_bytes(handshake_fin_frames()))
+    cases = list(_capture_cases(good.read_bytes()))
+    assert len(cases) == 5 * 444
+    alone = RunConfig(output_dir=tmp_path / "out", captures=(CaptureSpec(good),))
+    good_ids = {r.flow_id for r in pipeline.load_records(alone)}
+    config = RunConfig(output_dir=tmp_path / "out", captures=(CaptureSpec(good), CaptureSpec(bad)))
+    failures = {}
+    for label, corrupt in random.Random(_SEED).sample(cases, _SAMPLE):
+        bad.write_bytes(corrupt)
+        try:
+            scored = {s.flow_id for s in pipeline.cmd_rate(config, bundle).scored}
+        except (ConfigError, DataError):
+            continue
+        except Exception as exc:
+            failures[label] = repr(exc)
+            continue
+        if not good_ids <= scored:
+            failures[label] = f"scored {sorted(scored)}"
+    assert good_ids and failures == {}

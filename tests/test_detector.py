@@ -178,11 +178,10 @@ def test_monotonicity_of_threshold():
 def test_import_scores_roundtrip(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("flow_id,score,truth\nf1,0.1,normal\nf2,0.9,attack\nf3,0.5,normal\n")
-    scored, skipped = import_scores(path, threshold=0.4, known_ids=["f1", "f2", "f3"])
+    scored = import_scores(path, threshold=0.4, known_ids=["f1", "f2", "f3"])
     assert [s.positive for s in scored] == [False, True, True]
-    assert skipped == []
-    scored2, skipped2 = import_scores(path, threshold=0.4, known_ids=["f1", "f2"])
-    assert skipped2 == ["f3"]
+    scored2 = import_scores(path, threshold=0.4, known_ids=["f1", "f2"])
+    assert [s.flow_id for s in scored2] == ["f1", "f2"]
     assert len(scored2) == 2
 
 
@@ -204,13 +203,12 @@ def test_scores_csv_rejects_bad_score_values(tmp_path, bad_row):
 def test_import_scores_follows_known_ids_with_caller_truths(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("flow_id,score,truth\nf3,0.9,normal\nf1,0.1,normal\nghost,0.5,normal\n")
-    scored, skipped = import_scores(
+    scored = import_scores(
         path, threshold=0.4, known_ids=["f1", "f2", "f3"], truths=["normal", "attack", "attack"]
     )
     assert [(s.flow_id, s.positive, s.truth) for s in scored] == [
         ("f1", False, "normal"), ("f3", True, "attack"),
     ]
-    assert skipped == ["ghost"]
     with pytest.raises(DataError, match="none"):
         import_scores(path, threshold=0.4, known_ids=["f2"])
 
@@ -226,5 +224,5 @@ def test_import_matches_classify_decision_rule(tmp_path):
     write_scores_csv(scored, path)
     rows = read_scores_csv(path)
     assert len(rows) == len(scored)
-    imported, _ = import_scores(path, threshold=model.threshold, known_ids=ids)
+    imported = import_scores(path, threshold=model.threshold, known_ids=ids)
     assert [s.positive for s in imported] == [s.positive for s in scored]

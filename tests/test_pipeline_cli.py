@@ -17,7 +17,8 @@ import pytest
 from alarmsift import alignment, detector, discovery, pipeline, synthetic
 from alarmsift.cli import _add_common, main
 from alarmsift.config import (
-    _FIELDS, CaptureSpec, RunConfig, derive_seed, echo_config, load_config, semantic_echo,
+    _FIELDS, MAX_RUNS, CaptureSpec, RunConfig, derive_seed, echo_config, load_config,
+    semantic_echo,
 )
 from alarmsift.errors import ConfigError, DataError, SchemaError
 from alarmsift.petri import PetriNet, Transition, export_pnml, import_pnml
@@ -111,21 +112,49 @@ def test_rate_external_scores_all_negative_is_empty(corpus_dir, normal_only_dir,
     bundle.threshold = 5.0
     cfg = _cfg(corpus_dir, tmp_path / "rate2",
                external_scores=scores_csv, external_threshold=5.0)
-    report, _ = pipeline.rate_records(bundle, records, cfg)
+    report = pipeline.rate_records(bundle, records, cfg)
     assert report.alarms == []
     assert len(report.scored) == len(records)
 
 
-def test_external_scores_skip_unknown_ids(corpus_dir, tmp_path):
-    records = pipeline.load_records(_cfg(corpus_dir, tmp_path / "x"))
-    scores_csv = tmp_path / "scores.csv"
-    rows = [f"{r.flow_id},1.0" for r in records[:10]] + ["ghost-1,9.9"]
-    scores_csv.write_text("flow_id,score\n" + "\n".join(rows) + "\n")
-    scored, skipped = detector.import_scores(
-        scores_csv, threshold=0.5, known_ids=[r.flow_id for r in records[:10]]
+def _external(cfg, records, scores_csv, extra_rows=()):
+    """cfg rating external scores at 0.5: 1.0 for every fourth record, else
+    0.0, plus extra_rows."""
+    rows = [f"{r.flow_id},{1.0 if i % 4 == 0 else 0.0}" for i, r in enumerate(records)]
+    scores_csv.write_text("flow_id,score\n" + "\n".join([*rows, *extra_rows]) + "\n")
+    return dataclasses.replace(cfg, external_scores=scores_csv, external_threshold=0.5)
+
+
+def _pipeline_warnings(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.name == "alarmsift.pipeline"]
+
+
+def test_external_scores_skip_unknown_ids(corpus_dir, tmp_path, caplog):
+    cfg = _cfg(corpus_dir, tmp_path / "x")
+    records = pipeline.load_records(cfg)
+    ext = _external(cfg, records, tmp_path / "scores.csv", ["ghost-1,9.9"])
+    scored = detector.import_scores(
+        ext.external_scores, threshold=0.5, known_ids=[r.flow_id for r in records[:10]]
     )
     assert len(scored) == 10
-    assert skipped == ["ghost-1"]
+    bundle_dir = pipeline.cmd_train(ext)
+    with caplog.at_level(logging.WARNING, logger="alarmsift.pipeline"):
+        pipeline.cmd_rate(ext, bundle_dir)
+    assert _pipeline_warnings(caplog) == ["external scores: skipped 1 unknown flow id(s)"]
+
+
+def test_rating_warns_about_flows_without_a_score(normal_only_dir, tmp_path, caplog):
+    cfg = _cfg(normal_only_dir, tmp_path / "out")
+    records = pipeline.load_records(cfg)
+    ext = _external(cfg, records, tmp_path / "scores.csv")
+    bundle_dir = pipeline.cmd_train(ext)
+    _external(cfg, records[3:], ext.external_scores)
+    with caplog.at_level(logging.WARNING, logger="alarmsift.pipeline"):
+        report = pipeline.cmd_rate(ext, bundle_dir)
+    assert len(report.scored) == len(records) - 3
+    assert _pipeline_warnings(caplog) == [
+        "external scores: 3 input flow(s) have no score; excluded",
+    ]
 
 
 def test_external_fp_pool_is_exactly_the_flagged_flows(normal_only_dir, tmp_path):
@@ -206,7 +235,7 @@ def test_an_external_bundle_rates_only_at_its_own_threshold(
     ext = dataclasses.replace(cfg, external_scores=scores_csv, external_threshold=0.5)
     trained, logs = pipeline.train_bundle(records, ext, ext.seed)
     bundle_dir = pipeline.save_bundle(trained, logs, tmp_path / "bundle", ext)
-    report, _ = pipeline.rate_records(trained, records, ext)
+    report = pipeline.rate_records(trained, records, ext)
     pipeline.write_rate_report(report, tmp_path / "as_trained")
     argv = ["rate", "--corpus", str(normal_only_dir), "--bundle", str(bundle_dir),
             "--external-scores", str(scores_csv), "--external-threshold", str(rate_threshold),
@@ -628,6 +657,22 @@ def test_config_precedence_and_env(tmp_path, monkeypatch):
     assert cfg.output_dir == Path("from_flag")
 
 
+def test_run_count_is_bounded(corpus_dir, tmp_path):
+    # evaluate writes a run directory per run; it would write these until
+    # stopped.
+    assert RunConfig(runs=MAX_RUNS).runs == MAX_RUNS
+    cfg_file = tmp_path / "cfg.json"
+    for runs in (MAX_RUNS + 1, 1e308):
+        cfg_file.write_text(json.dumps({"runs": runs}))
+        with pytest.raises(ConfigError, match="run count"):
+            load_config(cfg_file)
+    out = tmp_path / "eval"
+    argv = ["evaluate", "--config", str(cfg_file), "--corpus", str(corpus_dir),
+            "--output-dir", str(out)]
+    assert main(argv) == 2
+    assert not (out / "runs").exists()
+
+
 def test_config_rejects_unknown_keys_and_bad_values(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"nope": 1}))
@@ -837,11 +882,23 @@ def test_a_capture_corrupt_mid_file_is_refused_alone(tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="alarmsift.pipeline"):
         assert [r.flow_id for r in load(good, bad)] == ["good-000000"]
     assert [r.getMessage() for r in caplog.records if r.name == "alarmsift.pipeline"] == [
-        f"{bad}: capture is malformed mid-file; refusing it",
+        f"{bad}: corrupt record header after 6 record(s); refusing it",
         "refused 1 of 2 capture(s)",
     ]
     with pytest.raises(DataError, match=re.escape("all 2 capture(s) are unreadable or malformed")):
         load(bad, worse)
+
+
+def test_truncated_trailing_records_are_counted_in_a_warning(tmp_path, caplog):
+    good, cut = tmp_path / "good.pcap", tmp_path / "cut.pcap"
+    good.write_bytes(pcap_bytes(handshake_fin_frames()))
+    cut.write_bytes(pcap_bytes(handshake_fin_frames()) + struct.pack("<IIII", 1, 0, 64, 64))
+    specs = tuple(CaptureSpec(p, "normal") for p in (good, cut))
+    cfg = RunConfig(output_dir=tmp_path / "out", captures=specs).validate()
+    with caplog.at_level(logging.WARNING, logger="alarmsift.pipeline"):
+        records = pipeline.load_records(cfg)
+    assert [r.flow_id for r in records] == ["good-000000", "cut-000000"]
+    assert _pipeline_warnings(caplog) == [f"{cut}: dropped 1 truncated trailing record(s)"]
 
 
 def test_a_capture_with_a_bad_global_header_is_refused_alone(tmp_path, caplog):

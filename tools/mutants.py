@@ -167,6 +167,24 @@ MUTANTS = (
         "tests/test_pipeline_cli.py::test_an_external_bundle_rates_only_at_its_own_threshold"
         "[differs]",
     ),
+    Mutant(
+        "truncated-unreported", "src/alarmsift/pipeline.py",
+        "if result.truncated:",
+        "if False:",
+        "tests/test_pipeline_cli.py::test_truncated_trailing_records_are_counted_in_a_warning",
+    ),
+    Mutant(
+        "stray-scores-unwarned", "src/alarmsift/pipeline.py",
+        "if stray:",
+        "if False:",
+        "tests/test_pipeline_cli.py::test_external_scores_skip_unknown_ids",
+    ),
+    Mutant(
+        "runs-unbounded", "src/alarmsift/config.py",
+        "if not 1 <= self.runs <= MAX_RUNS:",
+        "if self.runs < 1:",
+        "tests/test_pipeline_cli.py::test_run_count_is_bounded",
+    ),
 )
 
 
