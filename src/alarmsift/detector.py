@@ -72,14 +72,16 @@ def fit_baseline(
     train = np.asarray(train, dtype=float)
     if train.ndim != 2 or train.shape[1] != len(feature_names):
         raise DataError("training matrix does not match the feature list")
-    if not np.isfinite(train).all():
-        raise DataError("training features must be finite")
     if components < 1:
         raise DataError("component count must be >= 1")
     if len(train) <= components:
         raise DataError(f"need more than {components} training flows, got {len(train)}")
-    mean = train.mean(axis=0)
-    std = train.std(axis=0)
+    # A finite feature near the float limit can still overflow the std.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train.mean(axis=0)
+        std = train.std(axis=0)
+    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+        raise DataError("training features and their mean and std must be finite")
     mask = std > 0
     if not mask.any():
         raise DataError("every feature column is constant; nothing to model")
@@ -117,10 +119,10 @@ def score_flows(model: DetectorModel, features: np.ndarray) -> np.ndarray:
         z = (features[:, model.mask] - model.mean[model.mask]) / model.std[model.mask]
         recon = (z @ model.basis.T) @ model.basis
         scores = ((z - recon) ** 2).sum(axis=1)
-    # The finite features read_corpus and featurize give overflow only
-    # through a corrupt model.
+    # Finite features overflow through a corrupt model or through a value
+    # near the float limit, such as a bytes_total of 1e308.
     if not np.isfinite(scores).all():
-        raise DataError("detector scores are not finite; the model is corrupt")
+        raise DataError("detector scores are not finite; a feature or the model is out of range")
     return scores
 
 
@@ -174,14 +176,16 @@ def _decide(
 
 # --- external scores -------------------------------------------------------
 
-def read_scores_csv(path: str | Path) -> dict[str, float]:
-    """Reads flow_id -> score, in row order, from a scores CSV; other
-    columns, such as truth, are ignored.
+def read_scores_csv(path: str | Path | None) -> dict[str, float] | None:
+    """Reads flow_id -> score, in row order, from a scores CSV, or None
+    without a path; other columns, such as truth, are ignored.
 
     Each score must be a finite number and each flow id may occur once;
     anything else, or a file that cannot be read, raises SchemaError naming
     the file (and the data row, 1-based).
     """
+    if path is None:
+        return None
     with read_csv(path, None) as reader:
         fields = reader.fieldnames or []
         if "flow_id" not in fields or "score" not in fields:
@@ -203,20 +207,18 @@ def read_scores_csv(path: str | Path) -> dict[str, float]:
 
 
 def import_scores(
-    path: str | Path,
+    scores: dict[str, float],
     threshold: float,
     known_ids: Sequence[str],
     truths: Sequence[str] | None = None,
 ) -> list[ScoredFlow]:
-    """Turns an external score file into classified flows.
+    """Turns an external scores table (read_scores_csv) into classified flows.
 
-    Mirrors classify: the same decision rule, results in the order of
-    known_ids, and truth labels from the caller. Only known flows with a
-    score are returned; the caller counts the known flows left out and the
-    score rows for other ids. Raises DataError when no known flow has a
-    score.
+    Mirrors classify, which takes features: the same decision rule, results in
+    the order of known_ids, and truth labels from the caller. Only known flows
+    with a score are returned; the caller counts the known flows left out and
+    the score rows for other ids. Raises DataError when no known flow has one.
     """
-    scores = read_scores_csv(path)
     ids = [fid for fid in known_ids if fid in scores]
     truths = truths and [t for fid, t in zip(known_ids, truths) if fid in scores]
     scored = _decide(ids, [scores[fid] for fid in ids], threshold, truths)

@@ -119,15 +119,20 @@ def _features_matrix(records: list[FlowRecord]) -> np.ndarray:
 
 @dataclass
 class TrainedBundle:
-    # A bundle without a model rates external scores at threshold.
+    # A bundle without a model rates external scores at config.external_threshold.
     model: det.DetectorModel | None
-    threshold: float
+    # echo_config(semantic_echo(...)) of the training config, as a loaded bundle holds it.
+    config: RunConfig
     params: events.ExtractionParams
     # Holds the nets. After training it also holds the reference profile's
     # alignments, so rating does not search those fragments again.
     aligner: al.Aligner
     reference: dict[str, float]
     fp_pool: tuple[str, ...]
+
+    @property
+    def threshold(self) -> float:
+        return self.config.external_threshold if self.model is None else self.model.threshold
 
 
 def split_normals(
@@ -158,7 +163,8 @@ def train_bundle(
     if not normals:
         raise DataError("training requires normal flows")
     train_recs, val_recs, _ = split_normals(normals, config, seed)
-    return _train_from_split(train_recs, val_recs, config, seed)
+    scores = det.read_scores_csv(config.external_scores)
+    return _train_from_split(train_recs, val_recs, config, seed, scores)
 
 
 def _train_from_split(
@@ -166,20 +172,19 @@ def _train_from_split(
     val_recs: list[FlowRecord],
     config: RunConfig,
     seed: int,
+    scores: dict[str, float] | None,
     memo: al.AlignmentMemo | None = None,
 ) -> tuple[TrainedBundle, dict[int, list[events.Fragment]]]:
-    """Training on a given split; the bundle's Aligner keeps its results in
-    memo, or in a memo of its own when none is given."""
-    if config.external_scores is not None:
-        model, threshold = None, config.external_threshold
-    else:
+    """Training on a given split, on the scores table if there is one; the
+    bundle's Aligner keeps its results in memo, or in a memo of its own."""
+    model = None
+    if scores is None:
         model = det.fit_baseline(
             _features_matrix(train_recs), config.components,
             derive_seed(seed, "detector"), FEATURE_NAMES,
         )
         model = det.calibrate_threshold(model, _features_matrix(val_recs), config.percentile)
-        threshold = model.threshold
-    _, fp_records = _detect(model, threshold, val_recs, config)
+    _, fp_records = _detect(model, config.external_threshold, val_recs, scores)
     if not fp_records:
         raise DataError(
             "no validation false positives available for mining; "
@@ -196,7 +201,7 @@ def _train_from_split(
     reference = al.profile_reference(per_flow, aligner)
     return TrainedBundle(
         model=model,
-        threshold=float(threshold),
+        config=echo_config(semantic_echo(config)),
         params=params,
         aligner=aligner,
         reference=reference,
@@ -204,13 +209,13 @@ def _train_from_split(
     ), logs
 
 
-def _manifest_payload(bundle: TrainedBundle, config: RunConfig) -> dict:
+def _manifest_payload(bundle: TrainedBundle) -> dict:
     return {
         "kind": det.KIND_EXTERNAL if bundle.model is None else det.KIND_BASELINE,
         "threshold": bundle.threshold,
         "states": sorted(bundle.aligner.nets),
         "fp_pool": list(bundle.fp_pool),
-        "config": semantic_echo(config),
+        "config": semantic_echo(bundle.config),
     }
 
 
@@ -218,12 +223,11 @@ def save_bundle(
     bundle: TrainedBundle,
     logs: dict[int, list[events.Fragment]],
     out_dir: str | Path,
-    config: RunConfig,
 ) -> Path:
     out_dir = Path(out_dir)
     (out_dir / "nets").mkdir(parents=True, exist_ok=True)
     (out_dir / "logs").mkdir(exist_ok=True)
-    write_schema_json(out_dir / "manifest.json", BUNDLE_SCHEMA, _manifest_payload(bundle, config))
+    write_schema_json(out_dir / "manifest.json", BUNDLE_SCHEMA, _manifest_payload(bundle))
     if bundle.model is not None:
         det.save_model(bundle.model, out_dir / "detector.json")
     events.save_params(bundle.params, out_dir / "extraction.json")
@@ -237,16 +241,16 @@ def save_bundle(
 
 
 def load_bundle(bundle_dir: str | Path, budget: int = al.DEFAULT_BUDGET) -> TrainedBundle:
-    """Reads a bundle: manifest.json is valid exactly when _manifest_payload
-    writes it back for the bundle the other files hold (artifacts.read_json),
-    so its threshold is the model's or, without a model, the echoed
-    external_threshold. Besides, the echo's clusters and window must be
-    extraction.json's, and each net must be a sound workflow net. Raises
-    SchemaError naming the file at fault. The bundle's Aligner searches its
-    nets with the given budget."""
+    """Reads a bundle: its config is echo_config of the manifest's echo, and
+    manifest.json is valid exactly when _manifest_payload writes it back
+    (artifacts.read_json), so the manifest's threshold is detector.json's
+    or, without a model, the echoed external_threshold. Besides, the echo's
+    clusters and window must be extraction.json's, and each net must be a
+    sound workflow net. Raises SchemaError naming the file at fault. The
+    bundle's Aligner searches its nets with the given budget."""
     bundle_dir = Path(bundle_dir)
 
-    def build(manifest: dict) -> tuple[TrainedBundle, RunConfig]:
+    def build(manifest: dict) -> TrainedBundle:
         config = echo_config(manifest["config"])
         external = config.external_scores is not None
         model = None if external else det.load_model(bundle_dir / "detector.json")
@@ -262,22 +266,20 @@ def load_bundle(bundle_dir: str | Path, budget: int = al.DEFAULT_BUDGET) -> Trai
                 raise SchemaError(f"{path}: not a sound workflow net: {problems}")
         return TrainedBundle(
             model=model,
-            threshold=config.external_threshold if external else model.threshold,
+            config=config,
             params=params,
             aligner=al.Aligner(nets, budget),
             reference=al.read_profile_csv(bundle_dir / "reference_profile.csv"),
             fp_pool=tuple(str(flow_id) for flow_id in manifest["fp_pool"]),
-        ), config
+        )
 
-    return read_json(
-        bundle_dir / "manifest.json", BUNDLE_SCHEMA, build, lambda b: _manifest_payload(*b)
-    )[0]
+    return read_json(bundle_dir / "manifest.json", BUNDLE_SCHEMA, build, _manifest_payload)
 
 
 def cmd_train(config: RunConfig) -> Path:
     records = load_records(config)
     bundle, logs = train_bundle(records, config, config.seed)
-    return save_bundle(bundle, logs, config.output_dir / "bundle", config)
+    return save_bundle(bundle, logs, config.output_dir / "bundle")
 
 
 # --- rating ----------------------------------------------------------------
@@ -295,24 +297,17 @@ class RateReport:
 
 
 def _detect(
-    model: det.DetectorModel | None, threshold: float,
-    records: list[FlowRecord], config: RunConfig,
+    model: det.DetectorModel | None, threshold: float | None,
+    records: list[FlowRecord], scores: dict[str, float] | None,
 ) -> tuple[list[det.ScoredFlow], list[FlowRecord]]:
     """The detector decision for each record, in record order, and the
-    records decided positive. Without a model, the external scores are
-    decided at threshold, and config.external_threshold must equal it; the
-    records without a score are left out with a warning counting them."""
+    records decided positive. Without a model, the scores table is decided
+    at threshold; records without a score are left out, counted in a warning."""
     ids, truths = [r.flow_id for r in records], [r.truth for r in records]
     if model is not None:
-        if config.external_scores is not None:
-            raise ConfigError("bundle was trained on the baseline detector; unset external_scores")
         scored = det.classify(model, _features_matrix(records), ids, truths)
-    elif config.external_scores is None:
-        raise ConfigError("bundle was trained on external scores; configure external_scores")
-    elif config.external_threshold != threshold:
-        raise ConfigError(f"external_threshold differs from the bundle's threshold {threshold!r}")
     else:
-        scored = det.import_scores(config.external_scores, threshold, ids, truths)
+        scored = det.import_scores(scores, threshold, ids, truths)
         if len(scored) < len(records):
             missing = len(records) - len(scored)
             logger.warning("external scores: %d input flow(s) have no score; excluded", missing)
@@ -320,10 +315,10 @@ def _detect(
     return scored, [r for r in records if r.flow_id in flagged]
 
 
-def _warn_stray_scores(records: list[FlowRecord], config: RunConfig) -> None:
+def _warn_stray_scores(records: list[FlowRecord], scores: dict[str, float] | None) -> None:
     """Warns once about the external score rows that name none of records."""
-    if config.external_scores is not None:
-        stray = set(det.read_scores_csv(config.external_scores)) - {r.flow_id for r in records}
+    if scores is not None:
+        stray = set(scores) - {r.flow_id for r in records}
         if stray:
             logger.warning("external scores: skipped %d unknown flow id(s)", len(stray))
 
@@ -349,11 +344,12 @@ def _rate(
 
 
 def rate_records(
-    bundle: TrainedBundle, records: list[FlowRecord], config: RunConfig
+    bundle: TrainedBundle, records: list[FlowRecord], config: RunConfig,
+    scores: dict[str, float] | None,
 ) -> RateReport:
     """Inference phase: classify, then rate the positives only. Score rows
     for other flows are the caller's to report (_warn_stray_scores)."""
-    scored, positives = _detect(bundle.model, bundle.threshold, records, config)
+    scored, positives = _detect(bundle.model, bundle.threshold, records, scores)
     return RateReport(scored, *_rate(bundle, positives, config))
 
 
@@ -391,9 +387,12 @@ def cmd_rate(config: RunConfig, bundle_dir: str | Path) -> RateReport:
     bundle = load_bundle(bundle_dir, config.alignment_budget)
     if bundle.model is not None and tuple(bundle.model.feature_names) != FEATURE_NAMES:
         raise SchemaError("bundle feature list does not match this build")
+    if config.external_threshold != bundle.config.external_threshold:
+        raise ConfigError(f"bundle's external_threshold is {bundle.config.external_threshold!r}")
     records = load_records(config)
-    report = rate_records(bundle, records, config)
-    _warn_stray_scores(records, config)
+    scores = det.read_scores_csv(config.external_scores)
+    report = rate_records(bundle, records, config, scores)
+    _warn_stray_scores(records, scores)
     write_rate_report(report, config.output_dir / "rating")
     return report
 
@@ -436,6 +435,7 @@ def evaluate(config: RunConfig) -> ExperimentReport:
     if not normals or not attacks:
         raise DataError("evaluation requires both normal and attack flows")
 
+    scores = det.read_scores_csv(config.external_scores)
     outcomes: list[RunOutcome] = []
     out_root = config.output_dir
     # Runs often mine the same net, so their Aligners share one memo.
@@ -443,16 +443,16 @@ def evaluate(config: RunConfig) -> ExperimentReport:
     for run in range(config.runs):
         run_seed = derive_seed(config.seed, f"run-{run}")
         train_recs, val_recs, test_normals = split_normals(normals, config, run_seed)
-        bundle, logs = _train_from_split(train_recs, val_recs, config, run_seed, memo)
+        bundle, logs = _train_from_split(train_recs, val_recs, config, run_seed, scores, memo)
         run_dir = out_root / "runs" / f"run_{run}"
-        save_bundle(bundle, logs, run_dir / "bundle", config)
-        report = rate_records(bundle, test_normals + attacks, config)
+        save_bundle(bundle, logs, run_dir / "bundle")
+        report = rate_records(bundle, test_normals + attacks, config, scores)
         write_rate_report(report, run_dir / "rating")
         outcomes.append(RunOutcome(
             seed=run_seed, confusion=_confusion_from(report), fp_pool=len(bundle.fp_pool)
         ))
     # A run rates part of the corpus; a stray score row names no corpus flow.
-    _warn_stray_scores(records, config)
+    _warn_stray_scores(records, scores)
     report = ExperimentReport(runs=outcomes, aggregate=_aggregate(outcomes))
     _write_experiment(report, config, out_root)
     return report

@@ -1,12 +1,15 @@
 """Boundary fuzz: a corrupt bundle or a cut corpus ends `rate` with an exit
 code, never with a raised exception, a bundle JSON file loads only if
-its writer writes it back, and a corrupt capture fails only itself.
+its writer writes it back, a corrupt capture fails only itself, and a
+corrupt corpus row fails `train` and `evaluate` only with a package error.
 
 The cases are every substitution of a JSON value in the bundle's
 manifest.json, detector.json and extraction.json, every dropped element,
 dropped attribute and emptied text of one PNML net, and cuts of the
 corpus files at sampled byte offsets. The capture cases edit or cut a
-capture at each byte. A fixed-seed sample of each set runs.
+capture at each byte. The corpus-row cases cut, drop, repeat, byte-edit
+or substitute a field of a row of flows.csv or events.jsonl. A fixed-seed
+sample of each set runs; the corpus-row cases are drawn one at a time.
 """
 import json
 import random
@@ -19,7 +22,7 @@ from alarmsift import pipeline, synthetic
 from alarmsift.cli import main
 from alarmsift.config import CaptureSpec, RunConfig
 from alarmsift.detector import save_model
-from alarmsift.errors import ConfigError, DataError
+from alarmsift.errors import ConfigError, DataError, SchemaError
 from alarmsift.events import save_params
 from capturecraft import handshake_fin_frames, pcap_bytes
 
@@ -182,3 +185,98 @@ def test_rate_scores_a_good_capture_beside_any_corrupt_one(inputs, tmp_path):
         if not good_ids <= scored:
             failures[label] = f"scored {sorted(scored)}"
     assert good_ids and failures == {}
+
+
+_ROW_SAMPLE = 100
+_FIELD_VALUES = ["", "x", "nan", "inf", "-1", "0", "1e308", "-1e308", "attack", "unknown"]
+
+
+@pytest.fixture(scope="module")
+def labelled_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("labelled")
+    flows = synthetic.generate_flows("normal", 60, seed=9)
+    flows += synthetic.generate_flows("slowloris", 20, seed=10)
+    synthetic.write_corpus(flows, root)
+    return root
+
+
+def _with_field(line: bytes, k: int, value: bytes) -> bytes:
+    """line with its comma-separated field k replaced by value."""
+    fields = line.split(b",")
+    fields[k] = value
+    return b",".join(fields)
+
+
+def _row_case(rng: random.Random, path: Path):
+    """One seeded edit of one row of path, its header included: the row cut
+    short, dropped or repeated, one byte set to 0x00 or bit 7 flipped, or
+    one field substituted (a JSON value of _VALUES in events.jsonl)."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    i = rng.randrange(len(lines))
+    line, edit = lines[i], rng.choice(["cut", "dropped", "repeated", "byte", "field"])
+    label = f"{path.name} line {i + 1} {edit}"
+    if edit == "cut":
+        at = rng.randrange(1, len(line) - 1)
+        label, rows = f"{label} after byte {at}", [line[:at] + b"\n"]
+    elif edit in ("dropped", "repeated"):
+        rows = [] if edit == "dropped" else [line, line]
+    elif edit == "byte":
+        at = rng.randrange(len(line) - 1)
+        value = rng.choice([0, line[at] ^ 0x80])
+        label, rows = f"{label} {at} = {value:#04x}", [line[:at] + bytes([value]) + line[at + 1:]]
+    elif path.suffix == ".csv":
+        value = rng.choice(_FIELD_VALUES)
+        k = rng.randrange(line.count(b",") + 1)
+        edited = _with_field(line.rstrip(b"\r\n"), k, value.encode())
+        label, rows = f"{label} {k} = {value!r}", [edited + b"\n"]
+    else:
+        row, value = json.loads(line), rng.choice(_VALUES)
+        position = rng.choice(list(_positions(row)))
+        parent = row
+        for key in position[:-1]:
+            parent = parent[key]
+        parent[position[-1]] = value
+        label, rows = f"{label} {list(position)} = {value!r}", [json.dumps(row).encode() + b"\n"]
+    return label, path, b"".join([*lines[:i], *rows, *lines[i + 1:]])
+
+
+def _overflowing_training_flow(corpus: Path):
+    """flows.csv with bytes_total 1e308 in the first normal flow of the split
+    that train uses: finite, but its column's std overflows."""
+    config = RunConfig(corpus=corpus)
+    normals = [r for r in pipeline.load_records(config) if r.truth == "normal"]
+    flow_id = pipeline.split_normals(normals, config, config.seed)[0][0].flow_id
+    path = corpus / "flows.csv"
+    lines = path.read_bytes().splitlines(keepends=True)
+    column = lines[1].split(b",").index(b"bytes_total")
+    for i, line in enumerate(lines):
+        if line.startswith(flow_id.encode() + b","):
+            lines[i] = _with_field(line, column, b"1e308")
+    return "flows.csv bytes_total of a training flow = 1e308", path, b"".join(lines)
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_a_corrupt_corpus_row_fails_only_with_a_package_error(labelled_corpus, tmp_path, command):
+    # pytest turns a numpy warning into an error (filterwarnings), so an
+    # overflow that numpy only warns about fails here too.
+    rng = random.Random(_SEED)
+    sample = [_row_case(rng, labelled_corpus / rng.choice(["flows.csv", "events.jsonl"]))
+              for _ in range(_ROW_SAMPLE)]
+    config = RunConfig(corpus=labelled_corpus, output_dir=tmp_path / "out", runs=1)
+    run = {"train": pipeline.cmd_train, "evaluate": pipeline.evaluate}[command]
+    outcomes = {}
+    for label, path, corrupt in [_overflowing_training_flow(labelled_corpus), *sample]:
+        original = path.read_bytes()
+        path.write_bytes(corrupt)
+        try:
+            run(config)
+            outcomes[label] = "ok"
+        except (SchemaError, DataError, ConfigError) as exc:
+            outcomes[label] = type(exc).__name__
+        except Exception as exc:
+            outcomes[label] = repr(exc)
+        finally:
+            path.write_bytes(original)
+    assert {label: o for label, o in outcomes.items()
+            if o not in ("ok", "SchemaError", "DataError", "ConfigError")} == {}
+    assert outcomes["flows.csv bytes_total of a training flow = 1e308"] == "DataError"

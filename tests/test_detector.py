@@ -168,6 +168,15 @@ def test_scale_robustness_affine_rescaling():
     assert np.allclose(base_scores, scaled_scores, atol=1e-9)
 
 
+@pytest.mark.parametrize("value", [1e308, np.inf, np.nan])
+def test_fit_refuses_features_or_statistics_that_are_not_finite(value):
+    # 1e308 is finite, but the std of its column overflows.
+    train = np.array([[float(i), 2.0 * i] for i in range(1, 31)])
+    train[0, 0] = value
+    with pytest.raises(DataError, match="their mean and std must be finite"):
+        fit_baseline(train, 1, seed=0, feature_names=FEATS2)
+
+
 def test_monotonicity_of_threshold():
     scored = [ScoredFlow(str(i), float(i), False) for i in range(20)]
     positives = lambda thr: sum(1 for s in scored if s.score > thr)
@@ -178,9 +187,9 @@ def test_monotonicity_of_threshold():
 def test_import_scores_roundtrip(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("flow_id,score,truth\nf1,0.1,normal\nf2,0.9,attack\nf3,0.5,normal\n")
-    scored = import_scores(path, threshold=0.4, known_ids=["f1", "f2", "f3"])
+    scored = import_scores(read_scores_csv(path), threshold=0.4, known_ids=["f1", "f2", "f3"])
     assert [s.positive for s in scored] == [False, True, True]
-    scored2 = import_scores(path, threshold=0.4, known_ids=["f1", "f2"])
+    scored2 = import_scores(read_scores_csv(path), threshold=0.4, known_ids=["f1", "f2"])
     assert [s.flow_id for s in scored2] == ["f1", "f2"]
     assert len(scored2) == 2
 
@@ -189,7 +198,7 @@ def test_import_scores_schema_error(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("flow_id,value\nf1,0.1\n")
     with pytest.raises(SchemaError):
-        import_scores(path, threshold=0.5, known_ids=["f1"])
+        import_scores(read_scores_csv(path), threshold=0.5, known_ids=["f1"])
 
 
 @pytest.mark.parametrize("bad_row", ["f2,abc", "f2", "f2,", "f2,nan", "f2,inf"])
@@ -203,14 +212,15 @@ def test_scores_csv_rejects_bad_score_values(tmp_path, bad_row):
 def test_import_scores_follows_known_ids_with_caller_truths(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("flow_id,score,truth\nf3,0.9,normal\nf1,0.1,normal\nghost,0.5,normal\n")
+    scores = read_scores_csv(path)
     scored = import_scores(
-        path, threshold=0.4, known_ids=["f1", "f2", "f3"], truths=["normal", "attack", "attack"]
+        scores, threshold=0.4, known_ids=["f1", "f2", "f3"], truths=["normal", "attack", "attack"]
     )
     assert [(s.flow_id, s.positive, s.truth) for s in scored] == [
         ("f1", False, "normal"), ("f3", True, "attack"),
     ]
     with pytest.raises(DataError, match="none"):
-        import_scores(path, threshold=0.4, known_ids=["f2"])
+        import_scores(scores, threshold=0.4, known_ids=["f2"])
 
 
 def test_import_matches_classify_decision_rule(tmp_path):
@@ -224,5 +234,5 @@ def test_import_matches_classify_decision_rule(tmp_path):
     write_scores_csv(scored, path)
     rows = read_scores_csv(path)
     assert len(rows) == len(scored)
-    imported = import_scores(path, threshold=model.threshold, known_ids=ids)
+    imported = import_scores(rows, threshold=model.threshold, known_ids=ids)
     assert [s.positive for s in imported] == [s.positive for s in scored]

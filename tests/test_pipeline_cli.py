@@ -81,6 +81,27 @@ def test_train_percentile_one_advises_lower(normal_only_dir, tmp_path):
         pipeline.cmd_train(cfg)
 
 
+def test_train_refuses_a_training_flow_whose_features_overflow(normal_only_dir, tmp_path):
+    # 1e308 is finite, but the std of its column overflows to inf; a model
+    # fitted on it would be written, and then refused by rate.
+    corpus = tmp_path / "corpus"
+    shutil.copytree(normal_only_dir, corpus)
+    cfg = _cfg(corpus, tmp_path / "out")
+    train, _, _ = pipeline.split_normals(pipeline.load_records(cfg), cfg, cfg.seed)
+    lines = (corpus / "flows.csv").read_text().splitlines(keepends=True)
+    column = lines[1].split(",").index("bytes_total")
+    for i, line in enumerate(lines):
+        if line.startswith(f"{train[0].flow_id},"):
+            fields = line.split(",")
+            fields[column] = "1e308"
+            lines[i] = ",".join(fields)
+    (corpus / "flows.csv").write_text("".join(lines))
+    with pytest.raises(DataError, match="their mean and std must be finite"):
+        pipeline.cmd_train(cfg)
+    assert main(["train", "--corpus", str(corpus), "--output-dir", str(tmp_path / "cli")]) == 3
+    assert not (tmp_path / "cli" / "bundle" / "detector.json").exists()
+
+
 def test_rate_from_persisted_bundle(corpus_dir, normal_only_dir, tmp_path):
     train_cfg = _cfg(normal_only_dir, tmp_path / "train")
     bundle_dir = pipeline.cmd_train(train_cfg)
@@ -109,10 +130,10 @@ def test_rate_external_scores_all_negative_is_empty(corpus_dir, normal_only_dir,
 
     bundle = pipeline.load_bundle(bundle_dir)
     bundle.model = None
-    bundle.threshold = 5.0
     cfg = _cfg(corpus_dir, tmp_path / "rate2",
                external_scores=scores_csv, external_threshold=5.0)
-    report = pipeline.rate_records(bundle, records, cfg)
+    bundle.config = echo_config(semantic_echo(cfg))
+    report = pipeline.rate_records(bundle, records, cfg, detector.read_scores_csv(scores_csv))
     assert report.alarms == []
     assert len(report.scored) == len(records)
 
@@ -134,7 +155,8 @@ def test_external_scores_skip_unknown_ids(corpus_dir, tmp_path, caplog):
     records = pipeline.load_records(cfg)
     ext = _external(cfg, records, tmp_path / "scores.csv", ["ghost-1,9.9"])
     scored = detector.import_scores(
-        ext.external_scores, threshold=0.5, known_ids=[r.flow_id for r in records[:10]]
+        detector.read_scores_csv(ext.external_scores), threshold=0.5,
+        known_ids=[r.flow_id for r in records[:10]],
     )
     assert len(scored) == 10
     bundle_dir = pipeline.cmd_train(ext)
@@ -234,8 +256,8 @@ def test_an_external_bundle_rates_only_at_its_own_threshold(
     scores_csv.write_text("flow_id,score\n" + "\n".join(rows) + "\n")
     ext = dataclasses.replace(cfg, external_scores=scores_csv, external_threshold=0.5)
     trained, logs = pipeline.train_bundle(records, ext, ext.seed)
-    bundle_dir = pipeline.save_bundle(trained, logs, tmp_path / "bundle", ext)
-    report = pipeline.rate_records(trained, records, ext)
+    bundle_dir = pipeline.save_bundle(trained, logs, tmp_path / "bundle")
+    report = pipeline.rate_records(trained, records, ext, detector.read_scores_csv(scores_csv))
     pipeline.write_rate_report(report, tmp_path / "as_trained")
     argv = ["rate", "--corpus", str(normal_only_dir), "--bundle", str(bundle_dir),
             "--external-scores", str(scores_csv), "--external-threshold", str(rate_threshold),
@@ -373,7 +395,7 @@ def test_a_loaded_bundle_rates_and_explains_as_trained(corpus_dir, tmp_path, clu
     cfg = _cfg(corpus_dir, tmp_path, clusters=clusters, seed=seed)
     records = pipeline.load_records(cfg)
     trained, logs = pipeline.train_bundle(records, cfg, seed)
-    loaded = pipeline.load_bundle(pipeline.save_bundle(trained, logs, tmp_path / "bundle", cfg))
+    loaded = pipeline.load_bundle(pipeline.save_bundle(trained, logs, tmp_path / "bundle"))
     _assert_fields_equal(trained, loaded)
     assert pipeline._rate(loaded, records, cfg) == pipeline._rate(trained, records, cfg)
 
@@ -843,13 +865,47 @@ def test_corpus_and_captures_together_are_a_config_error(normal_only_dir, tmp_pa
     assert main(["train", "--config", str(cfg_file), "--output-dir", str(tmp_path / "o")]) == 2
 
 
+def test_an_external_bundle_under_a_baseline_config_is_a_config_error(
+    corpus_dir, normal_only_dir, tmp_path
+):
+    cfg = _cfg(normal_only_dir, tmp_path / "train")
+    bundle_dir = pipeline.cmd_train(_external(cfg, pipeline.load_records(cfg), tmp_path / "s.csv"))
+    with pytest.raises(ConfigError, match=re.escape("bundle's external_threshold is 0.5")):
+        pipeline.cmd_rate(_cfg(corpus_dir, tmp_path / "rate"), bundle_dir)
+    # The check comes before any input is read: a missing corpus is not reached.
+    for corpus in (corpus_dir, tmp_path / "missing"):
+        assert main(["rate", "--corpus", str(corpus), "--bundle", str(bundle_dir),
+                     "--output-dir", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_each_command_reads_the_score_file_once(corpus_dir, tmp_path, monkeypatch):
+    cfg = _cfg(corpus_dir, tmp_path / "out", runs=2)
+    ext = _external(cfg, pipeline.load_records(cfg), tmp_path / "scores.csv", ["ghost-1,9.9"])
+    reads = []
+    read_scores_csv = detector.read_scores_csv
+    monkeypatch.setattr(
+        detector, "read_scores_csv", lambda path: reads.append(path) or read_scores_csv(path)
+    )
+    counts = {}
+    for command, run in (
+        ("train", lambda: pipeline.cmd_train(ext)),
+        ("rate", lambda: pipeline.cmd_rate(ext, tmp_path / "out" / "bundle")),
+        ("evaluate", lambda: pipeline.evaluate(ext)),
+    ):
+        reads.clear()
+        run()
+        counts[command] = len(reads)
+    assert counts == {"train": 1, "rate": 1, "evaluate": 1}
+
+
 def test_external_scores_for_a_baseline_bundle_are_a_config_error(
     corpus_dir, trained_bundle, tmp_path
 ):
     scores_csv = tmp_path / "scores.csv"
     scores_csv.write_text("flow_id,score\n")
     cfg = _cfg(corpus_dir, tmp_path / "rate", external_scores=scores_csv, external_threshold=0.5)
-    with pytest.raises(ConfigError, match="unset external_scores"):
+    with pytest.raises(ConfigError, match="bundle's external_threshold is None"):
         pipeline.cmd_rate(cfg, trained_bundle)
     assert main(["rate", "--corpus", str(corpus_dir), "--bundle", str(trained_bundle),
                  "--external-scores", str(scores_csv), "--external-threshold", "0.5",
@@ -940,7 +996,7 @@ def _scores_repeating_an_id(tmp_path, corpus):
     scores = tmp_path / "scores.csv"
     scores.write_text("flow_id,score\nf1,3\nf2,1\nf1,0\n")
     pattern = re.escape(f"{scores}: row 3: repeated flow id 'f1'")
-    return (lambda: detector.import_scores(scores, 2.0, ["f1", "f2"])), SchemaError, pattern
+    return (lambda: detector.read_scores_csv(scores)), SchemaError, pattern
 
 
 @pytest.mark.parametrize("build", [

@@ -161,13 +161,6 @@ MUTANTS = (
         "[unknown-reference-label]",
     ),
     Mutant(
-        "external-threshold-ignored", "src/alarmsift/pipeline.py",
-        "elif config.external_threshold != threshold:",
-        "elif False:",
-        "tests/test_pipeline_cli.py::test_an_external_bundle_rates_only_at_its_own_threshold"
-        "[differs]",
-    ),
-    Mutant(
         "truncated-unreported", "src/alarmsift/pipeline.py",
         "if result.truncated:",
         "if False:",
@@ -184,6 +177,19 @@ MUTANTS = (
         "if not 1 <= self.runs <= MAX_RUNS:",
         "if self.runs < 1:",
         "tests/test_pipeline_cli.py::test_run_count_is_bounded",
+    ),
+    Mutant(
+        "bundle-fit-unchecked", "src/alarmsift/pipeline.py",
+        "if config.external_threshold != bundle.config.external_threshold:",
+        "if False:",
+        "tests/test_pipeline_cli.py::test_an_external_bundle_rates_only_at_its_own_threshold"
+        "[differs]",
+    ),
+    Mutant(
+        "features-overflow-kept", "src/alarmsift/detector.py",
+        "if not (np.isfinite(mean).all() and np.isfinite(std).all()):",
+        "if False:",
+        "tests/test_pipeline_cli.py::test_train_refuses_a_training_flow_whose_features_overflow",
     ),
 )
 
