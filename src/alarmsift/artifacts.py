@@ -2,12 +2,14 @@
 an artifact, decodes its JSON or checks its schema tag.
 
 One rule reads a bundle's JSON files (manifest.json, detector.json and
-extraction.json): a file is valid exactly when its writer's payload function
-writes back the value read from it (read_json). What a writer could write
-but is still wrong stays an explicit check of its reader: array shapes,
-finiteness, a positive std on active features, the percentile range,
-centroid bounds, event labels, the config echo's clusters and window
-against extraction.json's, and net soundness.
+extraction.json) and its nets: a file is valid exactly when its writer
+writes back the value read from it, as JSON text (read_json) or as
+canonical XML (petri.import_pnml), so each copy a writer derives, such as
+detector.json's mask from std, is checked. What a writer could write but
+is still wrong stays an explicit check of its reader: array shapes,
+finiteness, the percentile range, centroid bounds, event labels, the
+config echo's clusters, window and percentile against extraction.json's
+and detector.json's, and net soundness.
 
 Containers:
 - JSON: one object with sorted keys, indent 1, its "schema" key the schema
@@ -24,8 +26,8 @@ Artifacts (container, schema id, line ending):
 - Bundle: manifest.json (JSON, alarmsift-bundle/1), detector.json (JSON,
   alarmsift-detector/1; baseline detector only), extraction.json (JSON,
   alarmsift-extraction/1), nets/state_<k>.pnml (PNML XML with a page and
-  a finalmarkings element, no schema id; petri.import_pnml reads only the
-  shape petri.export_pnml writes),
+  a finalmarkings element, no schema id; petri.import_pnml reads only what
+  petri.export_pnml writes back),
   logs/state_<k>.xes (XES 1849-2016 XML, no schema id),
   logs/state_logs.jsonl (JSONL, alarmsift-state-logs/1) and
   reference_profile.csv (CSV, alarmsift-profile/1, rows end in LF).
@@ -144,6 +146,10 @@ def read_csv(path: str | Path, schema: str | None) -> Iterator[csv.DictReader]:
         yield csv.DictReader(fh)
 
 
-def write_xml(root: ET.Element, path: str | Path) -> None:
+def xml_bytes(root: ET.Element) -> bytes:
     ET.indent(root)
-    Path(path).write_bytes(ET.tostring(root, xml_declaration=True, encoding="utf-8"))
+    return ET.tostring(root, xml_declaration=True, encoding="utf-8")
+
+
+def write_xml(root: ET.Element, path: str | Path) -> None:
+    Path(path).write_bytes(xml_bytes(root))

@@ -35,13 +35,15 @@ TRUTH_LABELS = (TRUTH_NORMAL, TRUTH_ATTACK, TRUTH_UNKNOWN)
 class DetectorModel:
     feature_names: tuple[str, ...]
     mean: np.ndarray          # per raw feature
-    std: np.ndarray           # per raw feature (population)
-    mask: np.ndarray          # bool; constant training columns are excluded
-    basis: np.ndarray         # (d, n_active) top principal directions
-    components: int
+    std: np.ndarray           # per raw feature (population); 0 on constant training columns
+    basis: np.ndarray         # (d, n_active) top principal directions; d is the component count
     seed: int
     threshold: float | None = None
     percentile: float | None = None
+
+    @property
+    def mask(self) -> np.ndarray:  # the active features
+        return self.std > 0
 
     @property
     def calibrated(self) -> bool:
@@ -64,10 +66,10 @@ def fit_baseline(
 ) -> DetectorModel:
     """Fits the reconstruction baseline on normal-flow features.
 
-    Features are z-scored with training statistics; constant columns are
-    masked out and recorded. The score of a flow is the squared residual
-    after projecting its normalized vector onto the top-d principal
-    directions of the training data.
+    Features are z-scored with training statistics; constant columns, whose
+    std is 0, are masked out. The score of a flow is the squared residual
+    after projecting its normalized vector onto the top principal
+    directions of the training data, at most `components` of them.
     """
     train = np.asarray(train, dtype=float)
     if train.ndim != 2 or train.shape[1] != len(feature_names):
@@ -86,9 +88,8 @@ def fit_baseline(
     if not mask.any():
         raise DataError("every feature column is constant; nothing to model")
     z = (train[:, mask] - mean[mask]) / std[mask]
-    d = min(components, min(z.shape))
     _, _, vt = np.linalg.svd(z, full_matrices=False)
-    basis = vt[:d].copy()
+    basis = vt[:components].copy()
     # Deterministic sign convention: largest-magnitude entry positive.
     for row in basis:
         pivot = int(np.argmax(np.abs(row)))
@@ -98,15 +99,15 @@ def fit_baseline(
         feature_names=tuple(feature_names),
         mean=mean,
         std=std,
-        mask=mask,
         basis=basis,
-        components=d,
         seed=seed,
     )
 
 
 def score_flows(model: DetectorModel, features: np.ndarray) -> np.ndarray:
-    """Squared reconstruction error of each normalized feature vector."""
+    """Squared reconstruction error of each normalized feature vector. A
+    finite feature overflows it to inf or nan through a corrupt model or
+    through a value near the float limit, such as a bytes_total of 1e308."""
     features = np.asarray(features, dtype=float)
     if features.ndim == 1:
         features = features[None, :]
@@ -118,12 +119,7 @@ def score_flows(model: DetectorModel, features: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         z = (features[:, model.mask] - model.mean[model.mask]) / model.std[model.mask]
         recon = (z @ model.basis.T) @ model.basis
-        scores = ((z - recon) ** 2).sum(axis=1)
-    # Finite features overflow through a corrupt model or through a value
-    # near the float limit, such as a bytes_total of 1e308.
-    if not np.isfinite(scores).all():
-        raise DataError("detector scores are not finite; a feature or the model is out of range")
-    return scores
+        return ((z - recon) ** 2).sum(axis=1)
 
 
 def calibrate_threshold(
@@ -141,6 +137,8 @@ def calibrate_threshold(
     if len(validation) < 10:
         raise DataError(f"validation set too small ({len(validation)} < 10 flows)")
     scores = np.sort(score_flows(model, validation))
+    if not np.isfinite(scores).all():
+        raise DataError("validation scores are not finite; a feature or the model is out of range")
     rank = int(np.ceil(percentile * len(scores)))
     threshold = float(scores[rank - 1])
     return replace(model, threshold=threshold, percentile=percentile)
@@ -152,13 +150,18 @@ def classify(
     flow_ids: Sequence[str],
     truths: Sequence[str] | None = None,
 ) -> list[ScoredFlow]:
-    """The baseline's decision for each flow, at the calibrated threshold."""
+    """The baseline's decision at the calibrated threshold for each flow
+    whose score is finite, in input order; the caller counts the flows left
+    out. Raises DataError when no flow has a finite score."""
     if not model.calibrated:
         raise DataError("detector model has no calibrated threshold")
     scores = score_flows(model, features)
     if len(scores) != len(flow_ids):
         raise DataError("flow id list does not match the feature matrix")
-    return _decide(flow_ids, scores.tolist(), model.threshold, truths)
+    scored = _decide(flow_ids, scores.tolist(), model.threshold, truths)
+    if not scored:
+        raise DataError("detector scores are not finite; a feature or the model is out of range")
+    return scored
 
 
 def _decide(
@@ -166,11 +169,12 @@ def _decide(
     truths: Sequence[str] | None,
 ) -> list[ScoredFlow]:
     """Decision rule: positive iff score > threshold (ties are negative).
-    Without truths, each flow reads TRUTH_UNKNOWN."""
+    A flow whose score is not finite is left out. Without truths, each flow
+    reads TRUTH_UNKNOWN."""
     truths = truths or [TRUTH_UNKNOWN] * len(flow_ids)
     return [
         ScoredFlow(flow_id=fid, score=score, positive=score > threshold, truth=truth)
-        for fid, score, truth in zip(flow_ids, scores, truths)
+        for fid, score, truth in zip(flow_ids, scores, truths) if math.isfinite(score)
     ]
 
 
@@ -245,7 +249,7 @@ def _model_payload(model: DetectorModel) -> dict:
         "std": [float(v) for v in model.std],
         "mask": [bool(v) for v in model.mask],
         "basis": [[float(v) for v in row] for row in model.basis],
-        "components": model.components,
+        "components": len(model.basis),
         "seed": model.seed,
         "threshold": model.threshold,
         "percentile": model.percentile,
@@ -258,9 +262,9 @@ def save_model(model: DetectorModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> DetectorModel:
     """Reads save_model's file, valid exactly when _model_payload writes it
-    back (artifacts.read_json), mean, std and mask have one entry per
-    feature, basis is components x active features, mean, std, basis and
-    threshold are finite, std > 0 on every active feature and the
+    back (artifacts.read_json), so mask is std > 0 and components the basis
+    rows; mean and std have one entry per feature, basis a column per
+    active feature, mean, std, basis and threshold are finite and the
     percentile is in (0, 1]; else raises SchemaError naming the file."""
     return read_json(path, MODEL_SCHEMA, _model_from, _model_payload)
 
@@ -270,22 +274,18 @@ def _model_from(payload: dict) -> DetectorModel:
         feature_names=tuple(str(name) for name in payload["feature_names"]),
         mean=np.array([float(v) for v in payload["mean"]]),
         std=np.array([float(v) for v in payload["std"]]),
-        mask=np.array([bool(v) for v in payload["mask"]], dtype=bool),
         basis=np.array([[float(v) for v in row] for row in payload["basis"]]),
-        components=int(payload["components"]),
         seed=int(payload["seed"]),
         threshold=float(payload["threshold"]),
         percentile=float(payload["percentile"]),
     )
     n, active = len(model.feature_names), int(model.mask.sum())
-    if any(v.shape != (n,) for v in (model.mean, model.std, model.mask)):
-        raise ValueError(f"mean, std and mask must have {n} entries, one per feature")
-    if model.basis.shape != (model.components, active):
-        raise ValueError(f"basis must be {model.components} x {active}: components x active")
+    if model.mean.shape != (n,) or model.std.shape != (n,):
+        raise ValueError(f"mean and std must have {n} entries, one per feature")
+    if model.basis.shape[1:] != (active,):
+        raise ValueError(f"basis must have {active} columns, one per active feature")
     if not np.isfinite([*model.mean, *model.std, *model.basis.ravel(), model.threshold]).all():
         raise ValueError("mean, std, basis and threshold must be finite")
-    if not (model.std[model.mask] > 0).all():
-        raise ValueError("std must be positive on every active feature")
     if not 0.0 < model.percentile <= 1.0:
         raise ValueError(f"percentile {model.percentile!r} is not in (0, 1]")
     return model

@@ -60,14 +60,13 @@ class ExtractionParams:
     """A fitted state clustering, as fit_states returns and load_params
     reads it: one centroid row per state over the alphabet plus OTHER."""
 
-    clusters: int
     window: int
     seed: int
     alphabet: tuple[str, ...]
     centroids: np.ndarray
 
     def __post_init__(self):
-        _check_sizes(self.clusters, self.window)
+        _check_sizes(len(self.centroids), self.window)
 
 
 @dataclass(frozen=True)
@@ -163,7 +162,7 @@ def fit_states(
             "use a smaller cluster count"
         )
     order = np.lexsort(cents.T[::-1])
-    return ExtractionParams(clusters, window, seed, alphabet, cents[order])
+    return ExtractionParams(window, seed, alphabet, cents[order])
 
 
 def assign_states(events: Sequence[str], params: ExtractionParams) -> list[int]:
@@ -200,7 +199,7 @@ def build_logs(
 ) -> dict[int, list[Fragment]]:
     """Groups split traces' fragments by state, in input order; every state
     has a log, empty ones included."""
-    logs: dict[int, list[Fragment]] = {state: [] for state in range(params.clusters)}
+    logs: dict[int, list[Fragment]] = {state: [] for state in range(len(params.centroids))}
     for fragments in per_flow_fragments:
         for frag in fragments:
             logs[frag.state].append(frag)
@@ -211,7 +210,7 @@ def build_logs(
 
 def _params_payload(params: ExtractionParams) -> dict:
     return {
-        "clusters": params.clusters,
+        "clusters": len(params.centroids),
         "window": params.window,
         "seed": params.seed,
         "alphabet": list(params.alphabet),
@@ -226,14 +225,13 @@ def save_params(params: ExtractionParams, path: str | Path) -> None:
 def load_params(path: str | Path) -> ExtractionParams:
     """Reads save_params's file, valid exactly when _params_payload writes it
     back (artifacts.read_json), the alphabet is sorted, distinct event labels
-    (flowmeter.parse_event_label) and the centroids are a finite clusters x
-    (alphabet + OTHER) matrix in [0, window]; else raises SchemaError."""
+    (flowmeter.parse_event_label) and the centroids are a finite matrix of
+    alphabet + OTHER columns in [0, window]; else raises SchemaError."""
     return read_json(path, PARAMS_SCHEMA, _params_from, _params_payload)
 
 
 def _params_from(payload: dict) -> ExtractionParams:
     params = ExtractionParams(
-        clusters=int(payload["clusters"]),
         window=int(payload["window"]),
         seed=int(payload["seed"]),
         alphabet=tuple(str(label) for label in payload["alphabet"]),
@@ -244,9 +242,9 @@ def _params_from(payload: dict) -> ExtractionParams:
     for label in params.alphabet:
         parse_event_label(label)  # DataError for a string that is not an event label
     # One row per state, one column per alphabet label plus the OTHER one.
-    shape = (params.clusters, len(params.alphabet) + 1)
-    if params.centroids.shape != shape or not np.isfinite(params.centroids).all():
-        raise ValueError(f"centroids must be a finite {shape[0]} x {shape[1]} matrix")
+    columns = len(params.alphabet) + 1
+    if params.centroids.shape[1:] != (columns,) or not np.isfinite(params.centroids).all():
+        raise ValueError(f"centroids must be a finite matrix with {columns} columns")
     # A centroid is a mean of window label counts.
     if ((params.centroids < 0) | (params.centroids > params.window)).any():
         raise ValueError(f"centroid entries must lie in [0, {params.window}]")

@@ -8,8 +8,9 @@ every node on a path between them. Arcs have unit weight: a net holds each
 
 A net keeps one order, whatever its declaration order: places, transitions
 (by tid, so index order is tid order) and arcs sorted, markings in place
-order. export_pnml writes it, import_pnml reads it back, and PetriNet.key
-holds it for == and the alignment memo.
+order. export_pnml writes it, import_pnml reads only a file that
+export_pnml writes back, so each copy in it (a place's name, an arc's id)
+is checked, and PetriNet.key holds it for == and the alignment memo.
 
 Each net's reachable markings are explored once, breadth-first, into a
 ReachabilityGraph that alignment and the soundness check read. A marking's
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Mapping, TypeVar
 
-from .artifacts import write_xml
+from .artifacts import write_xml, xml_bytes
 from .errors import DataError, SchemaError
 
 PNML_NET_TYPE = "http://www.pnml.org/version-2009/grammar/ptnet"
@@ -105,9 +106,11 @@ class PetriNet:
             if i in table[j]:
                 raise DataError(f"arc ({src}, {dst}) is repeated; arcs have unit weight")
             table[j].append(i)
-        for p in [*self.initial_marking, *self.final_marking]:
+        for p, count in [*self.initial_marking.items(), *self.final_marking.items()]:
             if p not in places:
                 raise DataError(f"marking references unknown place {p}")
+            if count < 0:
+                raise DataError(f"marking puts {count} tokens on place {p}")
         self._pre: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(ps)) for ps in pre)
         self._post: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(ps)) for ps in post)
         self.labels: frozenset[str] = frozenset(
@@ -257,8 +260,7 @@ def check_soundness(net: PetriNet) -> list[str]:
 
 # --- PNML ----------------------------------------------------------------
 
-def export_pnml(net: PetriNet, path: str | Path, net_id: str = "net0") -> None:
-    """Deterministic PNML with a finalmarkings extension element."""
+def _pnml_tree(net: PetriNet, net_id: str) -> ET.Element:
     root = ET.Element("pnml")
     net_el = ET.SubElement(root, "net", {"id": net_id, "type": PNML_NET_TYPE})
     page = ET.SubElement(net_el, "page", {"id": "page0"})
@@ -281,37 +283,36 @@ def export_pnml(net: PetriNet, path: str | Path, net_id: str = "net0") -> None:
     for p in net.final_marking:
         ref = ET.SubElement(marking_el, "place", {"idref": p})
         ET.SubElement(ref, "text").text = str(net.final_marking[p])
-    write_xml(root, path)
+    return root
 
 
-def import_pnml(path: str | Path) -> PetriNet:
-    """Reads the one shape export_pnml writes: nodes under net/page, token
-    counts in each place's initialMarking/text and in
-    net/finalmarkings/marking/place/text, a name on visible transitions only.
-    Raises SchemaError naming the file for any other shape or invalid net."""
+def export_pnml(net: PetriNet, path: str | Path, net_id: str = "net0") -> None:
+    """Deterministic PNML with a finalmarkings extension element."""
+    write_xml(_pnml_tree(net, net_id), path)
+
+
+def import_pnml(path: str | Path, net_id: str = "net0") -> PetriNet:
+    """The net in path, which export_pnml(net, path, net_id) must write back
+    as canonical XML, whitespace around texts ignored as read_json ignores
+    JSON layout; else raises SchemaError naming the file."""
     try:
-        root = ET.parse(Path(path)).getroot()
-        page, final_el = root.find("net/page"), root.find("net/finalmarkings/marking")
-        if page is None or final_el is None:
-            raise ValueError("no net/page or no net/finalmarkings/marking element")
-        places = [p_el.attrib["id"] for p_el in page.findall("place")]
-        initial = {p_el.attrib["id"]: _tokens(p_el.findtext("initialMarking/text"))
-                   for p_el in page.findall("place[initialMarking]")}
-        transitions: list[Transition] = []
-        for t_el in page.findall("transition"):
-            label = t_el.findtext("name/text")
-            if t_el.find("name") is not None and not label:
-                raise ValueError(f"transition {t_el.attrib['id']} has an empty name")
-            transitions.append(Transition(t_el.attrib["id"], label))
-        arcs = [(a_el.attrib["source"], a_el.attrib["target"]) for a_el in page.findall("arc")]
-        final = {ref.attrib["idref"]: _tokens(ref.findtext("text"))
-                 for ref in final_el.findall("place")}
-        return PetriNet(places, transitions, arcs, initial, final)
-    except (ET.ParseError, OSError, KeyError, ValueError, DataError) as exc:
+        data = Path(path).read_bytes()
+        root = ET.fromstring(data)
+        net = PetriNet(
+            [p_el.attrib["id"] for p_el in root.iterfind("net/page/place")],
+            # An empty name reads as none, which export_pnml does not write back.
+            [Transition(t_el.attrib["id"], t_el.findtext("name/text") or None)
+             for t_el in root.iterfind("net/page/transition")],
+            [(a_el.attrib["source"], a_el.attrib["target"])
+             for a_el in root.iterfind("net/page/arc")],
+            {p_el.attrib["id"]: int(p_el.findtext("initialMarking/text"))
+             for p_el in root.iterfind("net/page/place[initialMarking]")},
+            {ref.attrib["idref"]: int(ref.findtext("text"))
+             for ref in root.iterfind("net/finalmarkings/marking/place")},
+        )
+    except (ET.ParseError, OSError, LookupError, TypeError, ValueError, DataError) as exc:
         raise SchemaError(f"{path}: not a readable PNML net: {exc!r}") from exc
-
-
-def _tokens(text: str | None) -> int:
-    if not (text or "").isdigit():
-        raise ValueError(f"marking text {text!r} is not a token count")
-    return int(text)
+    written = xml_bytes(_pnml_tree(net, net_id))
+    if ET.canonicalize(written, strip_text=True) != ET.canonicalize(data, strip_text=True):
+        raise SchemaError(f"{path}: not what export_pnml writes for the net read from it")
+    return net

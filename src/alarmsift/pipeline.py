@@ -186,10 +186,9 @@ def _train_from_split(
         model = det.calibrate_threshold(model, _features_matrix(val_recs), config.percentile)
     _, fp_records = _detect(model, config.external_threshold, val_recs, scores)
     if not fp_records:
-        raise DataError(
-            "no validation false positives available for mining; "
-            "apply a more restrictive (lower) percentile"
-        )
+        advice = ("apply a more restrictive (lower) percentile" if scores is None
+                  else "apply a lower external_threshold")
+        raise DataError(f"no validation false positives available for mining; {advice}")
     params = events.fit_states(
         [r.events for r in fp_records], config.clusters, config.window,
         derive_seed(seed, "extraction"),
@@ -245,7 +244,8 @@ def load_bundle(bundle_dir: str | Path, budget: int = al.DEFAULT_BUDGET) -> Trai
     manifest.json is valid exactly when _manifest_payload writes it back
     (artifacts.read_json), so the manifest's threshold is detector.json's
     or, without a model, the echoed external_threshold. Besides, the echo's
-    clusters and window must be extraction.json's, and each net must be a
+    clusters, window and percentile must be extraction.json's and
+    detector.json's, and each net, read under its state's id, must be a
     sound workflow net. Raises SchemaError naming the file at fault. The
     bundle's Aligner searches its nets with the given budget."""
     bundle_dir = Path(bundle_dir)
@@ -255,12 +255,14 @@ def load_bundle(bundle_dir: str | Path, budget: int = al.DEFAULT_BUDGET) -> Trai
         external = config.external_scores is not None
         model = None if external else det.load_model(bundle_dir / "detector.json")
         params = events.load_params(bundle_dir / "extraction.json")
-        if (config.clusters, config.window) != (params.clusters, params.window):
+        if (config.clusters, config.window) != (len(params.centroids), params.window):
             raise ValueError("config clusters and window differ from extraction.json's")
+        if model is not None and config.percentile != model.percentile:
+            raise ValueError("config percentile differs from detector.json's")
         nets = {}
-        for state in range(params.clusters):
+        for state in range(len(params.centroids)):
             path = bundle_dir / "nets" / f"state_{state}.pnml"
-            nets[state] = import_pnml(path)
+            nets[state] = import_pnml(path, f"state_{state}")
             problems = workflow_shape_errors(nets[state]) or check_soundness(nets[state])
             if problems:
                 raise SchemaError(f"{path}: not a sound workflow net: {problems}")
@@ -302,15 +304,18 @@ def _detect(
 ) -> tuple[list[det.ScoredFlow], list[FlowRecord]]:
     """The detector decision for each record, in record order, and the
     records decided positive. Without a model, the scores table is decided
-    at threshold; records without a score are left out, counted in a warning."""
+    at threshold. A record without a score, or whose detector score is not
+    finite, is left out and counted in a warning."""
     ids, truths = [r.flow_id for r in records], [r.truth for r in records]
     if model is not None:
         scored = det.classify(model, _features_matrix(records), ids, truths)
     else:
         scored = det.import_scores(scores, threshold, ids, truths)
-        if len(scored) < len(records):
-            missing = len(records) - len(scored)
-            logger.warning("external scores: %d input flow(s) have no score; excluded", missing)
+    missing = len(records) - len(scored)
+    if missing and model is None:
+        logger.warning("external scores: %d input flow(s) have no score; excluded", missing)
+    elif missing:
+        logger.warning("%d input flow(s) have a non-finite detector score; excluded", missing)
     flagged = {s.flow_id for s in scored if s.positive}
     return scored, [r for r in records if r.flow_id in flagged]
 
@@ -413,6 +418,8 @@ class ExperimentReport:
 
 
 def _confusion_from(report: RateReport) -> BandedConfusion:
+    """An attack flow that _detect left out, for want of a score or of a
+    finite one, is not counted as a false negative."""
     tp: dict[int, int] = {}
     fp: dict[int, int] = {}
     for alarm in report.alarms:

@@ -107,7 +107,7 @@ def reference_fit_states(
             "use a smaller cluster count"
         )
     order = np.lexsort(cents.T[::-1])
-    return ExtractionParams(clusters, window, seed, alphabet, cents[order])
+    return ExtractionParams(window, seed, alphabet, cents[order])
 
 
 def nearest_state(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:

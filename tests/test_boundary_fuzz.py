@@ -1,6 +1,6 @@
 """Boundary fuzz: a corrupt bundle or a cut corpus ends `rate` with an exit
-code, never with a raised exception, a bundle JSON file loads only if
-its writer writes it back, a corrupt capture fails only itself, and a
+code, never with a raised exception, a bundle JSON file or net loads
+only if its writer writes it back, a corrupt capture fails only itself, and a
 corrupt corpus row fails `train` and `evaluate` only with a package error.
 
 The cases are every substitution of a JSON value in the bundle's
@@ -24,6 +24,7 @@ from alarmsift.config import CaptureSpec, RunConfig
 from alarmsift.detector import save_model
 from alarmsift.errors import ConfigError, DataError, SchemaError
 from alarmsift.events import save_params
+from alarmsift.petri import export_pnml
 from capturecraft import handshake_fin_frames, pcap_bytes
 
 _SEED = 24
@@ -150,6 +151,33 @@ def test_every_bundle_json_that_loads_is_what_its_writer_writes(inputs, tmp_path
             if _sorted_json((tmp_path / path.name).read_bytes()) != _sorted_json(corrupt):
                 rewritten[label] = (tmp_path / path.name).read_text()
     assert checked == set(resave)
+    assert rewritten == {}
+
+
+def _canonical_xml(data: bytes) -> str:
+    """data as canonical XML without the whitespace around texts, which the
+    net reader ignores."""
+    return ET.canonicalize(data, strip_text=True)
+
+
+def test_every_bundle_net_that_loads_is_what_its_writer_writes(inputs, tmp_path):
+    # All edits run, not a sample.
+    _, bundle = inputs
+    loaded_cases, rewritten = 0, {}
+    for label, path, corrupt in _net_cases(bundle / _NET):
+        original = path.read_bytes()
+        path.write_bytes(corrupt)
+        try:
+            loaded = pipeline.load_bundle(bundle)
+        except DataError:
+            continue
+        finally:
+            path.write_bytes(original)
+        loaded_cases += 1
+        export_pnml(loaded.aligner.nets[1], tmp_path / "net.pnml", net_id="state_1")
+        if _canonical_xml((tmp_path / "net.pnml").read_bytes()) != _canonical_xml(corrupt):
+            rewritten[label] = (tmp_path / "net.pnml").read_text()
+    assert loaded_cases
     assert rewritten == {}
 
 

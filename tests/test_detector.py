@@ -71,9 +71,7 @@ def _unit_model() -> "DetectorModel":
         feature_names=FEATS2,
         mean=np.zeros(2),
         std=np.ones(2),
-        mask=np.array([True, True]),
         basis=np.array([[1.0, 0.0]]),
-        components=1,
         seed=0,
     )
 
@@ -175,6 +173,25 @@ def test_fit_refuses_features_or_statistics_that_are_not_finite(value):
     train[0, 0] = value
     with pytest.raises(DataError, match="their mean and std must be finite"):
         fit_baseline(train, 1, seed=0, feature_names=FEATS2)
+
+
+def test_calibration_refuses_a_validation_score_that_overflows():
+    # 1e308 is finite, but its squared residual is not; classify would only
+    # leave such a flow out, but a threshold must rank every validation flow.
+    train = np.array([[i, 2.0 * i] for i in range(1, 31)], dtype=float)
+    model = fit_baseline(train, 1, seed=0, feature_names=FEATS2)
+    validation = np.array([[i, 2.0 * i + (i % 10)] for i in range(1, 21)], dtype=float)
+    validation[0, 1] = 1e308
+    with pytest.raises(DataError, match="validation scores are not finite"):
+        calibrate_threshold(model, validation, 0.9)
+
+
+def test_classify_leaves_out_flows_whose_score_is_not_finite():
+    model = calibrate_threshold(_unit_model(), np.array([[0.0, float(i)] for i in range(10)]), 0.9)
+    scored = classify(model, np.array([[0.0, 1.0], [0.0, 1e308], [0.0, 3.0]]), ["a", "b", "c"])
+    assert [s.flow_id for s in scored] == ["a", "c"]
+    with pytest.raises(DataError, match="detector scores are not finite"):
+        classify(model, np.array([[0.0, 1e308]]), ["b"])
 
 
 def test_monotonicity_of_threshold():

@@ -291,3 +291,11 @@ def test_invalid_net_construction_rejected():
     for initial, final in (({"q": 1}, {"p": 1}), ({"p": 1}, {"q": 1})):
         with pytest.raises(DataError, match="marking references unknown place q"):
             PetriNet(["p"], t, [("p", "t")], initial, final)
+
+
+@pytest.mark.parametrize("initial, final", [({"p": -1}, {"p": 1}), ({"p": 1}, {"p": -1})])
+def test_a_negative_token_count_is_refused(initial, final):
+    # import_pnml reads "-1" as a count that export_pnml writes back, so
+    # only the net refuses it.
+    with pytest.raises(DataError, match="marking puts -1 tokens on place p"):
+        PetriNet(["p"], [Transition("t", "x")], [("p", "t")], initial, final)

@@ -99,9 +99,8 @@ def test_to_trace_flagless_segment():
     assert flow_to_record(flow).events == ("C_to_S_NONE",)
 
 
-def _params_for(alphabet, centroids, window=1, clusters=None):
+def _params_for(alphabet, centroids, window=1):
     return ExtractionParams(
-        clusters=clusters or len(centroids),
         window=window,
         seed=0,
         alphabet=tuple(alphabet),

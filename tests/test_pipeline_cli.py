@@ -81,6 +81,17 @@ def test_train_percentile_one_advises_lower(normal_only_dir, tmp_path):
         pipeline.cmd_train(cfg)
 
 
+def test_train_on_external_scores_advises_a_lower_external_threshold(normal_only_dir, tmp_path):
+    # No validation flow scores above 0.5; the percentile plays no part.
+    cfg = _cfg(normal_only_dir, tmp_path / "out")
+    scores_csv = tmp_path / "scores.csv"
+    rows = [f"{r.flow_id},0.0" for r in pipeline.load_records(cfg)]
+    scores_csv.write_text("flow_id,score\n" + "\n".join(rows) + "\n")
+    ext = dataclasses.replace(cfg, external_scores=scores_csv, external_threshold=0.5)
+    with pytest.raises(DataError, match="apply a lower external_threshold$"):
+        pipeline.cmd_train(ext)
+
+
 def test_train_refuses_a_training_flow_whose_features_overflow(normal_only_dir, tmp_path):
     # 1e308 is finite, but the std of its column overflows to inf; a model
     # fitted on it would be written, and then refused by rate.
@@ -415,7 +426,8 @@ def test_rate_explores_each_net_once(corpus_dir, trained_bundle, tmp_path, monke
     report = pipeline.cmd_rate(_cfg(corpus_dir, tmp_path / "rate"), trained_bundle)
     explored = len(calls)
     assert report.alarms
-    nets = [import_pnml(path) for path in sorted((trained_bundle / "nets").glob("*.pnml"))]
+    nets = [import_pnml(path, path.stem)
+            for path in sorted((trained_bundle / "nets").glob("*.pnml"))]
     assert explored == sum(len(net.reachability().markings) for net in nets)
 
 
@@ -471,6 +483,17 @@ def _empty_text(element_path):
     return edit
 
 
+def _unknown_net_encoding(bundle: Path) -> None:
+    path = bundle / "nets" / "state_1.pnml"
+    data = path.read_bytes()
+    assert data.startswith(b"<?xml version='1.0' encoding='utf-8'?>")
+    path.write_bytes(data.replace(b"utf-8", b"utf-9", 1))
+
+
+def _negative_initial_marking(net):
+    net.find("page/place/initialMarking/text").text = "-1"
+
+
 def _unwrap_page(net):
     page = net.find("page")
     net.remove(page)
@@ -491,6 +514,14 @@ def _active_std_entry(value):
         model["std"][model["mask"].index(True)] = value
         return model
     return edit
+
+
+def _inactive_mask_entry(model):
+    # Sets the first true mask entry false and drops the basis column of its
+    # feature, so the shapes still agree and only std > 0 tells them apart.
+    model["mask"][model["mask"].index(True)] = False
+    model["basis"] = [row[1:] for row in model["basis"]]
+    return model
 
 
 def _active_mask_entry(value):
@@ -602,6 +633,10 @@ _DEADLOCKING_NET = PetriNet(
     (_edit_json("extraction.json", lambda e: _with(e, clusters=math.inf)), "extraction.json"),
     (_edit_json("detector.json", lambda d: _with(d, components=math.inf)), "detector.json"),
     (_append("reference_profile.csv", "x,0.5\n"), "reference_profile.csv"),
+    (_edit_json("detector.json", _inactive_mask_entry), "detector.json"),
+    (_edit_json("detector.json", lambda d: _with(d, percentile=0.5)), "manifest.json"),
+    (_edit_net(_negative_initial_marking), "state_1.pnml"),
+    (_unknown_net_encoding, "state_1.pnml"),
 ], ids=[
     "no-states", "string-threshold", "string-fp-pool", "one-state-of-two", "not-an-object",
     "truncated-manifest", "short-centroids", "no-alphabet", "int-in-alphabet",
@@ -618,6 +653,8 @@ _DEADLOCKING_NET = PetriNet(
     "int-mask-entry", "bool-mean-entry", "bool-std-entry", "bool-basis-entry",
     "bool-centroid-entry", "non-label-alphabet-entry", "int-mean-entry", "extra-detector-key",
     "infinite-clusters", "infinite-components", "unknown-reference-label",
+    "inactive-mask-entry-on-positive-std", "detector-percentile-differs", "negative-token-count",
+    "unknown-net-encoding",
 ])
 def test_corrupt_bundle_is_a_schema_error(trained_bundle, tmp_path, corrupt, culprit):
     bundle = tmp_path / "bundle"
@@ -636,6 +673,28 @@ def test_rate_refuses_a_model_whose_scores_overflow(corpus_dir, trained_bundle, 
     assert main(["rate", "--corpus", str(corpus_dir), "--bundle", str(bundle),
                  "--output-dir", str(tmp_path / "out")]) == 3
     assert "detector scores are not finite" in caplog.text
+
+
+def test_rate_leaves_out_only_a_flow_whose_score_overflows(trained_bundle, tmp_path, caplog):
+    # A bytes_total of 1e308 is finite, but the flow's squared residual
+    # overflows; the other nine flows are still scored and rated.
+    corpus = tmp_path / "corpus"
+    flows = synthetic.generate_flows("normal", 6, seed=3)
+    synthetic.write_corpus(flows + synthetic.generate_flows("slowloris", 4, seed=4), corpus)
+    lines = (corpus / "flows.csv").read_text().splitlines(keepends=True)
+    fields = lines[2].split(",")
+    fields[lines[1].split(",").index("bytes_total")] = "1e308"
+    lines[2] = ",".join(fields)
+    (corpus / "flows.csv").write_text("".join(lines))
+    with caplog.at_level(logging.WARNING, logger="alarmsift.pipeline"):
+        assert main(["rate", "--corpus", str(corpus), "--bundle", str(trained_bundle),
+                     "--output-dir", str(tmp_path / "out")]) == 0
+    with (tmp_path / "out" / "rating" / "scores.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))[2:]  # after the schema line and the header
+    assert len(rows) == 9
+    assert _pipeline_warnings(caplog) == [
+        "1 input flow(s) have a non-finite detector score; excluded",
+    ]
 
 
 @pytest.mark.parametrize("cfg", [

@@ -132,7 +132,7 @@ MUTANTS = (
         "non-finite-scores-kept", "src/alarmsift/detector.py",
         "if not np.isfinite(scores).all():",
         "if False:",
-        "tests/test_pipeline_cli.py::test_rate_refuses_a_model_whose_scores_overflow",
+        "tests/test_detector.py::test_calibration_refuses_a_validation_score_that_overflows",
     ),
     Mutant(
         "net-declaration-order", "src/alarmsift/petri.py",
@@ -190,6 +190,32 @@ MUTANTS = (
         "if not (np.isfinite(mean).all() and np.isfinite(std).all()):",
         "if False:",
         "tests/test_pipeline_cli.py::test_train_refuses_a_training_flow_whose_features_overflow",
+    ),
+    Mutant(
+        "net-round-trip-unchecked", "src/alarmsift/petri.py",
+        "if ET.canonicalize(written, strip_text=True) != ET.canonicalize(data, strip_text=True):",
+        "if False:",
+        "tests/test_pipeline_cli.py::test_corrupt_bundle_is_a_schema_error"
+        "[emptied-transition-name]",
+    ),
+    Mutant(
+        "negative-tokens-kept", "src/alarmsift/petri.py",
+        "if count < 0:",
+        "if False:",
+        "tests/test_discovery.py::test_a_negative_token_count_is_refused",
+    ),
+    Mutant(
+        "percentile-copy-unchecked", "src/alarmsift/pipeline.py",
+        "if model is not None and config.percentile != model.percentile:",
+        "if False:",
+        "tests/test_pipeline_cli.py::test_corrupt_bundle_is_a_schema_error"
+        "[detector-percentile-differs]",
+    ),
+    Mutant(
+        "overflowing-flow-kept", "src/alarmsift/detector.py",
+        "zip(flow_ids, scores, truths) if math.isfinite(score)",
+        "zip(flow_ids, scores, truths)",
+        "tests/test_pipeline_cli.py::test_rate_leaves_out_only_a_flow_whose_score_overflows",
     ),
 )
 
