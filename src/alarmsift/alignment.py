@@ -30,8 +30,8 @@ from heapq import heappop, heappush
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .artifacts import read_csv, write_csv
-from .errors import BudgetError, DataError, SchemaError
+from .artifacts import read_csv, read_table, write_csv
+from .errors import BudgetError, DataError
 from .events import Fragment
 from .flowmeter import parse_event_label
 from .petri import MAX_MARKINGS, PetriNet, Transition
@@ -254,30 +254,20 @@ def write_profile_csv(profile: Mapping[str, float], path: str | Path) -> None:
     write_csv(path, ["event_type", "count"], rows, schema=PROFILE_CSV_SCHEMA, lineterminator="\n")
 
 
+def _count(row: dict) -> float:
+    label = row["event_type"]
+    parse_event_label(label)
+    count = float(row["count"])
+    if not 0 <= count < math.inf:
+        raise ValueError(f"count {row['count']!r} is not finite and >= 0")
+    return count
+
+
 def read_profile_csv(path: str | Path) -> dict[str, float]:
-    """Reads write_profile_csv's file; an event type must be an event label
-    (flowmeter.parse_event_label) and may occur once, and a count must be
-    finite and >= 0."""
-    profile: dict[str, float] = {}
-    with read_csv(path, PROFILE_CSV_SCHEMA) as reader:
-        for row in reader:
-            label, value = row.get("event_type"), row.get("count")
-            try:
-                parse_event_label(label)
-                count = float(value)
-            except (DataError, TypeError, ValueError):
-                count = math.nan
-            if None in row or not 0 <= count < math.inf:
-                # The schema comment precedes the lines the reader counts.
-                raise SchemaError(
-                    f"{path}: line {reader.line_num + 1}: malformed profile row {row!r}"
-                )
-            if label in profile:
-                raise SchemaError(
-                    f"{path}: line {reader.line_num + 1}: repeated event type {label!r}"
-                )
-            profile[label] = count
-    return profile
+    """Reads write_profile_csv's file with artifacts.read_table; an event
+    type must be an event label (flowmeter.parse_event_label) and may occur
+    once, and a count must be finite and >= 0."""
+    return read_table(path, read_csv(path, PROFILE_CSV_SCHEMA), "event_type", _count)
 
 
 def fragment_alignment_record(frag: Fragment, alignment: Alignment) -> dict:

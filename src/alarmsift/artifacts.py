@@ -38,8 +38,13 @@ Artifacts (container, schema id, line ending):
   fig_performance.csv (CSV, no schema line, CRLF), plus runs/run_<i>/bundle
   and runs/run_<i>/rating as above.
 
-An external scores CSV is read with read_csv(path, None): its "#" first
-line, if any, is skipped.
+Row files are read by one rule. read_jsonl and read_csv yield (file line,
+row) pairs, and read_table keys each row: a row whose key is missing or
+unhashable, or that its builder refuses, is "<path>: line N: malformed
+row: ...", and a repeated key is "<path>: line N: repeated <key> ...". A
+row of a schema-tagged CSV with more fields than its header is malformed.
+An external scores CSV has no schema line: it is read with read_csv(path,
+None, columns), which skips a "#" first line and ignores extra fields.
 """
 import csv
 import json
@@ -132,18 +137,47 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence],
         writer.writerows(rows)
 
 
-@contextmanager
-def read_csv(path: str | Path, schema: str | None) -> Iterator[csv.DictReader]:
-    """A DictReader over path after its first line, which must be exactly
-    "# schema: <schema>"; with schema None, a leading "#" line is skipped.
+def read_csv(path: str | Path, schema: str | None,
+             columns: Sequence[str] = ()) -> Iterator[tuple[int, dict]]:
+    """Yields (line number, row) for each data row of path, keyed by its header
+    row, which must hold columns. The first line must be exactly
+    "# schema: <schema>"; with schema None, a leading "#" line is skipped. A
+    row of a schema-tagged file may not have more fields than the header.
     Raises SchemaError naming the file otherwise or if it cannot be read."""
     with open_text(path, newline="") as fh:
         first = fh.readline()
-        if schema is None and not first.startswith("#"):
-            fh.seek(0)
-        elif schema is not None and first.rstrip("\r\n") != f"# schema: {schema}":
+        if schema is not None and first.rstrip("\r\n") != f"# schema: {schema}":
             raise SchemaError(f"{path}: expected schema {schema}")
-        yield csv.DictReader(fh)
+        skipped = int(first.startswith("#"))  # lines before the header
+        if not skipped:
+            fh.seek(0)
+        reader = csv.DictReader(fh)
+        if not set(columns) <= set(reader.fieldnames or ()):
+            raise SchemaError(f"{path}: header {reader.fieldnames} lacks one of {list(columns)}")
+        for row in reader:
+            lineno = reader.line_num + skipped
+            if schema is not None and None in row:
+                raise SchemaError(f"{path}: line {lineno}: malformed row: fields beyond the header")
+            yield lineno, row
+
+
+def read_table(path: str | Path, rows: Iterable[tuple[int, Any]], key: str,
+               build: Callable[[Any], T]) -> dict[Any, T]:
+    """row[key] -> build(row) for each (line number, row) of rows, in order.
+    A row whose key or build raises KeyError, TypeError, ValueError or
+    DataError (an unhashable key too), or whose key repeats, raises
+    SchemaError naming the file and line."""
+    table: dict[Any, T] = {}
+    for lineno, row in rows:
+        try:
+            name, value = row[key], build(row)
+            repeated = name in table
+        except (KeyError, TypeError, ValueError, DataError) as exc:
+            raise SchemaError(f"{path}: line {lineno}: malformed row: {exc!r}") from exc
+        if repeated:
+            raise SchemaError(f"{path}: line {lineno}: repeated {key.replace('_', ' ')} {name!r}")
+        table[name] = value
+    return table
 
 
 def xml_bytes(root: ET.Element) -> bytes:

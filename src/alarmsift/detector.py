@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .artifacts import read_csv, read_json, write_csv, write_schema_json
-from .errors import DataError, SchemaError
+from .artifacts import read_csv, read_json, read_table, write_csv, write_schema_json
+from .errors import DataError
 
 MODEL_SCHEMA = "alarmsift-detector/1"
 SCORES_CSV_SCHEMA = "alarmsift-scores/1"
@@ -180,34 +180,25 @@ def _decide(
 
 # --- external scores -------------------------------------------------------
 
+def _score(row: dict) -> float:
+    score = float(row["score"])
+    if not math.isfinite(score):
+        raise ValueError(f"score {row['score']!r} is not a finite number")
+    return score
+
+
 def read_scores_csv(path: str | Path | None) -> dict[str, float] | None:
     """Reads flow_id -> score, in row order, from a scores CSV, or None
-    without a path; other columns, such as truth, are ignored.
+    without a path; a "#" first line is skipped, the header must hold
+    flow_id and score, and other columns, such as truth, are ignored.
 
     Each score must be a finite number and each flow id may occur once;
     anything else, or a file that cannot be read, raises SchemaError naming
-    the file (and the data row, 1-based).
+    the file and line (artifacts.read_table).
     """
     if path is None:
         return None
-    with read_csv(path, None) as reader:
-        fields = reader.fieldnames or []
-        if "flow_id" not in fields or "score" not in fields:
-            raise SchemaError(f"{path}: scores CSV needs flow_id and score columns, got {fields}")
-        scores: dict[str, float] = {}
-        for i, row in enumerate(reader, start=1):
-            try:
-                score = float(row["score"])
-            except (TypeError, ValueError):
-                score = math.nan
-            if not math.isfinite(score):
-                raise SchemaError(
-                    f"{path}: row {i}: score {row['score']!r} is not a finite number"
-                )
-            if row["flow_id"] in scores:
-                raise SchemaError(f"{path}: row {i}: repeated flow id {row['flow_id']!r}")
-            scores[row["flow_id"]] = score
-    return scores
+    return read_table(path, read_csv(path, None, ("flow_id", "score")), "flow_id", _score)
 
 
 def import_scores(

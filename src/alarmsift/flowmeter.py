@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .artifacts import read_csv, read_jsonl, write_csv, write_jsonl
+from .artifacts import read_csv, read_jsonl, read_table, write_csv, write_jsonl
 from .detector import TRUTH_LABELS, TRUTH_UNKNOWN
 from .errors import DataError, SchemaError
 from .pcap import PacketRecord
@@ -344,70 +344,56 @@ _UNKEPT_COLUMNS = (("client_port", int), ("server_port", int), ("first_ts", floa
                    ("last_ts", float))
 
 
+def _trace(row: dict) -> tuple[str, ...]:  # read_corpus parses each distinct label once
+    trace = tuple(f"{direction}_{flags}" for direction, flags, _ts in row["events"])
+    if not trace:
+        raise ValueError("a flow has at least one event")
+    return trace
+
+
+def _flow_row(row: dict) -> tuple[str, np.ndarray]:
+    if row["truth"] not in TRUTH_LABELS:
+        raise ValueError(f"truth {row['truth']!r} is not one of {TRUTH_LABELS}")
+    features = np.array([float(row[name]) for name in FEATURE_NAMES])
+    if not np.isfinite(features).all():
+        raise ValueError("feature values must be finite")
+    for name, parse in _UNKEPT_COLUMNS:
+        parse(row[name])  # checked, not kept: no stage reads it
+    return row["truth"], features
+
+
 def read_corpus(flows_csv: str | Path, events_path: str | Path) -> list[FlowRecord]:
-    """Loads FlowRecords back from the flows CSV plus the events file.
+    """Loads FlowRecords back from the flows CSV plus the events file, each
+    read by artifacts.read_table, in flows CSV order.
 
     An events row that is not valid JSON, lacks flow_id or events, has no
     events (every TCP flow has a packet), repeats a flow id, or has an
     event that is not a (direction, flags, timestamp) triple raises
     SchemaError naming the file and line; so does a flows CSV row with a
-    missing column, a non-numeric value, a non-finite feature, a truth
-    outside detector.TRUTH_LABELS or a repeated flow id. Every distinct
-    event label must parse (parse_event_label); a label that does not
-    raises SchemaError naming the events file, and so does a file that
-    cannot be read. So does an events row that no flows CSV row names,
-    such as from a cut-short CSV.
+    missing or extra field, a non-numeric value, a non-finite feature, a
+    truth outside detector.TRUTH_LABELS or a repeated flow id. Every
+    distinct event label must parse (parse_event_label); a label that does
+    not raises SchemaError naming the events file, and so does a file that
+    cannot be read. A flow that the events file lacks raises DataError; an
+    events row that no flows CSV row names, as from a cut-short CSV, raises
+    SchemaError.
     """
     flows_csv, events_path = Path(flows_csv), Path(events_path)
-    events: dict[str, tuple[str, ...]] = {}
-    for lineno, row in read_jsonl(events_path, FLOW_EVENTS_SCHEMA):
-        try:
-            if row["flow_id"] in events:
-                raise SchemaError(
-                    f"{events_path}: line {lineno}: repeated flow id {row['flow_id']!r}"
-                )
-            events[row["flow_id"]] = tuple(
-                f"{direction}_{flags}" for direction, flags, _ts in row["events"]
-            )
-            if not events[row["flow_id"]]:
-                raise ValueError("a flow has at least one event")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"{events_path}: line {lineno}: malformed row: {exc!r}") from exc
+    events = read_table(events_path, read_jsonl(events_path, FLOW_EVENTS_SCHEMA), "flow_id", _trace)
     for label in sorted({label for trace in events.values() for label in trace}):
         try:
             parse_event_label(label)
         except DataError as exc:
             raise SchemaError(f"{events_path}: {exc}") from exc
-    records: list[FlowRecord] = []
-    seen: set[str] = set()
-    with read_csv(flows_csv, FLOWS_CSV_SCHEMA) as reader:
-        for row in reader:
-            try:
-                flow_id = row["flow_id"]
-                if flow_id not in events:
-                    raise DataError(f"{flows_csv}: flow {flow_id} missing from events file")
-                if flow_id in seen:
-                    raise SchemaError(
-                        f"{flows_csv}: line {reader.line_num + 1}: repeated flow id {flow_id!r}"
-                    )
-                seen.add(flow_id)
-                if row["truth"] not in TRUTH_LABELS:
-                    raise ValueError(f"truth {row['truth']!r} is not one of {TRUTH_LABELS}")
-                features = np.array([float(row[name]) for name in FEATURE_NAMES])
-                if not np.isfinite(features).all():
-                    raise ValueError("feature values must be finite")
-                for name, parse in _UNKEPT_COLUMNS:
-                    parse(row[name])  # checked, not kept: no stage reads it
-                records.append(FlowRecord(flow_id, row["truth"], features, events[flow_id]))
-            except (KeyError, TypeError, ValueError) as exc:
-                # The schema comment precedes the lines the reader counts.
-                raise SchemaError(
-                    f"{flows_csv}: line {reader.line_num + 1}: malformed row: {exc!r}"
-                ) from exc
-    orphans = [flow_id for flow_id in events if flow_id not in seen]
+    flows = read_table(flows_csv, read_csv(flows_csv, FLOWS_CSV_SCHEMA), "flow_id", _flow_row)
+    for flow_id in flows:
+        if flow_id not in events:
+            raise DataError(f"{flows_csv}: flow {flow_id} missing from events file")
+    orphans = [flow_id for flow_id in events if flow_id not in flows]
     if orphans:
         raise SchemaError(
             f"{events_path}: {len(orphans)} flow id(s) missing from {flows_csv}, "
             f"first {orphans[0]!r}"
         )
-    return records
+    return [FlowRecord(flow_id, truth, features, events[flow_id])
+            for flow_id, (truth, features) in flows.items()]

@@ -22,7 +22,7 @@ from . import discovery, events
 from .artifacts import read_json, write_csv, write_jsonl, write_schema_json
 from .config import RunConfig, derive_seed, echo_config, semantic_echo
 from .errors import ConfigError, DataError, PcapFormatError, SchemaError
-from .flowmeter import FEATURE_NAMES, FlowRecord, assemble_flows, read_corpus
+from .flowmeter import FEATURE_NAMES, Flow, FlowRecord, assemble_flows, read_corpus
 from .pcap import ingest_pcap
 from .petri import check_soundness, export_pnml, import_pnml, workflow_shape_errors
 from .rating import (
@@ -45,6 +45,11 @@ _BANDS = range(1, NUM_BANDS + 1)  # band k of rating.BAND_NAMES, 1 = most severe
 
 # --- input loading ---------------------------------------------------------
 
+def _time_ordered(flow: Flow) -> bool:
+    stamps = [p.timestamp for p in flow.packets]
+    return stamps == sorted(stamps)
+
+
 def load_records(config: RunConfig) -> list[FlowRecord]:
     """Loads flow records from the configured corpus or PCAP captures; setting
     both is a ConfigError. A corpus without a flow raises DataError naming
@@ -54,7 +59,9 @@ def load_records(config: RunConfig) -> list[FlowRecord]:
     (PcapFormatError: unreadable, a bad global header, an unsupported link
     type) or that is malformed mid-file is refused with a warning naming it,
     and the rest still load; a warning counts records cut off at a capture's
-    end. DataError is raised when every capture was refused, and when the
+    end, and one counts the capture's flows left out because their packet
+    timestamps go backwards (their durations and gaps would be negative).
+    DataError is raised when every capture was refused, and when the
     captures yield no flow, with the packets that server_ports filtered and
     the non-TCP packets counted."""
     if config.corpus is not None and config.captures:
@@ -91,7 +98,11 @@ def load_records(config: RunConfig) -> list[FlowRecord]:
             id_prefix=spec.path.stem,
             truth=spec.truth,
         )
-        for flow in flows:
+        ordered = [flow for flow in flows if _time_ordered(flow)]
+        if len(ordered) < len(flows):
+            logger.warning("%s: left out %d flow(s) whose packet timestamps go backwards",
+                           spec.path, len(flows) - len(ordered))
+        for flow in ordered:
             if flow.flow_id in origin:
                 raise DataError(
                     f"flow id {flow.flow_id} occurs in captures {origin[flow.flow_id]} "

@@ -10,20 +10,27 @@ corpus files at sampled byte offsets. The capture cases edit or cut a
 capture at each byte. The corpus-row cases cut, drop, repeat, byte-edit
 or substitute a field of a row of flows.csv or events.jsonl. A fixed-seed
 sample of each set runs; the corpus-row cases are drawn one at a time.
+The same corpus-row cases, plus each byte edit of a small scores file and
+a small profile file, are read by the row readers and by their frozen
+copies in reference_readers, which must agree.
 """
 import json
 import random
+import shutil
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+import reference_readers as reference
 from alarmsift import pipeline, synthetic
+from alarmsift.alignment import read_profile_csv, write_profile_csv
 from alarmsift.cli import main
 from alarmsift.config import CaptureSpec, RunConfig
-from alarmsift.detector import save_model
-from alarmsift.errors import ConfigError, DataError, SchemaError
+from alarmsift.detector import read_scores_csv, save_model
+from alarmsift.errors import AlarmsiftError, ConfigError, DataError, SchemaError
 from alarmsift.events import save_params
+from alarmsift.flowmeter import read_corpus
 from alarmsift.petri import export_pnml
 from capturecraft import handshake_fin_frames, pcap_bytes
 
@@ -308,3 +315,74 @@ def test_a_corrupt_corpus_row_fails_only_with_a_package_error(labelled_corpus, t
     assert {label: o for label, o in outcomes.items()
             if o not in ("ok", "SchemaError", "DataError", "ConfigError")} == {}
     assert outcomes["flows.csv bytes_total of a training flow = 1e308"] == "DataError"
+
+
+def _table(read, *paths):
+    """What read returns for paths, FlowRecords as tuples, or the package
+    error it raises."""
+    try:
+        value = read(*paths)
+    except AlarmsiftError as exc:
+        return exc
+    if isinstance(value, list):
+        return [(r.flow_id, r.truth, r.features.tolist(), r.events) for r in value]
+    return value
+
+
+def _byte_edits(path: Path):
+    """path's bytes with each byte dropped or replaced by a CSV delimiter,
+    a line end, a quote, a "#", NUL, a letter, a digit or a minus."""
+    data = path.read_bytes()
+    for i in range(len(data)):
+        for value in (b"", b",", b"\n", b'"', b"#", b"\x00", b"x", b"9", b"-"):
+            yield f"{path.name} byte {i} = {value!r}", path, data[:i] + value + data[i + 1:]
+
+
+def _extra_field(path: Path, i: int):
+    """path with ",EXTRA" after the last field of its line i + 1."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    end = lines[i][len(lines[i].rstrip(b"\r\n")):]
+    lines[i] = lines[i].rstrip(b"\r\n") + b",EXTRA" + end
+    return f"{path.name} line {i + 1} extra field", path, b"".join(lines)
+
+
+def test_row_readers_agree_with_their_reference_copies(labelled_corpus, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(labelled_corpus, corpus)
+    scores, profile = tmp_path / "scores.csv", tmp_path / "profile.csv"
+    scores.write_text("# from an external IDS\nflow_id,score,truth\nf1,0.5,normal\nf2,-3e2,attack\n")
+    write_profile_csv({"C_to_S_ACK": 0.5, "S_to_C_SYN+ACK": 2.0}, profile)
+    rng = random.Random(_SEED)  # the corpus-row cases of the test above
+    rows = [_row_case(rng, labelled_corpus / rng.choice(["flows.csv", "events.jsonl"]))
+            for _ in range(_ROW_SAMPLE)]
+    cases = [
+        *((label, corpus / path.name, data) for label, path, data in rows),
+        *_byte_edits(scores), *_byte_edits(profile),
+        *(_extra_field(path, 2) for path in (corpus / "flows.csv", scores, profile)),
+    ]
+    corpus_files = (corpus / "flows.csv", corpus / "events.jsonl")
+    readers = {
+        "flows.csv": (read_corpus, reference.read_corpus, corpus_files),
+        "events.jsonl": (read_corpus, reference.read_corpus, corpus_files),
+        "scores.csv": (read_scores_csv, reference.read_scores_csv, (scores,)),
+        "profile.csv": (read_profile_csv, reference.read_profile_csv, (profile,)),
+    }
+    apart = {}
+    for label, path, data in cases:
+        original = path.read_bytes()
+        path.write_bytes(data)
+        try:
+            read, read_reference, paths = readers[path.name]
+            new, old = _table(read, *paths), _table(read_reference, *paths)
+        finally:
+            path.write_bytes(original)
+        both_raise = isinstance(new, AlarmsiftError) and isinstance(old, AlarmsiftError)
+        if not both_raise and new != old:
+            apart[label] = (new, old)
+    # The one intended difference: a row of a schema-tagged CSV with more
+    # fields than its header, which the reference flows reader loads.
+    extra = {label for label, (new, old) in apart.items()
+             if label.startswith("flows.csv") and isinstance(new, SchemaError)
+             and "malformed row: fields beyond the header" in str(new)}
+    assert "flows.csv line 3 extra field" in extra
+    assert {label: pair for label, pair in apart.items() if label not in extra} == {}

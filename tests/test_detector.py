@@ -222,7 +222,21 @@ def test_import_scores_schema_error(tmp_path):
 def test_scores_csv_rejects_bad_score_values(tmp_path, bad_row):
     path = tmp_path / "scores.csv"
     path.write_text(f"flow_id,score\nf1,0.1\n{bad_row}\n")
-    with pytest.raises(SchemaError, match=r"scores\.csv: row 2"):
+    with pytest.raises(SchemaError, match=r"scores\.csv: line 3: malformed row"):
+        read_scores_csv(path)
+
+
+def test_scores_csv_errors_name_the_file_line_after_a_comment(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text("# exported by the IDS\nflow_id,score\nf1,0.1\nf2,abc\n")
+    with pytest.raises(SchemaError, match=r"scores\.csv: line 4: malformed row"):
+        read_scores_csv(path)
+
+
+def test_scores_csv_header_must_hold_flow_id_and_score_without_rows(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text("flow_id,value\n")
+    with pytest.raises(SchemaError, match=r"scores\.csv: .*score"):
         read_scores_csv(path)
 
 

@@ -333,10 +333,11 @@ def _truth(value):
     ("flows.csv", 2, _column(4, "")),  # server port
     ("flows.csv", 2, _column(5, "x")),  # first ts
     ("flows.csv", 2, _column(6, "1.0.0")),  # last ts
+    ("flows.csv", 2, lambda line: line + ",EXTRA"),  # a field beyond the header
 ], ids=[
     "bad-json", "no-flow-id", "no-events", "two-field-event", "empty-events", "short-row",
     "non-numeric", "non-finite", "capitalized-truth", "empty-truth", "bad-client-port",
-    "empty-server-port", "bad-first-ts", "bad-last-ts",
+    "empty-server-port", "bad-first-ts", "bad-last-ts", "extra-field",
 ])
 def test_read_corpus_rejects_malformed_rows(tmp_path, name, index, edit):
     flows = assemble_flows(ingest_pcap_write(tmp_path, handshake_fin_frames()).packets)

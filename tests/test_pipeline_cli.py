@@ -1016,6 +1016,24 @@ def test_truncated_trailing_records_are_counted_in_a_warning(tmp_path, caplog):
     assert _pipeline_warnings(caplog) == [f"{cut}: dropped 1 truncated trailing record(s)"]
 
 
+def test_a_flow_whose_timestamps_go_backwards_is_left_out_and_counted(tmp_path, caplog):
+    # Its first record stamped 5 s late, the flow's duration and gaps would
+    # read negative. The flow beside it loads.
+    late = handshake_fin_frames()
+    late[0] = (late[0][0] + 5.0, late[0][1])
+    capture = tmp_path / "mixed.pcap"
+    capture.write_bytes(pcap_bytes(handshake_fin_frames(cport=40000) + late))
+    specs = (CaptureSpec(capture, "normal"),)
+    cfg = RunConfig(output_dir=tmp_path / "out", captures=specs).validate()
+    with caplog.at_level(logging.WARNING, logger="alarmsift.pipeline"):
+        records = pipeline.load_records(cfg)
+    assert [r.flow_id for r in records] == ["mixed-000000"]
+    assert (records[0].features >= 0).all()
+    assert _pipeline_warnings(caplog) == [
+        f"{capture}: left out 1 flow(s) whose packet timestamps go backwards"
+    ]
+
+
 def test_a_capture_with_a_bad_global_header_is_refused_alone(tmp_path, caplog):
     # A bad magic and a Linux cooked capture (link type 113) fail in the
     # global header, before any record is read.
@@ -1054,7 +1072,7 @@ def _corpus_repeating_a_row(name, index):
 def _scores_repeating_an_id(tmp_path, corpus):
     scores = tmp_path / "scores.csv"
     scores.write_text("flow_id,score\nf1,3\nf2,1\nf1,0\n")
-    pattern = re.escape(f"{scores}: row 3: repeated flow id 'f1'")
+    pattern = re.escape(f"{scores}: line 4: repeated flow id 'f1'")
     return (lambda: detector.read_scores_csv(scores)), SchemaError, pattern
 
 

@@ -217,6 +217,25 @@ MUTANTS = (
         "zip(flow_ids, scores, truths)",
         "tests/test_pipeline_cli.py::test_rate_leaves_out_only_a_flow_whose_score_overflows",
     ),
+    Mutant(
+        "repeated-row-key-accepted", "src/alarmsift/artifacts.py",
+        "if repeated:",
+        "if False:",
+        "tests/test_pipeline_cli.py::test_repeated_flow_ids_are_rejected[scores-row]",
+    ),
+    Mutant(
+        "extra-field-accepted", "src/alarmsift/artifacts.py",
+        "if schema is not None and None in row:",
+        "if False:",
+        "tests/test_flowmeter.py::test_read_corpus_rejects_malformed_rows[extra-field]",
+    ),
+    Mutant(
+        "backwards-flow-kept", "src/alarmsift/pipeline.py",
+        "return stamps == sorted(stamps)",
+        "return True",
+        "tests/test_pipeline_cli.py::test_a_flow_whose_timestamps_go_backwards"
+        "_is_left_out_and_counted",
+    ),
 )
 
 
